@@ -14,15 +14,17 @@ import numpy as np
 from . import algebra as alg
 from .descent import (
     DecoratedComposition,
-    Decoration,
     DescentOperator,
     apply_operator,
     compose_law,
+    operator_matrix,
     riffle_operator,
 )
 from .errors import HyperoctError, OutsideBasis
 from .lyndon import build_eigenvector, eigenbasis, lyndon_factorize
 from .markov import (
+    _FLAVOR_DECORATION as _FLAVORS,
+    _SIGNS,
     ShuffleSpec,
     des,
     expected_descents,
@@ -37,10 +39,7 @@ from .spectral import (
     shuffle_multiplicities,
 )
 from .verify import run_checks
-from .words import SignedWord
-
-_FLAVORS = {"rotation": Decoration.BAR, "flip": Decoration.TBAR}
-_SIGNS = {"plus": "+", "minus": "-", "+": "+", "-": "-"}
+from .words import SignedWord, signed_permutations
 
 
 def _dump(obj, out: str | None) -> None:
@@ -198,13 +197,12 @@ def cmd_compose(args) -> int:
         "operator": result.to_json(),
     }
     if args.verify:
-        from .verify import _matrix
-        from .words import signed_permutations
-
         states = signed_permutations(D.total)
         algebra = alg.SHUFFLE if args.algebra == "commutative" else alg.CONCAT
-        lhs = _matrix(Dp, states, algebra) @ _matrix(D, states, algebra)
-        rhs = _matrix(result, states, algebra)
+        lhs = operator_matrix(DescentOperator.elementary(Dp), states, algebra) @ operator_matrix(
+            DescentOperator.elementary(D), states, algebra
+        )
+        rhs = operator_matrix(result, states, algebra)
         payload["verified"] = bool((lhs == rhs).all())
     _dump(payload, args.out)
     return 0 if payload.get("verified", True) else 1

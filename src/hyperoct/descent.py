@@ -16,11 +16,11 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import FlavorMismatch, NotHomogeneous, SizeMismatch
+from .errors import CodeOverflow, FlavorMismatch, NotHomogeneous, SizeMismatch
 from .words import AlgebraElement, SignedWord, WordLike, as_word
 from . import algebra as alg
 
@@ -294,8 +294,9 @@ def apply_elementary(D: DecoratedComposition, w: WordLike, algebra: str) -> Alge
 def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     """Linear extension of apply_elementary over the operator's terms.
 
-    Large integer-coefficient elements take a vectorized path; the result is
-    exact either way (the int64 accumulator is bounds-checked).
+    Large integer-coefficient elements take an array path when their words
+    code in int64; otherwise, and for small or fractional elements, the
+    word-by-word path runs.  The result is exact either way.
     """
     if not isinstance(x, AlgebraElement):
         x = AlgebraElement.from_word(as_word(x))
@@ -308,7 +309,9 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     if len(x) > 128 and all(
         c.denominator == 1 for c in x.terms().values()
     ) and all(c.denominator == 1 for c in T.terms.values()):
-        return _apply_operator_vectorized(T, x, algebra)
+        out = _apply_operator_vectorized(T, x, algebra)
+        if out is not None:
+            return out
     acc: dict[SignedWord, Fraction] = {}
     for D, cD in T.terms.items():
         for w, cw in x:
@@ -323,40 +326,64 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     return AlgebraElement(acc)
 
 
-def _apply_operator_vectorized(T: DescentOperator, x: AlgebraElement, algebra: str) -> AlgebraElement:
-    words = list(x.words())
+_INT64_MAX = int(np.iinfo(np.int64).max)
+
+
+def _word_coder(W: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
+    """(m, powers) coding each row y of W as Σ_k (y_k + m)·(2m+1)^k, where m
+    is the largest |label|; None when (2m+1)^n does not fit in int64."""
+    m = int(np.abs(W).max(initial=0))
+    if (2 * m + 1) ** W.shape[1] > _INT64_MAX:
+        return None
+    return m, (2 * m + 1) ** np.arange(W.shape[1], dtype=np.int64)
+
+
+def _program_arrays(D: DecoratedComposition, algebra: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The programs of D as (source positions, signs) arrays."""
+    for prog in _programs(D, algebra):
+        yield (
+            np.fromiter((i for i, _ in prog), dtype=np.intp, count=len(prog)),
+            np.fromiter((sg for _, sg in prog), dtype=np.int64, count=len(prog)),
+        )
+
+
+def _apply_operator_vectorized(
+    T: DescentOperator, x: AlgebraElement, algebra: str
+) -> Optional[AlgebraElement]:
+    """The array path of apply_operator; None when the words do not code in
+    int64.
+
+    Every partial sum of the accumulator is bounded by
+    Σ_D |c_D|·#programs(D)·Σ_w |c_w|.  Past int64 the coefficients are
+    summed as Python integers (object arrays), so the result stays exact.
+    """
     n = T.degree
+    words = list(x.words())
     W = np.array([tuple(w) for w in words], dtype=np.int64)
-    cvec = np.array([int(x.coeff(w)) for w in words], dtype=np.int64)
-    maxlab = int(np.abs(W).max())
+    coder = _word_coder(W)
+    if coder is None:
+        return None
+    maxlab, powers = coder
     base = 2 * maxlab + 1
-    powers = base ** np.arange(n, dtype=np.int64)
-    if base**n > 2**62:
-        raise ValueError("word encoding exceeds int64; use the exact path")
-    # |accumulated coeff| <= sum |x_w| * coeff(D); guard the accumulator.
-    total_budget = int(np.abs(cvec).sum()) * max(
-        (abs(int(c)) for c in T.terms.values()), default=1
-    )
-    if total_budget >= 2**62:
-        raise ValueError("coefficient budget exceeds int64; use the exact path")
+    coeffs = [int(x.coeff(w)) for w in words]
+    budget = sum(abs(int(c)) * len(_programs(D, algebra)) for D, c in T.terms.items())
+    dtype = np.int64 if budget * sum(map(abs, coeffs)) <= _INT64_MAX else object
+    cvec = np.array(coeffs, dtype=dtype)
     code_chunks = []
     sum_chunks = []
     for D, cD in T.terms.items():
         ci = int(cD)
-        for prog in _programs(D, algebra):
-            src = np.fromiter((i for i, _ in prog), dtype=np.int64, count=n)
-            sgn = np.fromiter((sg for _, sg in prog), dtype=np.int64, count=n)
-            Y = W[:, src] * sgn
-            codes = (Y + maxlab) @ powers
+        for src, sgn in _program_arrays(D, algebra):
+            codes = (W[:, src] * sgn + maxlab) @ powers
             uc, inv = np.unique(codes, return_inverse=True)
-            sums = np.zeros(len(uc), dtype=np.int64)
+            sums = np.zeros(len(uc), dtype=dtype)
             np.add.at(sums, inv, ci * cvec)
             code_chunks.append(uc)
             sum_chunks.append(sums)
     allc = np.concatenate(code_chunks)
     alls = np.concatenate(sum_chunks)
     uc, inv = np.unique(allc, return_inverse=True)
-    sums = np.zeros(len(uc), dtype=np.int64)
+    sums = np.zeros(len(uc), dtype=dtype)
     np.add.at(sums, inv, alls)
     acc = {}
     for code, s in zip(uc.tolist(), sums.tolist()):
@@ -528,21 +555,77 @@ def compose_law(
 # matrices of operators on a word basis
 
 
-def operator_matrix(
+def image_table(
     T: DescentOperator, states: Sequence[SignedWord], algebra: str
+) -> tuple[np.ndarray, np.ndarray]:
+    """Index table of T on a basis of words: (images, coeffs).
+
+    Column k belongs to the k-th program over T's terms (D in term order,
+    then the programs of D).  images[i, k] is the index in ``states`` of the
+    image of states[i] under that program, and coeffs[k] is c_D, so that
+    T(states[i]) = Σ_k coeffs[k]·states[images[i, k]].  ``images`` is int32
+    and column-major, so that each column is contiguous.
+
+    Words are coded in base 2m+1 (m the largest |label|) and looked up among
+    the sorted state codes.  Raises CodeOverflow when (2m+1)^n does not fit
+    in int64, KeyError when an image leaves the basis, ValueError for
+    fractional coefficients or repeated states, and SizeMismatch for a state
+    whose length is not T's degree.
+    """
+    n = T.degree
+    if any(len(w) != n for w in states):
+        raise SizeMismatch(f"operator of degree {n} on states of other lengths")
+    if any(c.denominator != 1 for c in T.terms.values()):
+        raise ValueError("operator_matrix needs integer coefficients")
+    W = np.array([tuple(w) for w in states], dtype=np.int64).reshape(len(states), n)
+    coder = _word_coder(W)
+    if coder is None:
+        raise CodeOverflow(f"words of length {n} with labels up to {int(np.abs(W).max())}")
+    m, powers = coder
+    codes = (W + m) @ powers
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    if (sorted_codes[1:] == sorted_codes[:-1]).any():
+        raise ValueError("states repeat a word")
+    images = np.empty(
+        (sum(len(_programs(D, algebra)) for D in T.terms), len(states)), dtype=np.int32
+    )
+    coeffs = np.empty(len(images), dtype=np.int64)
+    k = 0
+    offset = m * int(powers.sum())  # the m of every digit, added once
+    for D, c in T.terms.items():
+        for src, sgn in _program_arrays(D, algebra):
+            img = W[:, src] @ (sgn * powers) + offset
+            pos = np.searchsorted(sorted_codes, img)
+            hit = pos < len(states)
+            hit[hit] = sorted_codes[pos[hit]] == img[hit]
+            if not hit.all():
+                i = int(np.flatnonzero(~hit)[0])
+                raise KeyError(tuple(int(v) for v in W[i, src] * sgn))
+            images[k] = order[pos]
+            coeffs[k] = int(c)
+            k += 1
+    return images.T, coeffs
+
+
+def operator_matrix(
+    T: DescentOperator,
+    states: Sequence[SignedWord],
+    algebra: str,
+    table: Optional[tuple[np.ndarray, np.ndarray]] = None,
 ) -> np.ndarray:
     """Integer matrix M with M[i, j] = coefficient of states[j] in T(states[i]).
 
-    Requires integer coefficients and closure of the span (true for distinct
-    -letter bases; raises KeyError if an image word leaves the basis).
+    Built from ``image_table(T, states, algebra)``, or from ``table`` when
+    the caller already holds it, and so subject to its limits: words must
+    code in int64, i.e. (2m+1)^n < 2^63 for m the largest |label| (else
+    CodeOverflow); T needs integer coefficients (else ValueError); and the
+    span of the states must be closed under T (true for distinct-letter
+    bases; else KeyError names an image word outside the basis).
     """
-    index = {tuple(w): i for i, w in enumerate(states)}
+    images, coeffs = table if table is not None else image_table(T, states, algebra)
     M = np.zeros((len(states), len(states)), dtype=np.int64)
-    for D, c in T.terms.items():
-        if c.denominator != 1:
-            raise ValueError("operator_matrix needs integer coefficients")
-        ci = int(c)
-        for i, w in enumerate(states):
-            for out in elementary_action(D, w, algebra):
-                M[i, index[out]] += ci
+    rows = np.arange(len(states))
+    for col, c in zip(images.T, coeffs.tolist()):
+        M[rows, col] += c  # one image per row, so no index repeats
     return M

@@ -51,3 +51,11 @@ class FlavorUnsupported(HyperoctError):
 
 class BadIndices(HyperoctError):
     """Eigenfunction indices violate i < j (or i != j) requirements."""
+
+
+class CodeOverflow(HyperoctError):
+    """Words are too long, or their labels too large, to code in int64."""
+
+
+class NotIntegral(HyperoctError):
+    """A value that the mathematics makes an integer came out fractional."""

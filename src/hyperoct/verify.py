@@ -32,6 +32,7 @@ from .algebra import (
     tau,
     tau_tilde,
 )
+from .errors import NotIntegral
 from .descent import (
     DecoratedComposition,
     Decoration,
@@ -666,15 +667,15 @@ def chain_spectrum_certificate(
         return report
     # eigenvector route
     Mc = operator_matrix(spec.operator(), tm.states, CONCAT)
-    index = {w: i for i, w in enumerate(tm.states)}
     rows = []
     counts: dict[int, int] = {}
     eigen_ok = True
     for w, vec, mu in eigenbasis(n, n, a, spec.sign, spec.decoration):
         v = np.zeros(size, dtype=np.int64)
         for word, c in vec:
-            assert c.denominator == 1
-            v[index[word]] = int(c)
+            if c.denominator != 1:
+                raise NotIntegral(f"eigenvector of {w} has the coefficient {c}")
+            v[tm.index(word)] = int(c)
         if not ((v @ Mc) == mu * v).all():
             eigen_ok = False
         rows.append(v)
@@ -946,12 +947,11 @@ def check_chain_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
         for a, sign, flavor in ALL_SPECS:
             spec = ShuffleSpec(n, a, sign, flavor)
             tm = transition_matrix(spec)
-            index = {w: i for i, w in enumerate(tm.states)}
             for w, vec, mu in eigenbasis(n, n, a, sign, spec.decoration):
                 v = np.zeros(tm.size, dtype=np.int64)
                 for word, c in vec:
-                    v[index[word]] = int(c)
-                if not ((tm.counts @ v) == mu * v).all():
+                    v[tm.index(word)] = int(c)
+                if not (tm.pull(v) == mu * v).all():
                     ok = False
     return [
         _result(
@@ -1046,9 +1046,8 @@ def check_sampler_agreement(n_max: int, seed: int = 11) -> list[CheckResult]:
         else:
             decks = np.tile(np.array(w0, dtype=np.int64), (trials, 1))
             decks = batch_step(spec, decks, rng)
-            idx = {w: i for i, w in enumerate(tm.states)}
             for row_ in decks:
-                counts[idx[SignedWord(row_)]] += 1
+                counts[tm.index(SignedWord(row_))] += 1
             total = trials
         support = probs > 0
         if counts[~support].any():

@@ -9,12 +9,14 @@ from hyperoct import (
     CONCAT,
     SHUFFLE,
     AlgebraElement,
+    CodeOverflow,
     CompatibleMatrix,
     DecoratedComposition,
     Decoration,
     DescentOperator,
     FlavorMismatch,
     NotHomogeneous,
+    SignedWord,
     SizeMismatch,
     apply_elementary,
     apply_operator,
@@ -28,6 +30,7 @@ from hyperoct import (
     wcomp,
     wcomp_tilde,
 )
+from hyperoct.descent import elementary_action, image_table
 from conftest import W
 
 DC = DecoratedComposition
@@ -191,3 +194,118 @@ def test_compositions_enumeration():
     assert len(list(decorated_compositions(3, Decoration.BAR))) == sum(
         2**l for l in (1, 2, 2, 3)
     )
+
+
+# ---------------------------------------------------------------------------
+# the image table against the literal loop, and the int64 edges of the array
+# path of apply_operator
+
+
+def _literal_operator_matrix(T, states, algebra):
+    """Reference: every image of every state, looked up one word at a time."""
+    index = {tuple(w): i for i, w in enumerate(states)}
+    M = np.zeros((len(states), len(states)), dtype=np.int64)
+    for D, c in T.terms.items():
+        for i, w in enumerate(states):
+            for out in elementary_action(D, w, algebra):
+                M[i, index[out]] += int(c)
+    return M
+
+
+def _table_cases():
+    for n in (1, 2, 3):
+        for flavor in (Decoration.BAR, Decoration.TBAR):
+            for D in decorated_compositions(n, flavor):
+                yield DescentOperator.elementary(D), n
+    for a in (1, 2, 3):
+        for sign in "+-":
+            for flavor in (Decoration.BAR, Decoration.TBAR):
+                yield riffle_operator(a, sign, flavor, 4), 4
+
+
+def test_operator_matrix_matches_literal_loop():
+    states = {n: signed_permutations(n) for n in (1, 2, 3, 4)}
+    cases = 0
+    for T, n in _table_cases():
+        for algebra in (SHUFFLE, CONCAT):
+            want = _literal_operator_matrix(T, states[n], algebra)
+            assert (operator_matrix(T, states[n], algebra) == want).all(), (T.to_json(), algebra)
+            cases += 1
+    assert cases == 2 * (2 * (2 + 6 + 18) + 12)
+
+
+def test_image_table_layout_and_coefficients():
+    T = DescentOperator({DC.parse("1b,1"): 3, DC.parse("2"): -2}, 2)
+    states = signed_permutations(2)
+    images, coeffs = image_table(T, states, SHUFFLE)
+    assert images.dtype == np.int32 and images.shape == (8, 3)
+    assert sorted(coeffs.tolist()) == [-2, 3, 3]
+    for i, w in enumerate(states):
+        got = AlgebraElement(
+            (states[j], c) for j, c in zip(images[i].tolist(), coeffs.tolist())
+        )
+        assert got == apply_operator(T, w, SHUFFLE)
+    assert (operator_matrix(T, states, SHUFFLE) == _literal_operator_matrix(T, states, SHUFFLE)).all()
+
+
+def test_image_table_refusals():
+    T = riffle_operator(2, "+", Decoration.BAR, 2)
+    with pytest.raises(KeyError):  # 2 1 and its bars are not states
+        operator_matrix(T, [W("1 2"), W("-1 2"), W("1 -2")], SHUFFLE)
+    with pytest.raises(SizeMismatch):
+        operator_matrix(T, [W("1 2"), W("1")], SHUFFLE)
+    with pytest.raises(ValueError):
+        operator_matrix(T * Fraction(1, 2), signed_permutations(2), SHUFFLE)
+    with pytest.raises(ValueError):
+        operator_matrix(T, [W("1 2"), W("1 2")], SHUFFLE)
+    # (2m+1)^3 passes 2^63 - 1 at m = 2^20, not at m = 2^20 - 1
+    T3 = riffle_operator(1, "+", Decoration.BAR, 3)
+    with pytest.raises(CodeOverflow):
+        operator_matrix(T3, [SignedWord((2**20, 1, 2))], SHUFFLE)
+    assert operator_matrix(T3, [SignedWord((2**20 - 1, 1, 2))], SHUFFLE).tolist() == [[1]]
+
+
+def test_apply_operator_huge_coefficients_exact():
+    # 256 terms, each 2^53: the accumulator passes int64 (Σ|c_D|·#programs·Σ|c_w|)
+    T8 = riffle_operator(3, "+", Decoration.BAR, 8)
+    words8 = list(itertools.product((-1, 1), repeat=8))
+    got = apply_operator(T8, AlgebraElement((w, 2**53) for w in words8), CONCAT)
+    assert got.coeff(SignedWord((-1,) * 8)) == 59096234310355648512
+    one = apply_operator(T8, AlgebraElement((w, 1) for w in words8), CONCAT)
+    assert got == one * 2**53
+
+
+def test_apply_operator_wide_labels_exact():
+    # 216 terms with labels >= 2^20: the base-(2m+1) word code passes int64
+    shift = 2**20
+    rng = random.Random(5)
+    letters = (-3, -2, -1, 1, 2, 3)
+    small = AlgebraElement(
+        (w, rng.choice((1, 2, 3, -1, -2))) for w in itertools.product(letters, repeat=3)
+    )
+    assert len(small) == 216
+
+    def relabel(w):
+        return tuple(c + shift if c > 0 else c - shift for c in w)
+
+    T3 = riffle_operator(2, "-", Decoration.TBAR, 3)
+    got = apply_operator(T3, small.map_words(relabel), CONCAT)
+    assert got == apply_operator(T3, small, CONCAT).map_words(relabel)
+
+
+@pytest.mark.parametrize("scale", [1, 2**40, 2**62, -(2**70)])
+def test_array_path_matches_word_path(scale):
+    # elements over 128 terms take the array path; below the int64 edge it
+    # sums in int64, above it in Python integers
+    rng = random.Random(scale % 1000)
+    words = list(itertools.product((-2, -1, 1, 2), repeat=4))
+    x = AlgebraElement((w, scale * rng.randint(-3, 3)) for w in words)
+    assert len(x) > 128
+    for algebra in (SHUFFLE, CONCAT):
+        T = riffle_operator(3, "-", Decoration.TBAR, 4) + DescentOperator.elementary(DC.parse("2t,2")) * 5
+        want = {}
+        for D, cD in T.terms.items():
+            for w, cw in x:
+                for out in elementary_action(D, w, algebra):
+                    want[out] = want.get(out, 0) + cD * cw
+        assert apply_operator(T, x, algebra) == AlgebraElement(want)

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +16,7 @@ from hyperoct import (
     ShuffleSpec,
     SignedWord,
     StateSpaceTooLarge,
+    all_words,
     batch_step,
     des,
     eigenfunction_value,
@@ -32,6 +36,7 @@ from hyperoct import (
     verify_subdominant,
 )
 from hyperoct import exactla
+from hyperoct.markov import _family_vector, _strongly_connected
 from hyperoct.verify import chain_spectrum_certificate
 from conftest import W
 
@@ -235,3 +240,103 @@ def test_batch_matches_single_distribution(tm_cache):
         for c, total in ((counts.get(y, 0), trials), (counts_single.get(y, 0), 10_000)):
             se = math.sqrt(float(p) * (1 - float(p)) * total)
             assert abs(c - float(p) * total) < 5 * se, (y, c, p)
+
+
+# ---------------------------------------------------------------------------
+# the image-table chain layer against dense and scalar references
+
+
+@pytest.mark.parametrize(
+    "a,sign,flavor", [(a, s, f) for a in (1, 2, 3) for s in "+-" for f in (ROTATION, FLIP)]
+)
+def test_strong_connectivity_matches_nullity(tm_cache, a, sign, flavor):
+    for n in (1, 2, 3):
+        tm = tm_cache(n, a, sign, flavor)
+        B = tm.counts.T - tm.scale * np.eye(tm.size, dtype=np.int64)
+        want = exactla.nullity_upper_bound(B) == 1
+        assert _strongly_connected(tm.images) is want, n
+        assert stationary_is_unique(tm) is want, n
+        if a == 1 and n >= 2:
+            assert want is False
+
+
+def test_strong_connectivity_small_graphs():
+    # a 3-cycle; a path (0 reaches all, nothing reaches 0); two 2-cycles
+    assert _strongly_connected(np.array([[1], [2], [0]], dtype=np.int32))
+    assert not _strongly_connected(np.array([[1], [2], [2]], dtype=np.int32))
+    assert not _strongly_connected(np.array([[1], [0], [3], [2]], dtype=np.int32))
+    assert _strongly_connected(np.array([[0, 1], [1, 0]], dtype=np.int32))
+
+
+@pytest.mark.parametrize("n,a,sign,flavor", [(2, 2, "+", FLIP), (3, 3, "-", ROTATION), (4, 2, "-", FLIP), (4, 3, "+", ROTATION)])
+def test_table_products_match_dense(tm_cache, n, a, sign, flavor):
+    tm = tm_cache(n, a, sign, flavor)
+    rng = np.random.default_rng(n * 10 + a)
+    v = rng.integers(-50, 50, size=tm.size)
+    assert (tm.push(v) == v @ tm.counts).all()
+    assert (tm.pull(v) == tm.counts @ v).all()
+    big = np.array([int(x) * 2**70 for x in v], dtype=object)
+    assert (tm.push(big) == np.array([int(x) * 2**70 for x in v @ tm.counts], dtype=object)).all()
+    assert tm.images.dtype == np.int32 and tm.images.shape == (tm.size, a**n)
+
+
+def test_family_vectors_match_scalar():
+    words = signed_permutations(4) + all_words(3, 2)
+    for length in (3, 4):
+        states = [w for w in words if len(w) == length]
+        S = np.array(states, dtype=np.int64)
+        for i in range(1, 5):
+            for j in range(1, 5):
+                kinds = ["f_tilde"] if i != j else []
+                if i < j:
+                    kinds += ["f_plus", "f_minus"]
+                for kind in kinds:
+                    want = [eigenfunction_value(kind, w, i, j) for w in states]
+                    assert _family_vector(kind, (i, j), S).tolist() == want, (kind, i, j)
+            want = [g_fn(i, w) for w in states]
+            assert _family_vector("g", (i,), S).tolist() == want
+
+
+def test_subdominant_refuses_a1():
+    # at a = 1 the value 1/a is the top eigenvalue, not a subdominant one
+    for flavor in (ROTATION, FLIP):
+        with pytest.raises(HypothesesNotMet):
+            verify_subdominant(ShuffleSpec(2, 1, "+", flavor))
+
+
+def test_index_lookup(tm_cache):
+    tm = tm_cache(3, 2, "+", FLIP)
+    for i, w in enumerate(tm.states):
+        assert tm.index(w) == i
+        assert tm.index(list(w)) == i
+    with pytest.raises(ValueError):
+        tm.index(W("1 1 2"))
+
+
+def test_expectation_past_int64(tm_cache):
+    # 27^t·max des passes int64 at t = 14; the value must stay exact
+    spec = ShuffleSpec(3, 3, "+", FLIP)
+    tm = tm_cache(3, 3, "+", FLIP)
+    desvec = [des(s) for s in tm.states]
+    w0 = W("3 -2 1")
+    for t in (13, 14, 20):
+        assert exact_stat_expectation(tm, w0, t, desvec) == expected_descents(spec, w0, t)
+
+
+def test_expectation_exact_under_optimize():
+    # `python -O` strips assert statements; no guard may depend on one
+    code = (
+        "import sys\n"
+        "from hyperoct import ShuffleSpec, des, exact_stat_expectation, expected_descents, transition_matrix\n"
+        "assert False, 'asserts are live'\n"
+        "spec = ShuffleSpec(5, 3, '+', 'flip')\n"
+        "tm = transition_matrix(spec)\n"
+        "w0 = (5, 4, 3, 2, 1)\n"
+        "got = exact_stat_expectation(tm, w0, 9, [des(s) for s in tm.states])\n"
+        "print(got == expected_descents(spec, w0, 9), float(got))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    out = subprocess.run([sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    ok, value = out.stdout.split()
+    assert ok == "True" and abs(float(value) - 2) < 0.01
