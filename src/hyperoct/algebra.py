@@ -28,35 +28,42 @@ def _as_element(x: Element) -> AlgebraElement:
 
 
 # ---------------------------------------------------------------------------
+# position splits
+
+
+def _position_splits(n: int, parts: Sequence[int]):
+    """Yield tuples of disjoint sorted position-tuples with the given sizes.
+
+    Block i takes parts[i] of the positions that the earlier blocks leave,
+    in lexicographic order; the last block takes all the rest.  Deshuffling,
+    the shuffle product and the descent programs all read this one walk.
+    """
+
+    def rec(remaining: tuple, idx: int):
+        if idx >= len(parts) - 1:
+            yield (remaining,) if parts else ()
+            return
+        for chosen in itertools.combinations(remaining, parts[idx]):
+            taken = set(chosen)
+            rest = tuple(p for p in remaining if p not in taken)
+            for tail in rec(rest, idx + 1):
+                yield (chosen,) + tail
+
+    yield from rec(tuple(range(n)), 0)
+
+
+# ---------------------------------------------------------------------------
 # shuffle algebra
-
-
-def _shuffle_two(u: tuple, v: tuple):
-    """Yield all |u+v| choose |u| interleavings (with repetition)."""
-    m, n = len(u), len(v)
-    if m == 0:
-        yield tuple(v)
-        return
-    if n == 0:
-        yield tuple(u)
-        return
-    total = m + n
-    for positions in itertools.combinations(range(total), m):
-        word = [None] * total
-        for src, pos in zip(u, positions):
-            word[pos] = src
-        it = iter(v)
-        for i in range(total):
-            if word[i] is None:
-                word[i] = next(it)
-        yield tuple(word)
 
 
 def shuffle_product(factors: Sequence[Element]) -> AlgebraElement:
     """Product in the shuffle algebra: sum of all interleavings.
 
-    Multi-factor products iterate the binary product; interleavings are
-    counted with multiplicity (repeated letters can make coefficients > 1).
+    The interleavings of words u and v are the position splits of
+    |u| + |v| into blocks of sizes (|u|, |v|): u is written to the first
+    block and v to the second.  Multi-factor products iterate the binary
+    product; interleavings are counted with multiplicity (repeated letters
+    can make coefficients > 1).
     """
     result = AlgebraElement.unit()
     for f in factors:
@@ -65,7 +72,12 @@ def shuffle_product(factors: Sequence[Element]) -> AlgebraElement:
         for w1, c1 in result:
             for w2, c2 in elt:
                 c = c1 * c2
-                for merged in _shuffle_two(tuple(w1), tuple(w2)):
+                total = len(w1) + len(w2)
+                for split in _position_splits(total, (len(w1), len(w2))):
+                    merged = [0] * total
+                    for block, word in zip(split, (w1, w2)):
+                        for p, letter in zip(block, word):
+                            merged[p] = letter
                     mw = SignedWord(merged)
                     acc[mw] = acc.get(mw, 0) + c
         result = AlgebraElement(acc)
@@ -117,21 +129,6 @@ def concat_elements(*factors: Element) -> AlgebraElement:
     """Concatenation product, always returning an AlgebraElement."""
     out = concat_product(list(factors))
     return out if isinstance(out, AlgebraElement) else AlgebraElement.from_word(out)
-
-
-def _position_splits(n: int, parts: Sequence[int]):
-    """Yield tuples of disjoint sorted position-tuples with the given sizes."""
-
-    def rec(remaining: tuple, idx: int):
-        if idx == len(parts):
-            yield ()
-            return
-        for chosen in itertools.combinations(remaining, parts[idx]):
-            rest = tuple(p for p in remaining if p not in chosen)
-            for tail in rec(rest, idx + 1):
-                yield (chosen,) + tail
-
-    yield from rec(tuple(range(n)), 0)
 
 
 def deshuffle(w: WordLike, parts: Sequence[int]) -> list[tuple[SignedWord, ...]]:

@@ -231,7 +231,7 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = run_checks(args.suite, args.n_max, args.seed, args.jobs)
+    results = run_checks(args.suite, args.n_max, args.seed)
     rows = [r.to_json() for r in results]
     failed = [r for r in results if r.status == "fail"]
     width = max(len(r.name) for r in results)
@@ -321,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     vf.add_argument("--n-max", dest="n_max", type=int, default=3)
     vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--jobs", type=int, default=1)
     vf.add_argument("--out")
     vf.set_defaults(fn=cmd_verify)
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -200,74 +201,54 @@ class DescentOperator:
 # ---------------------------------------------------------------------------
 # elementary action on words
 #
-# Both operators reduce, term by coproduct term, to "signed position
-# programs": output[k] = sign_k * w[src_k].  On the shuffle algebra the
-# single deconcatenation split feeds every interleaving; on the concat
-# algebra every position split feeds a single concatenation.  Programs
-# depend only on (D, algebra), so they are compiled once and cached.
-
-
-def _merge_patterns(lengths: Sequence[int]) -> Iterator[tuple[int, ...]]:
-    """All sequences using slot i exactly lengths[i] times (interleavings)."""
-    n = sum(lengths)
-    l = len(lengths)
-
-    def rec(prefix: list, remaining: tuple):
-        if len(prefix) == n:
-            yield tuple(prefix)
-            return
-        for i in range(l):
-            if remaining[i]:
-                prefix.append(i)
-                yield from rec(prefix, remaining[:i] + (remaining[i] - 1,) + remaining[i + 1 :])
-                prefix.pop()
-
-    yield from rec([], tuple(lengths))
+# Every coproduct term of m∘Δ_D is a "signed position program": output[k] =
+# sign[k]·w[src[k]].  Programs depend only on (D, algebra); each D compiles
+# once into one table, a read-only P×n pair (src, sign) with one row per
+# program.  Both algebras read the same walk over the position splits of D's
+# sizes, in opposite directions: the concat algebra reads block i of a split
+# as the input positions that deshuffling sends to slot i, while the shuffle
+# algebra writes slot i of the deconcatenation to block i as output
+# positions.  Slot i is barred when part i is decorated, and reversed too
+# for the tilde-bar decoration.  apply_operator and image_table run every
+# input through these tables; elementary_action reads them one row at a
+# time and is the word-by-word reference.
 
 
 @functools.lru_cache(maxsize=4096)
-def _programs(D: DecoratedComposition, algebra: str) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """Compiled coproduct terms of m∘Δ_D: tuples of (src_index, sign)."""
-    sizes = D.undecorate()
-    decs = [d for _, d in D.parts]
-    n = sum(sizes)
-    starts = []
-    pos = 0
-    for s in sizes:
-        starts.append(pos)
-        pos += s
-    out: list[tuple[tuple[int, int], ...]] = []
-    if algebra == alg.SHUFFLE:
-        slot_sources = []
-        for i, (s, d) in enumerate(zip(sizes, decs)):
-            rng = range(starts[i], starts[i] + s)
-            if d is Decoration.PLAIN:
-                slot_sources.append([(p, 1) for p in rng])
-            elif d is Decoration.BAR:
-                slot_sources.append([(p, -1) for p in rng])
-            else:
-                slot_sources.append([(p, -1) for p in reversed(rng)])
-        for pattern in _merge_patterns(sizes):
-            cursors = [0] * len(sizes)
-            prog = []
-            for slot in pattern:
-                prog.append(slot_sources[slot][cursors[slot]])
-                cursors[slot] += 1
-            out.append(tuple(prog))
-    elif algebra == alg.CONCAT:
-        for split in alg._position_splits(n, sizes):
-            prog = []
-            for chosen, d in zip(split, decs):
-                if d is Decoration.PLAIN:
-                    prog.extend((p, 1) for p in chosen)
-                elif d is Decoration.BAR:
-                    prog.extend((p, -1) for p in chosen)
-                else:
-                    prog.extend((p, -1) for p in reversed(chosen))
-            out.append(tuple(prog))
-    else:
+def _programs(D: DecoratedComposition, algebra: str) -> tuple[np.ndarray, np.ndarray]:
+    """The programs of m∘Δ_D as read-only P×n arrays (src, sign)."""
+    if algebra not in (alg.SHUFFLE, alg.CONCAT):
         raise ValueError(f"unknown algebra {algebra!r}")
-    return tuple(out)
+    sizes = D.undecorate()
+    n = D.total
+    signs = [1 if d is Decoration.PLAIN else -1 for _, d in D.parts]
+    flips = [d is Decoration.TBAR for _, d in D.parts]
+    slots = []  # the input positions of each deconcatenation slot, in output order
+    for start, s, flip in zip(itertools.accumulate(sizes, initial=0), sizes, flips):
+        block = range(start, start + s)
+        slots.append(block[::-1] if flip else block)
+    concat_sign = [g for g, s in zip(signs, sizes) for _ in range(s)]
+    src_rows, sign_rows = [], []
+    for split in alg._position_splits(n, sizes):
+        if algebra == alg.CONCAT:
+            src_rows.append(
+                [p for chosen, flip in zip(split, flips) for p in (chosen[::-1] if flip else chosen)]
+            )
+            sign_rows.append(concat_sign)
+        else:
+            src = [0] * n
+            sign = [0] * n
+            for chosen, slot, g in zip(split, slots, signs):
+                for p, q in zip(chosen, slot):
+                    src[p] = q
+                    sign[p] = g
+            src_rows.append(src)
+            sign_rows.append(sign)
+    src = np.array(src_rows, dtype=np.intp).reshape(len(src_rows), n)
+    sign = np.array(sign_rows, dtype=np.int64).reshape(len(sign_rows), n)
+    src.setflags(write=False)
+    sign.setflags(write=False)
+    return src, sign
 
 
 def elementary_action(D: DecoratedComposition, w: WordLike, algebra: str) -> Iterator[tuple]:
@@ -278,8 +259,9 @@ def elementary_action(D: DecoratedComposition, w: WordLike, algebra: str) -> Ite
     w = tuple(as_word(w))
     if D.total != len(w):
         raise SizeMismatch(f"{D} does not split a degree-{len(w)} word")
-    for prog in _programs(D, algebra):
-        yield tuple(sg * w[i] for i, sg in prog)
+    src, sign = _programs(D, algebra)
+    for row, signs in zip(src.tolist(), sign.tolist()):
+        yield tuple(g * w[i] for i, g in zip(row, signs))
 
 
 def apply_elementary(D: DecoratedComposition, w: WordLike, algebra: str) -> AlgebraElement:
@@ -291,111 +273,95 @@ def apply_elementary(D: DecoratedComposition, w: WordLike, algebra: str) -> Alge
     return AlgebraElement(acc)
 
 
-def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
-    """Linear extension of apply_elementary over the operator's terms.
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
-    Large integer-coefficient elements take an array path when their words
-    code in int64; otherwise, and for small or fractional elements, the
-    word-by-word path runs.  The result is exact either way.
+
+def _code_dtype(m: int, n: int):
+    """int64 when every base-(2m+1) code of a length-n word fits in it, else
+    object (Python integers)."""
+    return np.int64 if (2 * m + 1) ** n <= _INT64_MAX else object
+
+
+def _powers(m: int, n: int, dtype) -> np.ndarray:
+    """The digit weights (2m+1)^k, k < n, of the base-(2m+1) word code."""
+    return np.array([(2 * m + 1) ** k for k in range(n)], dtype=dtype)
+
+
+def _image_codes(W: np.ndarray, m: int, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """N×P codes of the images of the rows of W under the programs (src, sign).
+
+    A word y (labels in [-m, m]) codes as Σ_k (y_k + m)·(2m+1)^k, in W's
+    dtype.
+    """
+    n = W.shape[1]
+    powers = _powers(m, n, W.dtype)
+    codes = np.full((len(W), len(src)), m * sum(powers.tolist()), dtype=W.dtype)
+    scaled = sign.astype(W.dtype) * powers
+    for k in range(n):
+        term = W[:, src[:, k]]
+        term *= scaled[:, k]
+        codes += term
+    return codes
+
+
+def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
+    """T(x) for an algebra element or a word x, exactly.
+
+    One kernel runs for every input.  The coefficients of x and of T are
+    scaled to integers by the lcm of their denominators.  Each |label| is
+    replaced by its rank r among the labels of x, which is exact because
+    programs only move letters and add bars.  Every word is coded in base
+    2R+1 (R the number of labels), the images of every word under every
+    program of T are coded at once, the codes are sorted once, and the
+    coefficients of equal codes are summed.  Codes are int64 while
+    (2R+1)^n fits in int64 and Python integers past it; sums are int64 while
+    their bound Σ_D |c_D|·#programs(D)·Σ_w |c_w| fits, and Python integers
+    past it.
     """
     if not isinstance(x, AlgebraElement):
         x = AlgebraElement.from_word(as_word(x))
     if not x:
         return AlgebraElement.zero()
-    if x.degree() != T.degree:
-        raise NotHomogeneous(
-            f"operator degree {T.degree} vs element degree {x.degree()}"
-        )
-    if len(x) > 128 and all(
-        c.denominator == 1 for c in x.terms().values()
-    ) and all(c.denominator == 1 for c in T.terms.values()):
-        out = _apply_operator_vectorized(T, x, algebra)
-        if out is not None:
-            return out
-    acc: dict[SignedWord, Fraction] = {}
-    for D, cD in T.terms.items():
-        for w, cw in x:
-            c = cD * cw
-            for out in elementary_action(D, w, algebra):
-                sw = SignedWord(out)
-                new = acc.get(sw, 0) + c
-                if new:
-                    acc[sw] = new
-                else:
-                    acc.pop(sw, None)
-    return AlgebraElement(acc)
+    n = x.degree()
+    if n != T.degree:
+        raise NotHomogeneous(f"operator degree {T.degree} vs element degree {n}")
+    if not T.terms:
+        return AlgebraElement.zero()
+    words, coeffs = zip(*x)
+    tables = [_programs(D, algebra) for D in T.terms]
+    src = np.concatenate([s for s, _ in tables])
+    sign = np.concatenate([g for _, g in tables])
 
+    scale_x = math.lcm(*(c.denominator for c in coeffs))
+    scale_T = math.lcm(*(c.denominator for c in T.terms.values()))
+    cw = [c.numerator * (scale_x // c.denominator) for c in coeffs]
+    cD = [c.numerator * (scale_T // c.denominator) for c in T.terms.values()]
+    bound = sum(abs(c) * len(s) for c, (s, _) in zip(cD, tables)) * sum(map(abs, cw))
+    sum_dtype = np.int64 if bound <= _INT64_MAX else object
+    per_program = np.repeat(np.array(cD, dtype=sum_dtype), [len(s) for s, _ in tables])
+    sums = np.multiply.outer(np.array(cw, dtype=sum_dtype), per_program).ravel()
 
-_INT64_MAX = int(np.iinfo(np.int64).max)
+    labels = sorted({abs(c) for w in words for c in w})
+    rank = {}
+    for r, label in enumerate(labels, 1):
+        rank[label], rank[-label] = r, -r
+    R = len(labels)
+    W = np.array([[rank[c] for c in w] for w in words], dtype=_code_dtype(R, n))
+    codes = _image_codes(W.reshape(len(words), n), R, src, sign).ravel()
 
+    order = np.argsort(codes)
+    codes, sums = codes[order], sums[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(sums, starts)
+    keep = sums != 0
+    codes, sums = codes[starts][keep], sums[keep]
 
-def _word_coder(W: np.ndarray) -> Optional[tuple[int, np.ndarray]]:
-    """(m, powers) coding each row y of W as Σ_k (y_k + m)·(2m+1)^k, where m
-    is the largest |label|; None when (2m+1)^n does not fit in int64."""
-    m = int(np.abs(W).max(initial=0))
-    if (2 * m + 1) ** W.shape[1] > _INT64_MAX:
-        return None
-    return m, (2 * m + 1) ** np.arange(W.shape[1], dtype=np.int64)
-
-
-def _program_arrays(D: DecoratedComposition, algebra: str) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """The programs of D as (source positions, signs) arrays."""
-    for prog in _programs(D, algebra):
-        yield (
-            np.fromiter((i for i, _ in prog), dtype=np.intp, count=len(prog)),
-            np.fromiter((sg for _, sg in prog), dtype=np.int64, count=len(prog)),
-        )
-
-
-def _apply_operator_vectorized(
-    T: DescentOperator, x: AlgebraElement, algebra: str
-) -> Optional[AlgebraElement]:
-    """The array path of apply_operator; None when the words do not code in
-    int64.
-
-    Every partial sum of the accumulator is bounded by
-    Σ_D |c_D|·#programs(D)·Σ_w |c_w|.  Past int64 the coefficients are
-    summed as Python integers (object arrays), so the result stays exact.
-    """
-    n = T.degree
-    words = list(x.words())
-    W = np.array([tuple(w) for w in words], dtype=np.int64)
-    coder = _word_coder(W)
-    if coder is None:
-        return None
-    maxlab, powers = coder
-    base = 2 * maxlab + 1
-    coeffs = [int(x.coeff(w)) for w in words]
-    budget = sum(abs(int(c)) * len(_programs(D, algebra)) for D, c in T.terms.items())
-    dtype = np.int64 if budget * sum(map(abs, coeffs)) <= _INT64_MAX else object
-    cvec = np.array(coeffs, dtype=dtype)
-    code_chunks = []
-    sum_chunks = []
-    for D, cD in T.terms.items():
-        ci = int(cD)
-        for src, sgn in _program_arrays(D, algebra):
-            codes = (W[:, src] * sgn + maxlab) @ powers
-            uc, inv = np.unique(codes, return_inverse=True)
-            sums = np.zeros(len(uc), dtype=dtype)
-            np.add.at(sums, inv, ci * cvec)
-            code_chunks.append(uc)
-            sum_chunks.append(sums)
-    allc = np.concatenate(code_chunks)
-    alls = np.concatenate(sum_chunks)
-    uc, inv = np.unique(allc, return_inverse=True)
-    sums = np.zeros(len(uc), dtype=dtype)
-    np.add.at(sums, inv, alls)
-    acc = {}
-    for code, s in zip(uc.tolist(), sums.tolist()):
-        if not s:
-            continue
-        letters = []
-        c = code
-        for _ in range(n):
-            letters.append(c % base - maxlab)
-            c //= base
-        acc[SignedWord(letters)] = Fraction(s)
-    return AlgebraElement(acc)
+    digits = (codes[:, None] // _powers(R, n, codes.dtype) % (2 * R + 1)).astype(np.intp)
+    lut = np.array([-c for c in reversed(labels)] + [0] + labels, dtype=object)  # digit d: rank d - R
+    scale = scale_x * scale_T
+    return AlgebraElement(
+        (SignedWord(w), Fraction(s, scale)) for w, s in zip(lut[digits].tolist(), sums.tolist())
+    )
 
 
 def riffle_operator(a: int, sign: str, flavor: Decoration, n: int) -> DescentOperator:
@@ -578,33 +544,29 @@ def image_table(
     if any(c.denominator != 1 for c in T.terms.values()):
         raise ValueError("operator_matrix needs integer coefficients")
     W = np.array([tuple(w) for w in states], dtype=np.int64).reshape(len(states), n)
-    coder = _word_coder(W)
-    if coder is None:
-        raise CodeOverflow(f"words of length {n} with labels up to {int(np.abs(W).max())}")
-    m, powers = coder
-    codes = (W + m) @ powers
+    m = int(np.abs(W).max(initial=0))
+    if _code_dtype(m, n) is object:
+        raise CodeOverflow(f"words of length {n} with labels up to {m}")
+    codes = (W + m) @ _powers(m, n, np.int64)
     order = np.argsort(codes)
     sorted_codes = codes[order]
     if (sorted_codes[1:] == sorted_codes[:-1]).any():
         raise ValueError("states repeat a word")
-    images = np.empty(
-        (sum(len(_programs(D, algebra)) for D in T.terms), len(states)), dtype=np.int32
-    )
+    tables = [_programs(D, algebra) for D in T.terms]
+    images = np.empty((sum(len(src) for src, _ in tables), len(states)), dtype=np.int32)
     coeffs = np.empty(len(images), dtype=np.int64)
     k = 0
-    offset = m * int(powers.sum())  # the m of every digit, added once
-    for D, c in T.terms.items():
-        for src, sgn in _program_arrays(D, algebra):
-            img = W[:, src] @ (sgn * powers) + offset
-            pos = np.searchsorted(sorted_codes, img)
-            hit = pos < len(states)
-            hit[hit] = sorted_codes[pos[hit]] == img[hit]
-            if not hit.all():
-                i = int(np.flatnonzero(~hit)[0])
-                raise KeyError(tuple(int(v) for v in W[i, src] * sgn))
-            images[k] = order[pos]
-            coeffs[k] = int(c)
-            k += 1
+    for c, (src, sign) in zip(T.terms.values(), tables):
+        img = _image_codes(W, m, src, sign)
+        pos = np.searchsorted(sorted_codes, img)
+        hit = pos < len(states)
+        hit[hit] = sorted_codes[pos[hit]] == img[hit]
+        if not hit.all():
+            i, p = np.argwhere(~hit)[0]
+            raise KeyError(tuple(int(v) for v in W[i, src[p]] * sign[p]))
+        images[k : k + len(src)] = order[pos].T
+        coeffs[k : k + len(src)] = int(c)
+        k += len(src)
     return images.T, coeffs
 
 

@@ -16,13 +16,9 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .errors import EmptyWord, NotLyndon, OutsideBasis, SingleLetter
-from .words import AlgebraElement, SignedWord, WordLike, as_word, letter_key
+from .words import AlgebraElement, SignedWord, WordLike, as_word, word_lex_key
 from .algebra import concat_elements, lie_bracket
 from .descent import Decoration
-
-
-def _keys(w) -> tuple:
-    return tuple(letter_key(c) for c in w)
 
 
 def is_lyndon(w: WordLike) -> bool:
@@ -30,7 +26,7 @@ def is_lyndon(w: WordLike) -> bool:
     w = as_word(w)
     if not w:
         raise EmptyWord("the empty word is not eligible")
-    k = _keys(w)
+    k = word_lex_key(w)
     return all(k < k[i:] + k[:i] for i in range(1, len(k)))
 
 
@@ -39,7 +35,7 @@ def lyndon_factorize(w: WordLike) -> tuple[SignedWord, ...]:
     w = as_word(w)
     if not w:
         raise EmptyWord("cannot factorize the empty word")
-    k = _keys(w)
+    k = word_lex_key(w)
     n = len(k)
     factors = []
     start = 0

@@ -151,10 +151,6 @@ def multiplicity_genfun(
     return out
 
 
-def word_algebra_dimension(max_label: int, n: int) -> int:
-    return (2 * max_label) ** n
-
-
 # -- truncated series helpers (univariate in y, with an x-degree slot) ------
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -104,6 +103,20 @@ class CheckResult:
 
 def _result(name: str, ok: bool, detail: str = "", **params) -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", detail, params)
+
+
+def _int_vector(vec: AlgebraElement, index: Callable[[SignedWord], int], size: int) -> np.ndarray:
+    """vec as an int64 vector over a word basis of the given size.
+
+    Raises NotIntegral for a fractional coefficient; ``index`` raises,
+    naming the word, for a word outside the basis.
+    """
+    v = np.zeros(size, dtype=np.int64)
+    for word, c in vec:
+        if c.denominator != 1:
+            raise NotIntegral(f"{word} has the coefficient {c}")
+        v[index(word)] = c.numerator
+    return v
 
 
 BOTH_FLAVORS = (Decoration.BAR, Decoration.TBAR)
@@ -671,11 +684,7 @@ def chain_spectrum_certificate(
     counts: dict[int, int] = {}
     eigen_ok = True
     for w, vec, mu in eigenbasis(n, n, a, spec.sign, spec.decoration):
-        v = np.zeros(size, dtype=np.int64)
-        for word, c in vec:
-            if c.denominator != 1:
-                raise NotIntegral(f"eigenvector of {w} has the coefficient {c}")
-            v[tm.index(word)] = int(c)
+        v = _int_vector(vec, tm.index, size)
         if not ((v @ Mc) == mu * v).all():
             eigen_ok = False
         rows.append(v)
@@ -802,9 +811,7 @@ def check_eigen_equations(n_max: int, seed: int = 0) -> list[CheckResult]:
             rows = []
             counts: dict[int, int] = {}
             for w, vec, mu in eigenbasis(n, n, a, sign, dec):
-                v = np.zeros(len(states), dtype=np.int64)
-                for word, c in vec:
-                    v[index[word]] = int(c)
+                v = _int_vector(vec, index.__getitem__, len(states))
                 if not ((v @ Mc) == mu * v).all():
                     ok = False
                 rows.append(v)
@@ -899,10 +906,7 @@ def check_full_word_eigenbasis(n_max: int, seed: int = 0) -> list[CheckResult]:
                 img = apply_operator(T, vec, CONCAT)
                 if img != mu * vec:
                     ok = False
-                v = np.zeros(len(words), dtype=np.int64)
-                for word, c in vec:
-                    v[index[word]] = int(c)
-                rows.append(v)
+                rows.append(_int_vector(vec, index.__getitem__, len(words)))
             if flavor is Decoration.TBAR or a % 2 == 1:
                 if len(rows) != len(words):
                     ok = False
@@ -948,9 +952,7 @@ def check_chain_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
             spec = ShuffleSpec(n, a, sign, flavor)
             tm = transition_matrix(spec)
             for w, vec, mu in eigenbasis(n, n, a, sign, spec.decoration):
-                v = np.zeros(tm.size, dtype=np.int64)
-                for word, c in vec:
-                    v[tm.index(word)] = int(c)
+                v = _int_vector(vec, tm.index, tm.size)
                 if not (tm.pull(v) == mu * v).all():
                     ok = False
     return [
@@ -1114,9 +1116,7 @@ SUITES: dict[str, list[Callable[[int, int], list[CheckResult]]]] = {
 }
 
 
-def run_checks(
-    suite: str = "all", n_max: int = 3, seed: int = 0, jobs: int = 1
-) -> list[CheckResult]:
+def run_checks(suite: str = "all", n_max: int = 3, seed: int = 0) -> list[CheckResult]:
     if suite == "all":
         fns = []
         seen = set()
@@ -1130,12 +1130,7 @@ def run_checks(
             raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")
         fns = SUITES[suite]
     results: list[CheckResult] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for rs in pool.map(lambda f: f(n_max, seed), fns):
-                results.extend(rs)
-    else:
-        for f in fns:
-            results.extend(f(n_max, seed))
+    for f in fns:
+        results.extend(f(n_max, seed))
     results.sort(key=lambda r: (r.name, sorted(r.params.items())))
     return results

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -19,50 +18,6 @@ from .errors import NotInAlphabet
 def letter_key(code: int) -> tuple[int, int]:
     """Sort key realising the alphabet order 1̄ ≺ 1 ≺ 2̄ ≺ 2 ≺ ..."""
     return (abs(code), 1 if code > 0 else 0)
-
-
-@dataclass(frozen=True)
-class SignedLetter:
-    """A card label with an orientation flag."""
-
-    value: int
-    barred: bool = False
-
-    def __post_init__(self):
-        if self.value < 1:
-            raise NotInAlphabet(f"letter value must be >= 1, got {self.value}")
-
-    @property
-    def code(self) -> int:
-        return -self.value if self.barred else self.value
-
-    @classmethod
-    def from_code(cls, code: int) -> "SignedLetter":
-        if code == 0:
-            raise NotInAlphabet("0 is not a signed letter")
-        return cls(abs(code), code < 0)
-
-    def __str__(self) -> str:
-        return str(self.code)
-
-
-@dataclass(frozen=True)
-class AlphabetSpec:
-    """The alphabet {1, ..., N} and their barred partners."""
-
-    max_label: int
-
-    def __post_init__(self):
-        if self.max_label < 1:
-            raise NotInAlphabet("max_label must be >= 1")
-
-    @property
-    def letters(self) -> tuple[int, ...]:
-        """All 2N letter codes in alphabet order."""
-        out = []
-        for v in range(1, self.max_label + 1):
-            out.extend((-v, v))
-        return tuple(out)
 
 
 class SignedWord(tuple):
@@ -80,10 +35,6 @@ class SignedWord(tuple):
     def degree(self) -> int:
         return len(self)
 
-    @property
-    def letters(self) -> tuple[SignedLetter, ...]:
-        return tuple(SignedLetter.from_code(c) for c in self)
-
     def bar(self) -> "SignedWord":
         """Bar every letter in place (the rotation involution on words)."""
         return SignedWord(-c for c in self)
@@ -94,9 +45,6 @@ class SignedWord(tuple):
     def flip(self) -> "SignedWord":
         """Reverse and bar every letter (the flip involution on words)."""
         return SignedWord(-c for c in reversed(self))
-
-    def sort_key(self) -> tuple[tuple[int, int], ...]:
-        return tuple(letter_key(c) for c in self)
 
     def __str__(self) -> str:
         return " ".join(str(c) for c in self) if self else "e"
@@ -226,10 +174,6 @@ class AlgebraElement:
     def __truediv__(self, scalar) -> "AlgebraElement":
         return self * (Fraction(1) / Fraction(scalar))
 
-    def is_homogeneous(self) -> bool:
-        degs = {len(w) for w in self._terms}
-        return len(degs) <= 1
-
     def degree(self) -> int:
         """Common degree of a homogeneous non-zero element."""
         degs = {len(w) for w in self._terms}
@@ -270,25 +214,32 @@ class AlgebraElement:
 
 def all_words(n: int, max_label: int) -> list[SignedWord]:
     """All words of degree n over labels <= max_label, in canonical order."""
-    alphabet = AlphabetSpec(max_label).letters
+    alphabet = [c for v in range(1, max_label + 1) for c in (-v, v)]
     return [SignedWord(p) for p in itertools.product(alphabet, repeat=n)]
 
 
 def signed_permutations(n: int) -> list[SignedWord]:
     """All 2^n n! signed permutations of n, in canonical order."""
-    out = []
-    for perm in itertools.permutations(range(1, n + 1)):
-        for signs in itertools.product((-1, 1), repeat=n):
-            out.append(SignedWord(s * v for s, v in zip(signs, perm)))
-    out.sort(key=word_lex_key)
-    return out
+    return distinct_letter_words(n, n)
 
 
 def distinct_letter_words(n: int, max_label: int) -> list[SignedWord]:
-    """Degree-n words over labels <= max_label using distinct labels."""
+    """Degree-n words over labels <= max_label using distinct labels, in
+    canonical order.
+
+    Each position takes the unused labels in alphabet order (the barred
+    letter first), so the words come out already sorted.
+    """
     out = []
-    for labels in itertools.permutations(range(1, max_label + 1), n):
-        for signs in itertools.product((-1, 1), repeat=n):
-            out.append(SignedWord(s * v for s, v in zip(signs, labels)))
-    out.sort(key=word_lex_key)
+
+    def rec(prefix: tuple, unused: tuple):
+        if len(prefix) == n:
+            out.append(SignedWord(prefix))
+            return
+        for i, v in enumerate(unused):
+            rest = unused[:i] + unused[i + 1 :]
+            rec(prefix + (-v,), rest)
+            rec(prefix + (v,), rest)
+
+    rec((), tuple(range(1, max_label + 1)))
     return out

@@ -21,6 +21,13 @@ from hyperoct import (
     apply_elementary,
     apply_operator,
     compatible_matrices,
+    concat_elements,
+    deconcatenate,
+    deshuffle,
+    project_invariant,
+    shuffle_product,
+    tau,
+    tau_tilde,
     compose_law,
     compositions,
     decorated_compositions,
@@ -30,7 +37,7 @@ from hyperoct import (
     wcomp,
     wcomp_tilde,
 )
-from hyperoct.descent import elementary_action, image_table
+from hyperoct.descent import _programs, elementary_action, image_table
 from conftest import W
 
 DC = DecoratedComposition
@@ -276,7 +283,8 @@ def test_apply_operator_huge_coefficients_exact():
 
 
 def test_apply_operator_wide_labels_exact():
-    # 216 terms with labels >= 2^20: the base-(2m+1) word code passes int64
+    # 216 terms with labels >= 2^20, whose base-(2m+1) word code would pass
+    # int64 without replacing the labels by their ranks
     shift = 2**20
     rng = random.Random(5)
     letters = (-3, -2, -1, 1, 2, 3)
@@ -293,19 +301,117 @@ def test_apply_operator_wide_labels_exact():
     assert got == apply_operator(T3, small, CONCAT).map_words(relabel)
 
 
-@pytest.mark.parametrize("scale", [1, 2**40, 2**62, -(2**70)])
-def test_array_path_matches_word_path(scale):
-    # elements over 128 terms take the array path; below the int64 edge it
-    # sums in int64, above it in Python integers
-    rng = random.Random(scale % 1000)
-    words = list(itertools.product((-2, -1, 1, 2), repeat=4))
-    x = AlgebraElement((w, scale * rng.randint(-3, 3)) for w in words)
-    assert len(x) > 128
+def _kernel_cases(case):
+    """(T, x) pairs for the kernel of apply_operator."""
+    rng = random.Random(str(case))
+    TBAR, BAR = Decoration.TBAR, Decoration.BAR
+
+    def element(letters, n, terms, coeffs=(1, 2, 3, -1, -2, -3)):
+        return AlgebraElement(
+            (tuple(rng.choice(letters) for _ in range(n)), rng.choice(coeffs)) for _ in range(terms)
+        )
+
+    if isinstance(case, int):  # the 256 words over ±1, ±2 at a coefficient scale
+        words = list(itertools.product((-2, -1, 1, 2), repeat=4))
+        x = AlgebraElement((w, case * rng.randint(-3, 3)) for w in words)
+        T = riffle_operator(3, "-", TBAR, 4) + DescentOperator.elementary(DC.parse("2t,2")) * 5
+        return [(T, x)]
+    if case == "fractional":
+        x = project_invariant(element((-2, -1, 1, 2), 3, 40), "tau_tilde", "-")
+        assert any(c.denominator == 2 for c in x.terms().values())
+        T = riffle_operator(2, "+", TBAR, 3) * Fraction(1, 3)
+        T = T + DescentOperator.elementary(DC.parse("1t,2")) * Fraction(-5, 2)
+        return [(T, x), (T, x * Fraction(2, 7))]
+    if case == "zero_operator":
+        x = element((-2, -1, 1, 2), 3, 20)
+        return [(DescentOperator({}, 3), x), (DescentOperator({DC.parse("1,2b"): 0}, 3), x)]
+    if case == "degree0":
+        x = AlgebraElement.unit() * 3
+        T = DescentOperator({DC(()): 2, DC.parse("0"): -1, DC.parse("0b,0"): 5, DC.parse("0,0b,0"): 1}, 0)
+        return [(T, x)]
+    if case == "n1":
+        x = element((-3, -1, 1, 2), 1, 6)
+        return [(riffle_operator(3, "+", TBAR, 1), x), (riffle_operator(2, "-", BAR, 1), x)]
+    if case == "a1":
+        x = element((-3, -1, 1, 2), 4, 30)
+        return [(riffle_operator(1, sign, dec, 4), x) for sign in "+-" for dec in (BAR, TBAR)]
+    if case == "labels_2_63":
+        x = element((-(2**64 + 5), -(2**63), 3, 2**63, 2**70), 3, 30)
+        return [(riffle_operator(2, "-", TBAR, 3), x), (riffle_operator(3, "+", BAR, 3), x)]
+    if case == "degree40":  # 3^40 passes int64: the codes are Python integers
+        x = element((-1, 1), 40, 3)
+        T = DescentOperator.elementary(DC.parse("1,39b"))
+        assert len(_programs(DC.parse("1,39b"), SHUFFLE)[0]) == 40
+        return [(T, x)]
+    if case == "riffle4":
+        x = element((-3, -2, -1, 1, 2, 3), 4, 64)
+        return [
+            (riffle_operator(a, sign, dec, 4), x)
+            for a in (1, 2, 3)
+            for sign in "+-"
+            for dec in (BAR, TBAR)
+        ]
+    raise ValueError(case)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [1, 2**40, 2**62, -(2**70)]
+    + ["fractional", "zero_operator", "degree0", "n1", "a1", "labels_2_63", "degree40", "riffle4"],
+)
+def test_array_path_matches_word_path(case):
+    # the kernel against the word-by-word accumulation of elementary_action;
+    # the scales put the sums below and above the int64 edge
+    for T, x in _kernel_cases(case):
+        for algebra in (SHUFFLE, CONCAT):
+            want = {}
+            for D, cD in T.terms.items():
+                for w, cw in x:
+                    for out in elementary_action(D, w, algebra):
+                        want[out] = want.get(out, 0) + cD * cw
+            assert apply_operator(T, x, algebra) == AlgebraElement(want), (case, T.to_json(), algebra)
+
+
+def _definition(D, w, algebra):
+    """m∘Δ_D on the word w, from the Hopf structures of algebra.py: split,
+    apply the involution to the decorated slots, multiply."""
+    involution = {Decoration.PLAIN: lambda u: u, Decoration.BAR: tau, Decoration.TBAR: tau_tilde}
+    decorations = [d for _, d in D.parts]
+    if algebra == SHUFFLE:
+        splits = [deconcatenate(w, D.undecorate())]
+    else:
+        splits = deshuffle(w, D.undecorate())
+    out = AlgebraElement.zero()
+    for blocks in splits:
+        slots = [involution[d](u) for u, d in zip(blocks, decorations)]
+        out = out + (shuffle_product(slots) if algebra == SHUFFLE else concat_elements(*slots))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4])
+def test_apply_elementary_matches_definition(n):
+    # every decorated weak composition of n into at most 4 parts, zero parts
+    # included, on a word with repeated labels and letters
+    w = W("2 -1 2 1")[:n]
+    Ds = {
+        DC.from_sizes(sizes, [i for i in range(parts) if mask[i]], flavor)
+        for parts in range(1, 5)
+        for sizes in compositions(n, parts)
+        for flavor in (Decoration.BAR, Decoration.TBAR)
+        for mask in itertools.product((False, True), repeat=parts)
+    }
+    for D in Ds:
+        for algebra in (SHUFFLE, CONCAT):
+            assert apply_elementary(D, w, algebra) == _definition(D, w, algebra), (str(D), algebra)
+
+
+def test_program_tables_are_read_only():
+    D = DC.parse("1,2t")
     for algebra in (SHUFFLE, CONCAT):
-        T = riffle_operator(3, "-", Decoration.TBAR, 4) + DescentOperator.elementary(DC.parse("2t,2")) * 5
-        want = {}
-        for D, cD in T.terms.items():
-            for w, cw in x:
-                for out in elementary_action(D, w, algebra):
-                    want[out] = want.get(out, 0) + cD * cw
-        assert apply_operator(T, x, algebra) == AlgebraElement(want)
+        src, sign = _programs(D, algebra)
+        assert src.shape == sign.shape == (3, 3)
+        assert _programs(D, algebra)[0] is src
+        with pytest.raises(ValueError):
+            src[0, 0] = 1
+        with pytest.raises(ValueError):
+            sign[0] = -1

@@ -1,0 +1,19 @@
+from fractions import Fraction
+
+import pytest
+
+from hyperoct import AlgebraElement, NotIntegral, signed_permutations
+from hyperoct.verify import _int_vector
+from conftest import W
+
+
+def test_int_vector_refuses_fractions_and_foreign_words():
+    states = signed_permutations(2)
+    index = {w: i for i, w in enumerate(states)}
+    x = AlgebraElement([(W("2 -1"), 3), (W("-1 -2"), -2**40)])
+    v = _int_vector(x, index.__getitem__, len(states))
+    assert v.tolist() == [-2**40, 0, 0, 0, 0, 0, 3, 0]
+    with pytest.raises(NotIntegral):
+        _int_vector(AlgebraElement([(W("1 2"), 1), (W("2 1"), Fraction(1, 2))]), index.__getitem__, len(states))
+    with pytest.raises(KeyError, match="1 1"):
+        _int_vector(AlgebraElement.from_word(W("1 1")), index.__getitem__, len(states))

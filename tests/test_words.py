@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,11 +6,10 @@ from hypothesis import given, strategies as st
 
 from hyperoct import (
     AlgebraElement,
-    AlphabetSpec,
     NotInAlphabet,
-    SignedLetter,
     SignedWord,
     all_words,
+    distinct_letter_words,
     letter_key,
     signed_permutations,
     word_lex_key,
@@ -19,23 +19,12 @@ letters = st.integers(min_value=-4, max_value=4).filter(lambda c: c != 0)
 words = st.lists(letters, max_size=6).map(SignedWord)
 
 
-def test_letter_roundtrip():
-    l = SignedLetter(4, barred=True)
-    assert l.code == -4
-    assert SignedLetter.from_code(-4) == l
-    assert SignedLetter.from_code(3) == SignedLetter(3, False)
-    with pytest.raises(NotInAlphabet):
-        SignedLetter.from_code(0)
-    with pytest.raises(NotInAlphabet):
-        SignedLetter(0)
-
-
 def test_alphabet_order():
     # 1bar < 1 < 2bar < 2 < ...
     assert letter_key(-1) < letter_key(1) < letter_key(-2) < letter_key(2)
-    spec = AlphabetSpec(3)
-    assert spec.letters == (-1, 1, -2, 2, -3, 3)
-    assert sorted(spec.letters, key=letter_key) == list(spec.letters)
+    letters = [w[0] for w in all_words(1, 3)]
+    assert letters == [-1, 1, -2, 2, -3, 3]
+    assert sorted(letters, key=letter_key) == letters
 
 
 def test_word_parse_format():
@@ -45,8 +34,6 @@ def test_word_parse_format():
     assert SignedWord.parse("e") == SignedWord()
     assert str(SignedWord()) == "e"
     assert w.degree == 7
-    assert [l.value for l in w.letters] == [4, 3, 5, 1, 6, 7, 2]
-    assert [l.barred for l in w.letters] == [True, False, False, True, False, True, True]
     with pytest.raises(NotInAlphabet):
         SignedWord((1, 0, 2))
 
@@ -97,3 +84,15 @@ def test_state_enumeration():
     states = signed_permutations(2)
     assert states == sorted(states, key=word_lex_key)
     assert states[0] == SignedWord((-1, -2))
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def test_distinct_letter_words_match_sorted_brute(n):
+    for max_label in range(n, min(n + 2, 5) + 1):
+        brute = {
+            SignedWord(s * v for s, v in zip(signs, labels))
+            for labels in itertools.permutations(range(1, max_label + 1), n)
+            for signs in itertools.product((-1, 1), repeat=n)
+        }
+        assert distinct_letter_words(n, max_label) == sorted(brute, key=word_lex_key)
+    assert signed_permutations(n) == distinct_letter_words(n, n)
