@@ -9,8 +9,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import algebra as alg
 from .descent import (
     DecoratedComposition,
@@ -26,7 +24,6 @@ from .markov import (
     _FLAVOR_DECORATION as _FLAVORS,
     _SIGNS,
     ShuffleSpec,
-    des,
     expected_descents,
     simulate,
     stationary_distribution,
@@ -34,7 +31,6 @@ from .markov import (
     transition_matrix,
 )
 from .spectral import (
-    double_partitions,
     operator_eigenvalues,
     shuffle_multiplicities,
 )

@@ -59,3 +59,7 @@ class CodeOverflow(HyperoctError):
 
 class NotIntegral(HyperoctError):
     """A value that the mathematics makes an integer came out fractional."""
+
+
+class CertificationError(HyperoctError):
+    """No configured prime or modulus yields a proved answer."""

@@ -9,10 +9,33 @@ Everything here returns certified exact facts, never probabilistic ones:
   either from the caller (e.g. eigenvectors with verified eigen-equations)
   or from lifting the mod-p reduced-echelon kernel by rational
   reconstruction, followed by exact verification over ZZ.
-- `annihilates` checks a polynomial identity q(A) = 0 exactly, column by
-  column, which pins the spectrum inside q's root set.
-- A division-free Berkowitz characteristic polynomial serves as an
-  independent oracle for small matrices.
+- `annihilates` checks a polynomial identity q(A) = 0 exactly, which pins
+  the spectrum inside q's root set.
+- `charpoly_matches` compares the power sums tr(A^k) with Σ m_λ λ^k for
+  k = 1..N.  With Σ m_λ = N, Newton's identities over QQ make this
+  equivalent to det(xI − A) = Π (x − λ)^{m_λ}.  Each difference is bounded
+  in absolute value (`trace_moduli`), so vanishing modulo pairwise coprime
+  primes whose product exceeds the bound proves it is 0.
+
+Every matrix product runs through BLAS in float64 with delayed modular
+reduction (the FFLAS-FFPACK technique; Dumas, Giorgi and Pernet, ACM TOMS
+2008), and is exact: a partial sum of integer products is computed exactly
+whenever every such partial sum is below 2^53 in absolute value, whatever
+order the BLAS kernel adds in.  Each product runs over at most `_PANEL`
+inner terms, and
+
+- residues mod the 26-bit `PRIMES` are products of values below 2^26, so
+  `_mulmod` splits the right factor as Y_hi·2^13 + Y_lo; every partial sum
+  of X·Y_hi and X·Y_lo is then below 64·2^26·2^13 = 2^45;
+- residues mod the 20-bit `TRACE_PRIMES` need no split: 64·(p − 1)^2 < 2^46;
+- integer products in `annihilates` bound each partial sum of row i of
+  (A − λ)·V by (Σ_j |A_ij| + |λ|)·max|V|; they run in float64 while this is
+  below 2^53, in int64 while it is below 2^62, and in Python integers past
+  that.
+
+Matrices are taken as int64 arrays (or anything numpy turns into one);
+matrices with an entry of 2^31 or more in absolute value are kept as
+Python integers.
 """
 
 from __future__ import annotations
@@ -23,51 +46,200 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-# Primes just below 2^26, so 384-term dot products of residues fit in int64.
+from .errors import CertificationError
+
+# Primes just below 2^26, for elimination and kernels mod p: residues are
+# below 2^26, so `_mulmod` keeps 64-term dot products exact in float64 by
+# splitting one factor into 13-bit halves.
 PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763, 67108729, 67108693)
 
+# The 64 largest primes below 2^20, for the trace-power check: 64-term dot
+# products of residues stay below 2^46, exact in float64 with no split.
+# Their product is about 2^1280; `trace_moduli` takes the shortest prefix
+# whose product exceeds the bound of the check.
+TRACE_PRIMES = (
+    1048573, 1048571, 1048559, 1048549, 1048517, 1048507, 1048447, 1048433,
+    1048423, 1048391, 1048387, 1048367, 1048361, 1048357, 1048343, 1048309,
+    1048291, 1048273, 1048261, 1048219, 1048217, 1048213, 1048193, 1048189,
+    1048139, 1048129, 1048127, 1048123, 1048063, 1048051, 1048049, 1048043,
+    1048027, 1048013, 1048009, 1048007, 1047997, 1047989, 1047979, 1047971,
+    1047961, 1047941, 1047929, 1047923, 1047887, 1047883, 1047881, 1047859,
+    1047841, 1047833, 1047821, 1047779, 1047773, 1047763, 1047751, 1047737,
+    1047721, 1047713, 1047703, 1047701, 1047691, 1047689, 1047671, 1047667,
+)
 
-class CertificationError(RuntimeError):
-    """No configured prime yielded an exactly verified answer."""
+_PANEL = 64  # columns per elimination panel; rows and inner terms per product
+_TILE = 256  # columns per product
+_HALF = 2**13
+_F64_EXACT = 2**53
+_I64_SAFE = 2**62
+_SMALL = 2**31
 
 
-def _int_rows(A) -> list[list[int]]:
-    return [[int(x) for x in row] for row in A]
+def _int_matrix(A) -> np.ndarray:
+    """A as a 2-D integer array: int64 while every |entry| < 2^31, so that
+    row sums and residue products cannot overflow, else object (Python ints)."""
+    if not (isinstance(A, np.ndarray) and A.dtype == np.int64):
+        try:
+            A = np.array(A, dtype=np.int64)
+        except OverflowError:
+            A = np.array(A, dtype=object)
+    if A.ndim != 2:
+        A = A.reshape(len(A), -1 if A.size else 0)
+    if A.dtype != object and A.size and (A.max() >= _SMALL or A.min() <= -_SMALL):
+        A = A.astype(object)
+    return A
 
 
-def _mod_matrix(rows: list[list[int]], p: int) -> np.ndarray:
-    return np.array([[x % p for x in row] for row in rows], dtype=np.int64)
+def _row_norm(M: np.ndarray) -> int:
+    """max_i Σ_j |M_ij|, exactly."""
+    return int(np.abs(M).sum(axis=1).max()) if M.size else 0
+
+
+def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X @ Y in float64, at most _PANEL inner terms per BLAS call; exact for
+    integer entries when every partial sum is below 2^53."""
+    out = X[:, :_PANEL] @ Y[:_PANEL]
+    part = np.empty_like(out)
+    for s in range(_PANEL, X.shape[1], _PANEL):
+        out += np.matmul(X[:, s : s + _PANEL], Y[s : s + _PANEL], out=part)
+    return out
+
+
+def _reduce(x: np.ndarray, p) -> np.ndarray:
+    """x mod p into [0, p), in place, for float64 integers |x| <= 2^52.
+
+    q = floor(x·(1/p)) is off from floor(x/p) by at most 1, since the
+    relative error of x·(1/p) is below 2^-51 and |x/p| <= 2^51; q·p and
+    x − q·p are integers below 2^53, hence exact, and one correction each
+    way brings x − q·p from [−p, 2p) into [0, p).  (np.fmod is exact too,
+    but some 70 times slower.)
+    """
+    q = x * (1.0 / p)
+    np.floor(q, out=q)
+    q *= p
+    x -= q
+    np.subtract(x, p, out=x, where=x >= p)
+    np.add(x, p, out=x, where=x < 0)
+    return x
+
+
+def _submulmod(D: np.ndarray, X: np.ndarray, Y: np.ndarray, p) -> None:
+    """D ← (D − X·Y) mod p in place, for float64 residues in [0, p), p < 2^26.
+
+    Stacks broadcast, and p may be an array of moduli broadcasting against
+    D.  Each BLAS call multiplies at most _PANEL rows of X by a tile of at
+    most _TILE columns of Y over k <= _PANEL inner terms (row blocks of X
+    that are zero are skipped); when k·(p − 1)^2 > 2^52 the tile of Y is
+    split into 13-bit halves.  No temporary is larger than a tile.
+    """
+    rows, inner, cols = X.shape[-2], X.shape[-1], Y.shape[-1]
+    split = min(inner, _PANEL) * (int(np.max(p)) - 1) ** 2 > _F64_EXACT // 2
+    for s in range(0, inner, _PANEL):
+        for c in range(0, cols, _TILE):
+            y = Y[..., s : s + _PANEL, c : c + _TILE]
+            w = y.shape[-1]
+            if split:
+                y = np.concatenate(np.divmod(y, _HALF), axis=-1)
+            for b in range(0, rows, _PANEL):
+                x = X[..., b : b + _PANEL, s : s + _PANEL]
+                if not x.any():
+                    continue
+                z = x @ y
+                if split:
+                    z = _reduce(z[..., :w], p) * _HALF + z[..., w:]
+                d = D[..., b : b + _PANEL, c : c + _TILE]
+                d -= _reduce(z, p)
+                np.add(d, p, out=d, where=d < 0)
+
+
+def _mulmod(X: np.ndarray, Y: np.ndarray, p) -> np.ndarray:
+    """X @ Y mod p for float64 residues in [0, p), exactly (`_submulmod`)."""
+    out = np.zeros(np.broadcast_shapes(X.shape[:-2], Y.shape[:-2]) + (X.shape[-2], Y.shape[-1]))
+    _submulmod(out, X, Y, p)
+    np.subtract(p, out, out=out, where=out > 0)
+    return out
 
 
 # ---------------------------------------------------------------------------
 # modular elimination
 
 
-def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
-    """Reduced row echelon form of an int64 residue matrix mod p."""
-    R = A % p
-    rows, cols = R.shape
+def _eliminate(M: np.ndarray, p: int, below: bool = False) -> tuple[np.ndarray, list[int]]:
+    """Per-pivot Gauss–Jordan of a float64 residue block mod p, in place;
+    with ``below``, each pivot clears only the rows under it.
+
+    Returns the row order (position i holds input row order[i]) and the
+    pivot columns.
+    """
+    rows, cols = M.shape
+    order = np.arange(rows)
     pivots: list[int] = []
     r = 0
     for c in range(cols):
         if r == rows:
             break
-        nz = np.nonzero(R[r:, c])[0]
+        nz = np.flatnonzero(M[r:, c])
         if nz.size == 0:
             continue
         i = r + int(nz[0])
         if i != r:
-            R[[r, i]] = R[[i, r]]
-        inv = pow(int(R[r, c]), p - 2, p)
-        R[r] = (R[r] * inv) % p
-        col = R[:, c].copy()
-        col[r] = 0
-        mask = col != 0
+            M[[r, i]] = M[[i, r]]
+            order[[r, i]] = order[[i, r]]
+        M[r, c:] = _reduce(M[r, c:] * pow(int(M[r, c]), p - 2, p), p)
+        T = M[r + 1 if below else 0 :, c:]
+        mask = T[:, 0] != 0
+        if not below:
+            mask[r] = False
         if mask.any():
-            R[mask] = (R[mask] - np.outer(col[mask], R[r])) % p
+            T[mask] = _reduce(T[mask] - np.outer(T[mask, 0], M[r, c:]), p)
         pivots.append(c)
         r += 1
-    return R, pivots
+    return order, pivots
+
+
+def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Reduced row echelon form of an integer matrix mod a prime p < 2^26.
+
+    Blocked Gauss–Jordan.  Forward elimination, one pivot at a time, of
+    the rows below the rank so far on a panel of at most _PANEL columns
+    finds the panel's k pivot columns J and k rows S with R[S, J]
+    invertible.  The rows S become R[S, J]^{-1}·R[S, :] and every other row
+    loses R[i, J] times them, in one `_submulmod` of inner dimension k.  The
+    RREF is unique, so R and the pivots are those of a per-pivot
+    elimination.  A matrix of at most _PANEL rows is one row block: the
+    per-pivot elimination does no more arithmetic than the blocked update,
+    in a few numpy calls per pivot instead of a few dozen per panel.
+    """
+    if not 2 <= p < 2**26:
+        raise ValueError(f"rref_mod needs a prime below 2^26, got {p}")
+    R = (np.asarray(A) % p).astype(np.float64)
+    rows, cols = R.shape
+    if rows <= _PANEL:
+        _, pivots = _eliminate(R, p)
+        return R.astype(np.int64), pivots
+    pivots = []
+    r = 0
+    for c0 in range(0, cols, _PANEL):
+        if r == rows:
+            break
+        order, J = _eliminate(R[r:, c0 : c0 + _PANEL].copy(), p, below=True)
+        k = len(J)
+        if k == 0:
+            continue
+        J = [c0 + j for j in J]
+        # bring the pivot rows S to positions r..r+k-1
+        slots, src = np.arange(r, r + k), r + order[:k]
+        R[np.r_[slots, np.setdiff1d(src, slots)]] = R[np.r_[src, np.setdiff1d(slots, src)]]
+        aug = np.hstack([R[r : r + k, J], np.eye(k)])
+        _eliminate(aug, p)
+        N = R[r : r + k, c0:] = _mulmod(aug[:, k:], R[r : r + k, c0:], p)
+        X = R[:, J]
+        X[r : r + k] = 0
+        _submulmod(R[:, c0:], X, N, p)
+        pivots += J
+        r += k
+    return R.astype(np.int64), pivots
 
 
 def rank_mod(A: np.ndarray, p: int) -> int:
@@ -81,43 +253,26 @@ def nullspace_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[in
     own free column, 0 at the others, and −R[i, free] at pivot column i.
     """
     R, pivots = rref_mod(A, p)
-    cols = A.shape[1]
     pivot_set = set(pivots)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for bi, f in enumerate(free):
-        basis[bi, f] = 1
-        for ri, pc in enumerate(pivots):
-            basis[bi, pc] = (-int(R[ri, f])) % p
+    free = [c for c in range(R.shape[1]) if c not in pivot_set]
+    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
+    basis[np.arange(len(free)), free] = 1
+    basis[:, pivots] = (-R[: len(pivots), free].T) % p
     return basis, pivots, free
 
 
 def nullity_upper_bound(A, primes: int = 2) -> int:
     """Certified upper bound on dim_QQ ker(A): min over primes of n − rank_p."""
-    rows = _int_rows(A)
-    if not rows:
+    M = _int_matrix(A)
+    if M.shape[0] == 0:
         return 0
-    n = len(rows[0])
+    n = M.shape[1]
     best = n
     for p in PRIMES[:primes]:
-        best = min(best, n - rank_mod(_mod_matrix(rows, p), p))
+        best = min(best, n - rank_mod(M, p))
         if best == 0:
             break
     return best
-
-
-def matpow_mod(A, s: int, p: int) -> np.ndarray:
-    """A^s mod p by repeated squaring (int64-safe for 384-dim matrices)."""
-    rows = _int_rows(A)
-    base = _mod_matrix(rows, p)
-    n = base.shape[0]
-    result = np.eye(n, dtype=np.int64)
-    while s:
-        if s & 1:
-            result = (result @ base) % p
-        base = (base @ base) % p
-        s >>= 1
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -158,14 +313,14 @@ def kernel_certified(A, max_primes: int = len(PRIMES)) -> tuple[int, list[list[F
     can exist.  Raises CertificationError if lifting fails for all primes
     (possible when kernel entries are astronomically large).
     """
-    rows = _int_rows(A)
-    if not rows:
+    M = _int_matrix(A)
+    if M.shape[0] == 0:
         return 0, []
     collected: list[tuple[int, np.ndarray, tuple[int, ...]]] = []
     best_rank = -1
     best_pivots: Optional[tuple[int, ...]] = None
     for p in PRIMES[:max_primes]:
-        basis, pivots, _ = nullspace_mod(_mod_matrix(rows, p), p)
+        basis, pivots, _ = nullspace_mod(M, p)
         pv = tuple(pivots)
         if len(pivots) > best_rank:
             best_rank = len(pivots)
@@ -173,21 +328,21 @@ def kernel_certified(A, max_primes: int = len(PRIMES)) -> tuple[int, list[list[F
             collected = [(p, basis, pv)]
         elif pv == best_pivots:
             collected.append((p, basis, pv))
-        lifted = _lift_and_verify(rows, [(q, b) for q, b, _ in collected])
+        lifted = _lift_and_verify(M, [(q, b) for q, b, _ in collected])
         if lifted is not None:
             return len(lifted), lifted
     raise CertificationError("kernel lifting failed for all configured primes")
 
 
 def _lift_and_verify(
-    rows: list[list[int]], residue_bases: list[tuple[int, np.ndarray]]
+    M: np.ndarray, residue_bases: list[tuple[int, np.ndarray]]
 ) -> Optional[list[list[Fraction]]]:
     p0, b0 = residue_bases[0]
     k, n = b0.shape
     if k == 0:
         return []
     modulus = p0
-    combined = [[int(x) for x in row] for row in b0]
+    combined = b0.tolist()
     for p, b in residue_bases[1:]:
         for i in range(k):
             row = combined[i]
@@ -204,6 +359,7 @@ def _lift_and_verify(
                 return None
             vec.append(f)
         basis.append(vec)
+    rows = M.tolist()
     for vec in basis:
         den = 1
         for f in vec:
@@ -217,11 +373,11 @@ def _lift_and_verify(
 
 
 def rank_certified(A) -> int:
-    rows = _int_rows(A)
-    if not rows:
+    M = _int_matrix(A)
+    if M.shape[0] == 0:
         return 0
-    dim, _ = kernel_certified(rows)
-    return len(rows[0]) - dim
+    dim, _ = kernel_certified(M)
+    return M.shape[1] - dim
 
 
 def independent_certificate(vectors) -> bool:
@@ -230,16 +386,15 @@ def independent_certificate(vectors) -> bool:
     Full rank mod any prime is a proof; as a fallback the transpose kernel is
     certified exactly.
     """
-    rows = _int_rows(vectors)
-    if not rows:
+    M = _int_matrix(vectors)
+    if M.shape[0] == 0:
         return True
-    if len(rows) > len(rows[0]):
+    if M.shape[0] > M.shape[1]:
         return False
     for p in PRIMES[:3]:
-        if rank_mod(_mod_matrix(rows, p), p) == len(rows):
+        if rank_mod(M, p) == M.shape[0]:
             return True
-    cols = [list(col) for col in zip(*rows)]
-    dim, _ = kernel_certified(cols)
+    dim, _ = kernel_certified(M.T)
     return dim == 0
 
 
@@ -251,107 +406,118 @@ def annihilates(A, nonzero_eigenvalues: Sequence[int], zero_power: int) -> bool:
     """Exactly verify q(A) = 0 for q(x) = x^{zero_power}·Π(x − λ).
 
     q(A) = 0 proves the spectrum of A lies in {0} ∪ {λ} with semisimple
-    nonzero eigenvalues (they are simple roots of q).  Uses int64 matrix
-    products while a dynamic magnitude bound proves no overflow is possible,
-    falling back to arbitrary-precision integers otherwise; the result is
-    exact either way.
+    nonzero eigenvalues (they are simple roots of q).  V runs through the
+    partial products (A − λ)·V; each step multiplies in float64 or int64
+    while the bound of the module docstring proves it exact, and finishes
+    column by column in Python integers otherwise.
     """
-    rows = _int_rows(A)
-    n = len(rows)
-    if n == 0:
-        return True
-    steps = [("factor", lam) for lam in nonzero_eigenvalues]
-    steps += [("power", 0)] * zero_power
-    maxA = max((abs(x) for row in rows for x in row), default=0)
-    A64 = np.array(rows, dtype=np.int64)
-    V = np.eye(n, dtype=np.int64)
-    safe = True
-    for kind, lam in steps:
-        maxV = int(np.abs(V).max())
-        bound = n * maxA * maxV + abs(lam) * maxV
-        if bound >= 2**62:
-            safe = False
-            break
-        V = A64 @ V - lam * V
-    if safe:
-        return not V.any()
-    # arbitrary-precision fallback, column by column
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in rows]
+    M = _int_matrix(A)
+    n = M.shape[0]
+    steps = [int(lam) for lam in nonzero_eigenvalues] + [0] * zero_power
+    norm = _row_norm(M)
+    V = np.eye(n)
+    for i, lam in enumerate(steps):
+        maxV = int(np.abs(V).max()) if n else 0
+        if maxV == 0:
+            return True
+        bound = (norm + abs(lam)) * maxV
+        if bound < _F64_EXACT:
+            V = V.astype(np.float64, copy=False)
+            W = _matmul(M.astype(np.float64, copy=False), V)
+        elif bound < _I64_SAFE:
+            V = V.astype(np.int64, copy=False)
+            W = M.astype(np.int64, copy=False) @ V
+        else:
+            return _annihilates_python(M, V, steps[i:])
+        V *= lam
+        W -= V
+        V = W
+    return not V.any()
 
-    def apply_A(vec: list[int]) -> list[int]:
-        return [sum(v * vec[j] for j, v in row) for row in sparse]
 
-    for col in range(n):
-        vec = [0] * n
-        vec[col] = 1
-        for lam in nonzero_eigenvalues:
-            av = apply_A(vec)
-            vec = [a - lam * x for a, x in zip(av, vec)]
-        for _ in range(zero_power):
-            vec = apply_A(vec)
+def _annihilates_python(M: np.ndarray, V: np.ndarray, steps: list[int]) -> bool:
+    """Whether the remaining steps send every column of V to 0, in Python ints."""
+    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in M.tolist()]
+    for vec in V.astype(np.int64).T.tolist():
+        for lam in steps:
+            vec = [sum(v * vec[j] for j, v in row) - lam * x for row, x in zip(sparse, vec)]
         if any(vec):
             return False
     return True
 
 
-# ---------------------------------------------------------------------------
-# small exact characteristic polynomial (Berkowitz) and factor matching
+def annihilation_power_probe(A, nonzero_eigenvalues: Sequence[int], smax: int) -> Optional[int]:
+    """The least s <= smax with Π(A − λ)·A^s ≡ 0 mod p = PRIMES[0], or None.
 
-
-def charpoly_int(A) -> list[int]:
-    """det(xI − A) for an integer matrix, coefficients ascending in x.
-
-    Division-free Berkowitz algorithm; O(n^4), intended for small n.
+    A candidate zero power for `annihilates`, which proves it over ZZ; never
+    a proof on its own.
     """
-    rows = _int_rows(A)
-    n = len(rows)
-    C = [1]
-    for m in range(1, n + 1):
-        diag = rows[m - 1][m - 1]
-        R = rows[m - 1][: m - 1]
-        S = [rows[i][m - 1] for i in range(m - 1)]
-        sub = [row[: m - 1] for row in rows[: m - 1]]
-        t = [diag]
-        vec = S
-        for _ in range(m - 1):
-            t.append(sum(r * v for r, v in zip(R, vec)))
-            vec = [sum(si * vi for si, vi in zip(srow, vec)) for srow in sub]
-        newC = [0] * (m + 1)
-        for i in range(m + 1):
-            s = C[i] if i < len(C) else 0
-            for k, tk in enumerate(t):
-                idx = i - 1 - k
-                if 0 <= idx < len(C):
-                    s -= tk * C[idx]
-            newC[i] = s
-        C = newC
-    return list(reversed(C))
+    p = PRIMES[0]
+    Ap = (_int_matrix(A) % p).astype(np.float64)
+    V = np.eye(Ap.shape[0])
+    for lam in nonzero_eigenvalues:
+        V = _reduce(_mulmod(V, Ap, p) - (lam % p) * V, p)
+    for s in range(smax + 1):
+        if not V.any():
+            return s
+        V = _mulmod(V, Ap, p)
+    return None
 
 
-def poly_divide_linear(poly: list[int], root: int) -> Optional[list[int]]:
-    """poly / (x − root) exactly (ascending coefficients); None if not a root."""
-    n = len(poly) - 1
-    out = [0] * n
-    carry = poly[n]
-    for i in range(n - 1, -1, -1):
-        out[i] = carry
-        carry = poly[i] + carry * root
-    if carry != 0:
-        return None
-    return out
+# ---------------------------------------------------------------------------
+# characteristic polynomial against a predicted spectrum (trace powers)
+
+
+def trace_moduli(A, predicted: dict[int, int]) -> tuple[int, ...]:
+    """The shortest prefix of TRACE_PRIMES whose product exceeds
+    N·max(1, ‖A‖_∞)^N + Σ |m_λ|·max(1, |λ|)^N, which bounds
+    |tr(A^k) − Σ m_λ λ^k| for every k <= N (|tr(A^k)| <= N·‖A‖_∞^k).
+
+    Raises CertificationError when the whole table is too short.
+    """
+    M = _int_matrix(A)
+    N = M.shape[0]
+    bound = N * max(1, _row_norm(M)) ** N
+    bound += sum(abs(m) * max(1, abs(lam)) ** N for lam, m in predicted.items())
+    modulus = 1
+    for i, q in enumerate(TRACE_PRIMES):
+        modulus *= q
+        if modulus > bound:
+            return TRACE_PRIMES[: i + 1]
+    raise CertificationError(
+        f"the trace-power bound has {bound.bit_length()} bits; "
+        f"the {len(TRACE_PRIMES)} trace primes cover {modulus.bit_length() - 1}"
+    )
 
 
 def charpoly_matches(A, predicted: dict[int, int]) -> bool:
-    """Berkowitz charpoly of A equals Π (x − λ)^{m} for the predicted map."""
-    poly = charpoly_int(A)
-    if len(poly) - 1 != sum(predicted.values()):
+    """det(xI − A) equals Π (x − λ)^{m} for the predicted map, exactly.
+
+    Checks Σ m_λ = N and tr(A^k) ≡ Σ m_λ λ^k modulo every prime of
+    `trace_moduli` for k = 1..N (see the module docstring); A^k mod all
+    primes at once is one batched float64 product per k.
+    """
+    M = _int_matrix(A)
+    N = M.shape[0]
+    if sum(predicted.values()) != N:
         return False
-    for lam, mult in predicted.items():
-        for _ in range(mult):
-            poly = poly_divide_linear(poly, lam)
-            if poly is None:
-                return False
-    return poly == [1]
+    if N == 0:
+        return True
+    moduli = trace_moduli(M, predicted)
+    P = np.array(moduli, dtype=np.float64)[:, None]
+    Ap = np.stack([M % q for q in moduli]).astype(np.float64)
+    lam = np.array([[x % q for x in predicted] for q in moduli], dtype=np.float64)
+    mult = np.array([[m % q for m in predicted.values()] for q in moduli], dtype=np.float64)
+    power, lam_k = Ap, lam
+    for k in range(1, N + 1):
+        trace = _reduce(np.trace(power, axis1=1, axis2=2), P[:, 0])
+        sums = _reduce(_reduce(mult * lam_k, P).sum(axis=1), P[:, 0])
+        if (trace != sums).any():
+            return False
+        if k < N:
+            power = _mulmod(power, Ap, P[:, :, None])
+            lam_k = _reduce(lam_k * lam, P)
+    return True
 
 
 # ---------------------------------------------------------------------------

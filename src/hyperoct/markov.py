@@ -155,6 +155,13 @@ class TransitionMatrix:
         return "\n".join(lines) + "\n"
 
 
+@functools.lru_cache(maxsize=None)
+def _states(n: int) -> tuple[SignedWord, ...]:
+    """The 2^n n! signed permutations in canonical order, built once per n
+    and shared by every chain of degree n."""
+    return tuple(signed_permutations(n))
+
+
 def transition_matrix(spec: ShuffleSpec, cap: int = 5) -> TransitionMatrix:
     """Exact 2^n n!-state transition matrix of the shuffle."""
     size = 2**spec.n * math.factorial(spec.n)
@@ -162,7 +169,7 @@ def transition_matrix(spec: ShuffleSpec, cap: int = 5) -> TransitionMatrix:
         raise StateSpaceTooLarge(
             f"2^{spec.n}*{spec.n}! = {size} states exceeds cap n <= {cap}"
         )
-    states = tuple(signed_permutations(spec.n))
+    states = _states(spec.n)
     T = spec.operator()
     table = image_table(T, states, alg.SHUFFLE)  # every coefficient is 1
     return TransitionMatrix(spec, states, operator_matrix(T, states, alg.SHUFFLE, table), table[0])

@@ -9,7 +9,6 @@ The riffle-operator spectra and the signed-permutation chain multiplicities
 
 from __future__ import annotations
 
-import itertools
 import math
 from fractions import Fraction
 from typing import Iterator, Sequence

@@ -12,11 +12,10 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import algebra as alg
 from . import exactla
 from .algebra import (
     CONCAT,
@@ -43,7 +42,6 @@ from .descent import (
     riffle_operator,
 )
 from .lyndon import (
-    build_eigenvector,
     classify_primitive,
     eigenbasis,
     is_lyndon,
@@ -105,13 +103,19 @@ def _result(name: str, ok: bool, detail: str = "", **params) -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", detail, params)
 
 
-def _int_vector(vec: AlgebraElement, index: Callable[[SignedWord], int], size: int) -> np.ndarray:
-    """vec as an int64 vector over a word basis of the given size.
+def _int_vector(
+    vec: AlgebraElement,
+    index: Callable[[SignedWord], int],
+    size: int,
+    out: Optional[np.ndarray] = None,
+) -> np.ndarray:
+    """vec as an int64 vector over a word basis of the given size, written
+    into ``out`` (a zero row) when given.
 
     Raises NotIntegral for a fractional coefficient; ``index`` raises,
     naming the word, for a word outside the basis.
     """
-    v = np.zeros(size, dtype=np.int64)
+    v = np.zeros(size, dtype=np.int64) if out is None else out
     for word, c in vec:
         if c.denominator != 1:
             raise NotIntegral(f"{word} has the coefficient {c}")
@@ -657,7 +661,12 @@ def chain_spectrum_certificate(
     """Certify that the characteristic polynomial of the exact transition
     matrix factors exactly as the multiplicity table predicts.
 
-    n <= 3: direct division-free charpoly, factored against the prediction.
+    n <= 3: `exactla.charpoly_matches` compares tr(K^k) with Σ m_λ λ^k for
+    k = 1..N, which by Newton's identities over QQ is the charpoly identity
+    itself.  Each difference is below N·a^(nk) + Σ m_λ|λ|^k in absolute
+    value, so it is proved 0 by vanishing modulo the primes of
+    `exactla.trace_moduli`, whose product exceeds that bound; the report
+    records how many primes and the bits of their product.
     Larger n: the emitted eigenvectors (whose eigen-equations are checked
     against an independently built operator matrix) are certified linearly
     independent; when they span, multiplicity counting pins the charpoly.
@@ -675,28 +684,31 @@ def chain_spectrum_certificate(
     }
     report = {"spec": spec, "predicted": predicted, "size": size}
     if n <= 3:
-        report["method"] = "berkowitz"
+        moduli = exactla.trace_moduli(A, predicted)
+        report["method"] = "trace-powers"
+        report["moduli"] = {"count": len(moduli), "bits": math.prod(moduli).bit_length()}
         report["ok"] = exactla.charpoly_matches(A, predicted)
         return report
-    # eigenvector route
+    # eigenvector route: one row of V per eigenvector, at most one per state
     Mc = operator_matrix(spec.operator(), tm.states, CONCAT)
-    rows = []
+    V = np.zeros((size, size), dtype=np.int64)
     counts: dict[int, int] = {}
     eigen_ok = True
+    found = 0
     for w, vec, mu in eigenbasis(n, n, a, spec.sign, spec.decoration):
-        v = _int_vector(vec, tm.index, size)
+        v = _int_vector(vec, tm.index, size, out=V[found])
         if not ((v @ Mc) == mu * v).all():
             eigen_ok = False
-        rows.append(v)
+        found += 1
         counts[mu] = counts.get(mu, 0) + 1
-    independent = exactla.independent_certificate(rows)
+    independent = exactla.independent_certificate(V[:found])
     report["eigen_equations"] = eigen_ok
     report["independent"] = independent
     report["eigenvector_counts"] = dict(counts)
     if not (eigen_ok and independent):
         report["ok"] = False
         return report
-    if len(rows) == size:
+    if found == size:
         report["method"] = "full-eigenbasis"
         report["ok"] = counts == predicted
         return report
@@ -706,39 +718,19 @@ def chain_spectrum_certificate(
     if counts != nonzero_pred:
         report["ok"] = False
         return report
-    Alist = [[int(x) for x in row] for row in A]
     geom_ok = True
     for lam, m in nonzero_pred.items():
-        shifted = [list(r) for r in Alist]
-        for i in range(size):
-            shifted[i][i] -= lam
-        if exactla.nullity_upper_bound(shifted) != m:
-            geom_ok = False
+        shifted = A.copy()
+        shifted.flat[:: size + 1] -= lam
+        geom_ok = geom_ok and exactla.nullity_upper_bound(shifted) == m
     report["geometric_match"] = geom_ok
-    power = _annihilation_power_probe(Alist, sorted(nonzero_pred), 8)
-    annihilated = power is not None and exactla.annihilates(
-        Alist, sorted(nonzero_pred), power
-    )
+    power = exactla.annihilation_power_probe(A, sorted(nonzero_pred), 8)
+    annihilated = power is not None and exactla.annihilates(A, sorted(nonzero_pred), power)
     report["annihilation_power"] = power
     report["annihilated"] = annihilated
     zero_mult = size - sum(nonzero_pred.values())
     report["ok"] = geom_ok and annihilated and zero_mult == predicted.get(0, 0)
     return report
-
-
-def _annihilation_power_probe(Alist, nonzero_eigs, smax: int) -> Optional[int]:
-    p = exactla.PRIMES[0]
-    Ap = np.array([[x % p for x in row] for row in Alist], dtype=np.int64)
-    size = Ap.shape[0]
-    M = np.eye(size, dtype=np.int64)
-    for lam in nonzero_eigs:
-        shifted = (Ap - (lam % p) * np.eye(size, dtype=np.int64)) % p
-        M = (M @ shifted) % p
-    for s in range(smax + 1):
-        if not M.any():
-            return s
-        M = (M @ Ap) % p
-    return None
 
 
 def check_chain_spectra(n_max: int, seed: int = 0) -> list[CheckResult]:
@@ -747,6 +739,10 @@ def check_chain_spectra(n_max: int, seed: int = 0) -> list[CheckResult]:
         for a, sign, flavor in ALL_SPECS:
             spec = ShuffleSpec(n, a, sign, flavor)
             rep = chain_spectrum_certificate(spec)
+            provenance = {k: rep[k] for k in ("method", "size", "annihilation_power") if k in rep}
+            if "moduli" in rep:
+                provenance["moduli_count"] = rep["moduli"]["count"]
+                provenance["moduli_bits"] = rep["moduli"]["bits"]
             out.append(
                 _result(
                     "spectral.chain_spectrum",
@@ -756,6 +752,7 @@ def check_chain_spectra(n_max: int, seed: int = 0) -> list[CheckResult]:
                     a=a,
                     sign=sign,
                     flavor=flavor,
+                    **provenance,
                 )
             )
     return out
