@@ -22,7 +22,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import CodeOverflow, FlavorMismatch, NotHomogeneous, SizeMismatch
-from .words import AlgebraElement, SignedWord, WordLike, as_word
+from .words import AlgebraElement, SignedWord, WordLike, as_word, exact_coeff
 from . import algebra as alg
 
 
@@ -287,6 +287,61 @@ def _powers(m: int, n: int, dtype) -> np.ndarray:
     return np.array([(2 * m + 1) ** k for k in range(n)], dtype=dtype)
 
 
+def _state_codes(states: Sequence[SignedWord], n: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """(W, m, order, sorted_codes) for a basis of length-n words.
+
+    W is the N×n int64 array of the states and m their largest |label|.
+    A word y (labels in [-m, m]) codes as Σ_k (y_k + m)·(2m+1)^k, little
+    endian; ``order`` sorts the state codes, and ``sorted_codes`` holds them
+    in that order.  Raises SizeMismatch for a state of another length,
+    CodeOverflow when (2m+1)^n does not fit in int64, and ValueError for a
+    repeated state.
+    """
+    if any(len(w) != n for w in states):
+        raise SizeMismatch(f"degree-{n} words expected, states have other lengths")
+    W = np.array([tuple(w) for w in states], dtype=np.int64).reshape(len(states), n)
+    m = int(np.abs(W).max(initial=0))
+    if _code_dtype(m, n) is object:
+        raise CodeOverflow(f"words of length {n} with labels up to {m}")
+    codes = (W + m) @ _powers(m, n, np.int64)
+    order = np.argsort(codes)
+    sorted_codes = codes[order]
+    if (sorted_codes[1:] == sorted_codes[:-1]).any():
+        raise ValueError("states repeat a word")
+    return W, m, order, sorted_codes
+
+
+def _state_index(
+    order: np.ndarray, sorted_codes: np.ndarray, codes: np.ndarray, m: int, n: int
+) -> np.ndarray:
+    """The state index of each word code in ``codes`` (any shape), from the
+    sorted state codes of ``_state_codes``.  Raises KeyError naming the
+    first word that is not a state."""
+    pos = np.searchsorted(sorted_codes, codes)
+    hit = pos < len(sorted_codes)
+    hit[hit] = sorted_codes[pos[hit]] == codes[hit]
+    if not hit.all():
+        code = int(codes[~hit].flat[0])
+        raise KeyError(tuple(code // (2 * m + 1) ** k % (2 * m + 1) - m for k in range(n)))
+    return order[pos]
+
+
+def _merge_codes(codes: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes, sorted, with the sums of their coefficients,
+    less the zero sums; the caller has bounded the sums for the dtype.
+
+    Sorts both arrays in place, so that the caller's unsorted copies are
+    not held alongside the sorted ones.
+    """
+    order = np.argsort(codes)
+    codes[:] = codes[order]
+    sums[:] = sums[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(sums, starts)
+    keep = sums != 0
+    return codes[starts][keep], sums[keep]
+
+
 def _image_codes(W: np.ndarray, m: int, src: np.ndarray, sign: np.ndarray) -> np.ndarray:
     """N×P codes of the images of the rows of W under the programs (src, sign).
 
@@ -349,19 +404,17 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     W = np.array([[rank[c] for c in w] for w in words], dtype=_code_dtype(R, n))
     codes = _image_codes(W.reshape(len(words), n), R, src, sign).ravel()
 
-    order = np.argsort(codes)
-    codes, sums = codes[order], sums[order]
-    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
-    sums = np.add.reduceat(sums, starts)
-    keep = sums != 0
-    codes, sums = codes[starts][keep], sums[keep]
+    codes, sums = _merge_codes(codes, sums)
 
     digits = (codes[:, None] // _powers(R, n, codes.dtype) % (2 * R + 1)).astype(np.intp)
     lut = np.array([-c for c in reversed(labels)] + [0] + labels, dtype=object)  # digit d: rank d - R
+    words = map(SignedWord, lut[digits].tolist())
     scale = scale_x * scale_T
-    return AlgebraElement(
-        (SignedWord(w), Fraction(s, scale)) for w, s in zip(lut[digits].tolist(), sums.tolist())
-    )
+    if scale == 1:
+        terms = dict(zip(words, sums.tolist()))
+    else:
+        terms = {w: exact_coeff(Fraction(s, scale)) for w, s in zip(words, sums.tolist())}
+    return AlgebraElement._trusted(terms)
 
 
 def riffle_operator(a: int, sign: str, flavor: Decoration, n: int) -> DescentOperator:
@@ -539,32 +592,16 @@ def image_table(
     whose length is not T's degree.
     """
     n = T.degree
-    if any(len(w) != n for w in states):
-        raise SizeMismatch(f"operator of degree {n} on states of other lengths")
     if any(c.denominator != 1 for c in T.terms.values()):
         raise ValueError("operator_matrix needs integer coefficients")
-    W = np.array([tuple(w) for w in states], dtype=np.int64).reshape(len(states), n)
-    m = int(np.abs(W).max(initial=0))
-    if _code_dtype(m, n) is object:
-        raise CodeOverflow(f"words of length {n} with labels up to {m}")
-    codes = (W + m) @ _powers(m, n, np.int64)
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    if (sorted_codes[1:] == sorted_codes[:-1]).any():
-        raise ValueError("states repeat a word")
+    W, m, order, sorted_codes = _state_codes(states, n)
     tables = [_programs(D, algebra) for D in T.terms]
     images = np.empty((sum(len(src) for src, _ in tables), len(states)), dtype=np.int32)
     coeffs = np.empty(len(images), dtype=np.int64)
     k = 0
     for c, (src, sign) in zip(T.terms.values(), tables):
         img = _image_codes(W, m, src, sign)
-        pos = np.searchsorted(sorted_codes, img)
-        hit = pos < len(states)
-        hit[hit] = sorted_codes[pos[hit]] == img[hit]
-        if not hit.all():
-            i, p = np.argwhere(~hit)[0]
-            raise KeyError(tuple(int(v) for v in W[i, src[p]] * sign[p]))
-        images[k : k + len(src)] = order[pos].T
+        images[k : k + len(src)] = _state_index(order, sorted_codes, img, m, n).T
         coeffs[k : k + len(src)] = int(c)
         k += len(src)
     return images.T, coeffs

@@ -7,18 +7,40 @@ strictly smaller than all its proper cyclic rotations.  The signed
 standard-bracketing lifts a Lyndon word to a primitive element: single
 letters map to i+ī (plain) or i−ī (barred), longer words bracket their
 standard factorization recursively.
+
+``build_eigenvector`` and ``eigenbasis`` assemble eigenvectors as
+AlgebraElements and are the reference.  ``eigenvector_matrix`` assembles
+the same eigenvectors for a whole basis of states as the rows of one int64
+matrix, and is exact by this argument:
+
+- A word y with labels in [-m, m] is coded as the integer
+  Σ_k (y_k + m)·(2m+1)^k (``descent._state_codes``, the coding of
+  ``descent.image_table``).  Every code of a word of length at most n is
+  below (2m+1)^n, and the states' coding proves that this fits in int64.
+  The code of a concatenation xy is code(x) + code(y)·(2m+1)^|x|, so the
+  codes of a product never leave that range.
+- Each eigenvector, and each bracketing inside it, is a signed sum of
+  ``count`` concatenations of the same factors f_1, ..., f_r in different
+  orders.  The sum of the absolute values of its coefficients, and so of
+  every partial sum formed while multiplying and merging, is at most
+  count·Π‖f_i‖₁.  That bound is computed in Python integers from the exact
+  L1 norms of the factors, and CodeOverflow is raised before any int64
+  arithmetic when it exceeds 2^63 − 1.  Integers never wrap.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
-from .errors import EmptyWord, NotLyndon, OutsideBasis, SingleLetter
+import numpy as np
+
+from .errors import CodeOverflow, EmptyWord, NotLyndon, OutsideBasis, SingleLetter
 from .words import AlgebraElement, SignedWord, WordLike, as_word, word_lex_key
 from .algebra import concat_elements, lie_bracket
-from .descent import Decoration
+from .descent import _INT64_MAX, Decoration, _merge_codes, _state_codes, _state_index
 
 
 def is_lyndon(w: WordLike) -> bool:
@@ -245,6 +267,132 @@ def eigenbasis(
             continue
         out.append((w, vec, val))
     return out
+
+
+# ---------------------------------------------------------------------------
+# the eigenbasis as one int64 matrix
+
+# A homogeneous element as (word codes, int64 coefficients, length).
+Coded = tuple[np.ndarray, np.ndarray, int]
+
+
+def _combine(
+    factors: Sequence[Coded], orders: Iterable[tuple[int, Sequence[int]]], count: int, base: int
+) -> Coded:
+    """Σ sign·(the concatenation of the factors in that order) over the
+    ``count`` pairs (sign, order) of ``orders``, merged.  Each order lists
+    every factor exactly once.
+
+    The L1 bound of the module docstring is proved before ``orders`` is
+    read, so that an overflowing sum is refused before it is enumerated.
+    """
+    bound = count * math.prod(int(np.abs(coeffs).sum()) for _, coeffs, _ in factors)
+    if bound > _INT64_MAX:
+        raise CodeOverflow(f"eigenvector coefficients may sum to {bound} in absolute value")
+    all_codes, all_coeffs = [], []
+    for sign, order in orders:
+        codes = np.zeros(1, dtype=np.int64)
+        coeffs = np.full(1, sign, dtype=np.int64)
+        length = 0
+        for i in order:
+            fc, fk, fl = factors[i]
+            codes = (codes[:, None] + fc * base**length).ravel()
+            coeffs = np.multiply.outer(coeffs, fk).ravel()
+            length += fl
+        all_codes.append(codes)
+        all_coeffs.append(coeffs)
+    codes, coeffs = _merge_codes(np.concatenate(all_codes), np.concatenate(all_coeffs))
+    return codes, coeffs, sum(fl for _, _, fl in factors)
+
+
+def _eigen_assembly(
+    kbar: int, a: int, sign: str, flavor: Decoration
+) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+    """How ``build_eigenvector`` assembles its vector from the negating
+    bracketings q_0, ..., q_(kbar−1) (factors 0..kbar−1) and the
+    symmetrized invariant product (factor kbar): the signed orders of the
+    summands, and the sign of the eigenvalue relative to a^k.  Raises
+    OutsideBasis where ``build_eigenvector`` does."""
+    qs = tuple(range(kbar))
+    sym = kbar
+    if flavor is Decoration.TBAR:
+        if a % 2 == 0:
+            order = (sym, *qs) if sign == "+" else (*qs, sym)
+            return [(1, order)], 1 if kbar == 0 else 0
+        if sign == "+":
+            return [(1, (*qs, sym))], 1
+        orders = [(1, (*qs, sym))]
+        if kbar:
+            orders.append((1, (sym, *reversed(qs))))
+        return orders, (-1) ** kbar
+    if flavor is Decoration.BAR:
+        if a % 2 == 0:
+            if kbar:
+                raise OutsideBasis("even-a rotation operators have no eigenvector here")
+            return [(1, (sym,))], 1
+        orders = [
+            (1, (*b1, sym, *reversed(b2))) for b1, b2 in _two_block_setcomps(kbar)
+        ]
+        return orders, 1 if sign == "+" else (-1) ** kbar
+    raise ValueError("flavor must be BAR or TBAR")
+
+
+def eigenvector_matrix(
+    states: Sequence[SignedWord], a: int, sign: str, flavor: Decoration
+) -> tuple[np.ndarray, np.ndarray, tuple[SignedWord, ...]]:
+    """The eigenvectors of the words of ``states`` as the rows of one int64
+    matrix over the state basis.
+
+    Returns (V, mu, words).  words are the states, in order, that have an
+    eigenvector: all of them, except the words with a negating factor under
+    an even-a rotation operator.  Row r of V holds the coefficients of
+    ``build_eigenvector(words[r], a, sign, flavor)`` on ``states``, and
+    mu[r] is its eigenvalue, so V and mu equal the ``eigenbasis`` vectors
+    written over the states.  Each bracketing is built once per Lyndon
+    word, and coefficients are int64 under the bounds of the module
+    docstring, past which CodeOverflow is raised.  Raises KeyError naming
+    a word of an eigenvector that is not a state, and the errors of
+    ``descent._state_codes`` for the states.
+    """
+    n = len(states[0]) if len(states) else 0
+    if n == 0 and len(states):
+        raise EmptyWord("no eigenvector for the empty word")
+    _, m, order, sorted_codes = _state_codes(states, n)
+    base = 2 * m + 1
+    brackets: dict[SignedWord, Coded] = {}
+
+    def bracket(u: SignedWord) -> Coded:
+        if u not in brackets:
+            if len(u) == 1:
+                i = abs(u[0])
+                codes = np.array([i + m, m - i], dtype=np.int64)
+                coeffs = np.array([1, 1 if u[0] > 0 else -1], dtype=np.int64)
+                brackets[u] = (codes, coeffs, 1)
+            else:
+                left, right = standard_factorization(u)
+                pair = (bracket(left), bracket(right))
+                brackets[u] = _combine(pair, ((1, (0, 1)), (-1, (1, 0))), 2, base)
+        return brackets[u]
+
+    rows, mus, words = [], [], []
+    for w in states:
+        ps, qs = [], []
+        for u in lyndon_factorize(w):
+            (ps if classify_primitive(u, flavor) == "invariant" else qs).append(bracket(u))
+        try:
+            orders, value_sign = _eigen_assembly(len(qs), a, sign, flavor)
+        except OutsideBasis:
+            continue
+        perms = ((1, p) for p in itertools.permutations(range(len(ps))))
+        sym = _combine(ps, perms, math.factorial(len(ps)), base)
+        codes, coeffs, _ = _combine(qs + [sym], orders, len(orders), base)
+        rows.append((_state_index(order, sorted_codes, codes, m, n), coeffs))
+        mus.append(value_sign * a ** len(ps))
+        words.append(w)
+    V = np.zeros((len(rows), len(states)), dtype=np.int64)
+    for r, (cols, coeffs) in enumerate(rows):
+        V[r, cols] = coeffs
+    return V, np.array(mus, dtype=np.int64), tuple(words)
 
 
 # ---------------------------------------------------------------------------

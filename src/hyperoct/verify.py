@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
@@ -30,8 +31,9 @@ from .algebra import (
     tau,
     tau_tilde,
 )
-from .errors import NotIntegral
+from .errors import CodeOverflow, NotIntegral
 from .descent import (
+    _INT64_MAX,
     DecoratedComposition,
     Decoration,
     DescentOperator,
@@ -44,6 +46,7 @@ from .descent import (
 from .lyndon import (
     classify_primitive,
     eigenbasis,
+    eigenvector_matrix,
     is_lyndon,
     lyndon_factorize,
     lyndon_words,
@@ -103,24 +106,35 @@ def _result(name: str, ok: bool, detail: str = "", **params) -> CheckResult:
     return CheckResult(name, "pass" if ok else "fail", detail, params)
 
 
-def _int_vector(
-    vec: AlgebraElement,
-    index: Callable[[SignedWord], int],
-    size: int,
-    out: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """vec as an int64 vector over a word basis of the given size, written
-    into ``out`` (a zero row) when given.
+def _int_vector(vec: AlgebraElement, index: Callable[[SignedWord], int], size: int) -> np.ndarray:
+    """vec as an int64 vector over a word basis of the given size.
 
     Raises NotIntegral for a fractional coefficient; ``index`` raises,
     naming the word, for a word outside the basis.
     """
-    v = np.zeros(size, dtype=np.int64) if out is None else out
+    v = np.zeros(size, dtype=np.int64)
     for word, c in vec:
         if c.denominator != 1:
             raise NotIntegral(f"{word} has the coefficient {c}")
         v[index(word)] = c.numerator
     return v
+
+
+def _eigen_equations_hold(V: np.ndarray, mu: np.ndarray, M: np.ndarray) -> bool:
+    """Whether V·M = diag(mu)·V exactly: each row of V is a left eigenvector
+    of the int64 matrix M with eigenvalue mu[row].
+
+    Every partial sum of an entry of V·M is at most max|V| times the largest
+    column abs-sum of M in absolute value.  The product runs in int64 once
+    that bound is checked to be below 2^63; past it CodeOverflow is raised.
+    """
+    col_norm = int(np.abs(M).max(initial=0)) * len(M)  # bounds every column abs-sum
+    if col_norm <= _INT64_MAX:
+        col_norm = int(np.abs(M).sum(axis=0).max(initial=0))
+    bound = int(np.abs(V).max(initial=0)) * col_norm
+    if bound > _INT64_MAX:
+        raise CodeOverflow(f"eigen-equation entries may reach {bound} in absolute value")
+    return bool((V @ M == mu[:, None] * V).all())
 
 
 BOTH_FLAVORS = (Decoration.BAR, Decoration.TBAR)
@@ -298,23 +312,14 @@ def check_bracket_parity(n_max: int, seed: int = 0) -> list[CheckResult]:
 # descent suite
 
 
-def _matrix(D_or_T, states, algebra) -> np.ndarray:
-    T = (
-        D_or_T
-        if isinstance(D_or_T, DescentOperator)
-        else DescentOperator.elementary(D_or_T)
-    )
-    return operator_matrix(T, states, algebra)
-
-
 def check_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
     n = min(n_max, 3)
     states = signed_permutations(n)
     ok = True
     for flavor in BOTH_FLAVORS:
         for D in decorated_compositions(n, flavor):
-            A = _matrix(D, states, SHUFFLE)
-            B = _matrix(D, states, CONCAT)
+            A = operator_matrix(DescentOperator.elementary(D), states, SHUFFLE)
+            B = operator_matrix(DescentOperator.elementary(D), states, CONCAT)
             if not (A == B.T).all():
                 ok = False
     return [_result("descent.duality_transpose", ok, f"n = {n}, all decorated compositions")]
@@ -329,19 +334,17 @@ def check_zero_parts(n_max: int, seed: int = 0) -> list[CheckResult]:
         dec_zero = DecoratedComposition.from_sizes((0, 1, 1, 0), (0, 1, 3), flavor)
         plain_pad = DecoratedComposition.from_sizes((0, 1, 1), (1,), flavor)
         for algebra in (SHUFFLE, CONCAT):
-            A = _matrix(base, states, algebra)
-            if not (A == _matrix(padded, states, algebra)).all():
-                ok = False
-            if not (A == _matrix(dec_zero, states, algebra)).all():
-                ok = False
-            if not (A == _matrix(plain_pad, states, algebra)).all():
-                ok = False
+            A = operator_matrix(DescentOperator.elementary(base), states, algebra)
+            for D in (padded, dec_zero, plain_pad):
+                if not (A == operator_matrix(DescentOperator.elementary(D), states, algebra)).all():
+                    ok = False
     return [_result("descent.zero_parts_trivial", ok)]
 
 
 def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
     out = []
     rng = random.Random(seed)
+    el = DescentOperator.elementary
     for n in range(1, min(n_max, 3) + 1):
         states = signed_permutations(n)
         ok = True
@@ -349,8 +352,8 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             Ds = list(decorated_compositions(n, flavor))
             for D, Dp in itertools.product(Ds, Ds):
                 for algebra, kind in ((SHUFFLE, "commutative"), (CONCAT, "cocommutative")):
-                    lhs = _matrix(Dp, states, algebra) @ _matrix(D, states, algebra)
-                    rhs = _matrix(compose_law(D, Dp, kind), states, algebra)
+                    lhs = operator_matrix(el(Dp), states, algebra) @ operator_matrix(el(D), states, algebra)
+                    rhs = operator_matrix(compose_law(D, Dp, kind), states, algebra)
                     if not (lhs == rhs).all():
                         ok = False
         out.append(_result("descent.composition_law", ok, f"exhaustive, n = {n}", n=n))
@@ -364,8 +367,8 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             algebra, kind = rng.choice(
                 ((SHUFFLE, "commutative"), (CONCAT, "cocommutative"))
             )
-            lhs = _matrix(Dp, states, algebra) @ _matrix(D, states, algebra)
-            rhs = _matrix(compose_law(D, Dp, kind), states, algebra)
+            lhs = operator_matrix(el(Dp), states, algebra) @ operator_matrix(el(D), states, algebra)
+            rhs = operator_matrix(compose_law(D, Dp, kind), states, algebra)
             if not (lhs == rhs).all():
                 ok = False
         out.append(_result("descent.composition_law", ok, "50 random pairs, n = 4", n=4))
@@ -409,10 +412,10 @@ def check_riffle_composition(n_max: int, seed: int = 0) -> list[CheckResult]:
                 for s1, s2 in itertools.product("+-", repeat=2):
                     naive = "+" if s1 == s2 else "-"
                     want = riffle_composite_sign(s1, s2, a, b, flavor, commutative)
-                    lhs = _matrix(riffle_operator(b, s2, flavor, n), states, algebra) @ _matrix(
-                        riffle_operator(a, s1, flavor, n), states, algebra
-                    )
-                    rhs = _matrix(riffle_operator(a * b, want, flavor, n), states, algebra)
+                    lhs = operator_matrix(
+                        riffle_operator(b, s2, flavor, n), states, algebra
+                    ) @ operator_matrix(riffle_operator(a, s1, flavor, n), states, algebra)
+                    rhs = operator_matrix(riffle_operator(a * b, want, flavor, n), states, algebra)
                     equal = (lhs == rhs).all()
                     if hypo:
                         if not equal:
@@ -667,11 +670,18 @@ def chain_spectrum_certificate(
     value, so it is proved 0 by vanishing modulo the primes of
     `exactla.trace_moduli`, whose product exceeds that bound; the report
     records how many primes and the bits of their product.
-    Larger n: the emitted eigenvectors (whose eigen-equations are checked
-    against an independently built operator matrix) are certified linearly
-    independent; when they span, multiplicity counting pins the charpoly.
-    For even-a rotation the nonzero eigenspaces are certified by matching
-    mod-p nullity bounds and an exact annihilation identity pins the rest.
+    Larger n: the concat-algebra matrix Mc of the riffle operator is built
+    independently of the chain (`operator_matrix`), and first linked to it:
+    `report["duality"]` records the exact check A = Mcᵀ, and the
+    certificate fails without it.  So Mc's left eigenvectors are A's right
+    eigenvectors with the same eigenvalues, and everything proved of Mc
+    below holds for A.  The eigenvectors come as the rows of one int64
+    matrix V from `lyndon.eigenvector_matrix`; their eigen-equations are
+    the one exact product V·Mc = diag(μ)·V, and they are certified
+    linearly independent.  When they span, multiplicity counting pins the
+    charpoly.  For even-a rotation the nonzero eigenspaces are certified by
+    matching mod-p nullity bounds and an exact annihilation identity pins
+    the rest.
     """
     if tm is None:
         tm = transition_matrix(spec)
@@ -691,24 +701,21 @@ def chain_spectrum_certificate(
         return report
     # eigenvector route: one row of V per eigenvector, at most one per state
     Mc = operator_matrix(spec.operator(), tm.states, CONCAT)
-    V = np.zeros((size, size), dtype=np.int64)
-    counts: dict[int, int] = {}
-    eigen_ok = True
-    found = 0
-    for w, vec, mu in eigenbasis(n, n, a, spec.sign, spec.decoration):
-        v = _int_vector(vec, tm.index, size, out=V[found])
-        if not ((v @ Mc) == mu * v).all():
-            eigen_ok = False
-        found += 1
-        counts[mu] = counts.get(mu, 0) + 1
-    independent = exactla.independent_certificate(V[:found])
+    report["duality"] = bool((A == Mc.T).all())
+    if not report["duality"]:
+        report["ok"] = False
+        return report
+    V, mu, _ = eigenvector_matrix(tm.states, a, spec.sign, spec.decoration)
+    counts = dict(Counter(mu.tolist()))
+    eigen_ok = _eigen_equations_hold(V, mu, Mc)
+    independent = exactla.independent_certificate(V)
     report["eigen_equations"] = eigen_ok
     report["independent"] = independent
-    report["eigenvector_counts"] = dict(counts)
+    report["eigenvector_counts"] = counts
     if not (eigen_ok and independent):
         report["ok"] = False
         return report
-    if found == size:
+    if len(V) == size:
         report["method"] = "full-eigenbasis"
         report["ok"] = counts == predicted
         return report
@@ -798,30 +805,25 @@ def check_eigen_equations(n_max: int, seed: int = 0) -> list[CheckResult]:
     out = []
     for n in range(1, min(n_max, 4) + 1):
         states = signed_permutations(n)
-        index = {w: i for i, w in enumerate(states)}
         ok = True
         indep = True
         count_ok = True
         for a, sign, flavor in ALL_SPECS:
             dec = ShuffleSpec(n, a, sign, flavor).decoration
             Mc = operator_matrix(riffle_operator(a, sign, dec, n), states, CONCAT)
-            rows = []
-            counts: dict[int, int] = {}
-            for w, vec, mu in eigenbasis(n, n, a, sign, dec):
-                v = _int_vector(vec, index.__getitem__, len(states))
-                if not ((v @ Mc) == mu * v).all():
-                    ok = False
-                rows.append(v)
-                counts[mu] = counts.get(mu, 0) + 1
-            if not exactla.independent_certificate(rows):
+            V, mu, _ = eigenvector_matrix(states, a, sign, dec)
+            if not _eigen_equations_hold(V, mu, Mc):
+                ok = False
+            if not exactla.independent_certificate(V):
                 indep = False
+            counts = Counter(mu.tolist())
             scale = a**n
             predicted = {
                 int(v * scale): m
                 for v, m in shuffle_multiplicities(a, sign, dec, n)
             }
             nonzero = {k: v for k, v in predicted.items() if k != 0}
-            expect = predicted if len(rows) == len(states) else nonzero
+            expect = predicted if len(V) == len(states) else nonzero
             if counts != expect:
                 count_ok = False
         out.append(
@@ -930,16 +932,28 @@ def check_stationary(n_max: int, seed: int = 0) -> list[CheckResult]:
 
 
 def check_subdominant(n_max: int, seed: int = 0) -> list[CheckResult]:
-    ok = True
-    details = []
+    """One row per subdominant eigenvalue of each chain, with the sizes
+    that `verify_subdominant` compared."""
+    out = []
     for n in range(2, min(n_max, 4) + 1):
         for a, sign, flavor in ALL_SPECS:
-            spec = ShuffleSpec(n, a, sign, flavor)
-            rep = verify_subdominant(spec)
-            if not rep["ok"]:
-                ok = False
-                details.append(f"n={n} a={a} {sign} {flavor}")
-    return [_result("markov.subdominant_eigenfunctions", ok, "; ".join(details) or "all table rows verified")]
+            rep = verify_subdominant(ShuffleSpec(n, a, sign, flavor))
+            for entry in rep["eigenvalues"]:
+                out.append(
+                    _result(
+                        "markov.subdominant_eigenfunctions",
+                        entry["eigen_equations_exact"] and entry["dimension_matches"],
+                        f"n={n} a={a} sign={sign} {flavor}: eigenvalue {entry['eigenvalue']}",
+                        n=n,
+                        a=a,
+                        sign=sign,
+                        flavor=flavor,
+                        eigenvalue=entry["eigenvalue"],
+                        family_size=entry["family_size"],
+                        expected_multiplicity=entry["expected_multiplicity"],
+                    )
+                )
+    return out
 
 
 def check_chain_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
@@ -948,10 +962,9 @@ def check_chain_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
         for a, sign, flavor in ALL_SPECS:
             spec = ShuffleSpec(n, a, sign, flavor)
             tm = transition_matrix(spec)
-            for w, vec, mu in eigenbasis(n, n, a, sign, spec.decoration):
-                v = _int_vector(vec, tm.index, tm.size)
-                if not (tm.pull(v) == mu * v).all():
-                    ok = False
+            V, mu, _ = eigenvector_matrix(tm.states, a, sign, spec.decoration)
+            if not _eigen_equations_hold(V, mu, tm.counts.T):
+                ok = False
     return [
         _result(
             "markov.right_eigenfunctions_via_duality",

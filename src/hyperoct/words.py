@@ -75,30 +75,51 @@ def word_lex_key(w) -> tuple:
     return tuple(letter_key(c) for c in w)
 
 
+Coefficient = Union[int, Fraction]
+
+
+def exact_coeff(c) -> Coefficient:
+    """c as a Python int when it is integral, else as a Fraction."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class AlgebraElement:
     """A finite formal QQ-linear combination of signed words.
 
-    Stores no zero coefficients; equality is coefficient-wise.  Which Hopf
-    structure (shuffle vs concatenation) an element lives in is chosen per
-    operation, not stored on the element.
+    Stores no zero coefficients; equality is coefficient-wise.  Every
+    coefficient is in ``exact_coeff`` form: a Python int when integral, a
+    Fraction only when a real division made one.  Which Hopf structure
+    (shuffle vs concatenation) an element lives in is chosen per operation,
+    not stored on the element.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Union[Mapping, Iterable] = ()):
-        acc: dict[SignedWord, Fraction] = {}
+        acc: dict[SignedWord, Coefficient] = {}
         items = terms.items() if isinstance(terms, Mapping) else terms
         for w, c in items:
             w = as_word(w)
-            c = Fraction(c)
+            c = exact_coeff(c)
             if not c:
                 continue
-            new = acc.get(w, 0) + c
+            new = exact_coeff(acc.get(w, 0) + c)
             if new:
                 acc[w] = new
             else:
                 acc.pop(w, None)
         self._terms = acc
+
+    @classmethod
+    def _trusted(cls, terms: dict) -> "AlgebraElement":
+        """Wrap a dict of SignedWord keys and nonzero coefficients that are
+        already in ``exact_coeff`` form, without copying or checking it."""
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def from_word(cls, w: WordLike, coeff=1) -> "AlgebraElement":
@@ -113,16 +134,16 @@ class AlgebraElement:
         """The empty word with coefficient 1 (the unit of either algebra)."""
         return cls([(EMPTY_WORD, 1)])
 
-    def coeff(self, w: WordLike) -> Fraction:
-        return self._terms.get(as_word(w), Fraction(0))
+    def coeff(self, w: WordLike) -> Coefficient:
+        return self._terms.get(as_word(w), 0)
 
-    def terms(self) -> dict[SignedWord, Fraction]:
+    def terms(self) -> dict[SignedWord, Coefficient]:
         return dict(self._terms)
 
     def words(self) -> Iterator[SignedWord]:
         return iter(self._terms)
 
-    def canonical_items(self) -> list[tuple[SignedWord, Fraction]]:
+    def canonical_items(self) -> list[tuple[SignedWord, Coefficient]]:
         """Terms sorted by the alphabet-order lex key on words."""
         return sorted(self._terms.items(), key=lambda kv: word_lex_key(kv[0]))
 
@@ -146,28 +167,23 @@ class AlgebraElement:
     def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
         acc = dict(self._terms)
         for w, c in other._terms.items():
-            new = acc.get(w, 0) + c
+            new = exact_coeff(acc.get(w, 0) + c)
             if new:
                 acc[w] = new
             else:
                 acc.pop(w, None)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out._terms = acc
-        return out
+        return AlgebraElement._trusted(acc)
 
     def __sub__(self, other: "AlgebraElement") -> "AlgebraElement":
         return self + (-other)
 
     def __neg__(self) -> "AlgebraElement":
-        out = AlgebraElement.__new__(AlgebraElement)
-        out._terms = {w: -c for w, c in self._terms.items()}
-        return out
+        return AlgebraElement._trusted({w: -c for w, c in self._terms.items()})
 
     def __mul__(self, scalar) -> "AlgebraElement":
-        s = Fraction(scalar)
-        out = AlgebraElement.__new__(AlgebraElement)
-        out._terms = {w: c * s for w, c in self._terms.items()} if s else {}
-        return out
+        s = exact_coeff(scalar)
+        terms = {w: exact_coeff(c * s) for w, c in self._terms.items()} if s else {}
+        return AlgebraElement._trusted(terms)
 
     __rmul__ = __mul__
 

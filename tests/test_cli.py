@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -180,3 +181,28 @@ def test_bad_usage(capsys):
     code, out, err = run_cli(["spectrum", "--op", "2b,2", "--n", "3"], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        (
+            ["eigenvector", "--word", "-4 3 5 -1 6 -7 -2", "--a", "2", "--sign", "minus", "--flavor", "flip", "--vector", "--verify"],
+            "cd08180ef8097ce92b7150a7f832829c318bb03e2da70a54f7abc6be39972d45",
+        ),
+        (
+            ["eigenbasis", "--n", "3", "--a", "3", "--sign", "minus", "--flavor", "rotation", "--vectors"],
+            "889a23d1ed5993e78229ebc0e061dd87686ebd50c792c537b6116eb31acc7d33",
+        ),
+        (
+            ["compose", "--left", "1t,2,1", "--right", "2t,2", "--algebra", "cocommutative", "--verify"],
+            "c37b1d5b792150b2ba0df986140394f97ce6a731b3dbff3cfabfceefa1647910",
+        ),
+    ],
+)
+def test_output_bytes_are_stable(args, digest, capsys):
+    """SHA-256 of stdout as printed while coefficients were all Fractions:
+    keeping integral coefficients as ints changes no byte."""
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

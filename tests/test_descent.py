@@ -272,6 +272,18 @@ def test_image_table_refusals():
     assert operator_matrix(T3, [SignedWord((2**20 - 1, 1, 2))], SHUFFLE).tolist() == [[1]]
 
 
+def test_apply_operator_keeps_integral_coefficients_int():
+    T = riffle_operator(3, "-", Decoration.TBAR, 3)
+    x = AlgebraElement([(W("1 -2 3"), 2), (W("3 1 2"), -1)])
+    got = apply_operator(T, x, CONCAT)
+    assert got and {type(c) for _, c in got} == {int}
+    # a fractional scale that cancels gives ints; one that does not, Fractions
+    rescaled = apply_operator(T * Fraction(1, 2), x * 2, CONCAT)
+    assert rescaled == got and {type(c) for _, c in rescaled} == {int}
+    halves = apply_operator(T, x * Fraction(1, 2), CONCAT)
+    assert halves * 2 == got and Fraction in {type(c) for _, c in halves}
+
+
 def test_apply_operator_huge_coefficients_exact():
     # 256 terms, each 2^53: the accumulator passes int64 (Σ|c_D|·#programs·Σ|c_w|)
     T8 = riffle_operator(3, "+", Decoration.BAR, 8)

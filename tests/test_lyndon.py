@@ -8,17 +8,20 @@ from hypothesis import given, settings, strategies as st
 from hyperoct import (
     CONCAT,
     AlgebraElement,
+    CodeOverflow,
     Decoration,
     EmptyWord,
     NotLyndon,
     OutsideBasis,
     SignedWord,
     SingleLetter,
+    all_words,
     apply_operator,
     build_eigenvector,
     classify_primitive,
     concat_elements,
     eigenbasis,
+    eigenvector_matrix,
     is_lyndon,
     is_primitive,
     letter_key,
@@ -34,6 +37,7 @@ from hyperoct import (
     tau,
     tau_tilde,
 )
+from hyperoct.verify import ALL_SPECS, _int_vector
 from conftest import W
 
 letters = st.integers(min_value=-3, max_value=3).filter(bool)
@@ -273,3 +277,80 @@ def test_primitive_dimensions_identity():
         b, bb = primitive_dimensions(2, 4, flavor)
         for d in range(1, 5):
             assert b[d - 1] + bb[d - 1] == len(lyndon_words(2, d))
+
+
+# ---------------------------------------------------------------------------
+# eigenvector_matrix against the eigenbasis reference
+
+FLAVOR = {"rotation": Decoration.BAR, "flip": Decoration.TBAR}
+
+
+def _reference_matrix(states, n, N, a, sign, flavor, include_repeats=False):
+    index = {w: i for i, w in enumerate(states)}
+    got = eigenbasis(n, N, a, sign, flavor, include_repeats=include_repeats)
+    assert all(type(c) is int for _, vec, _ in got for _, c in vec)
+    rows = [_int_vector(vec, index.__getitem__, len(states)) for _, vec, _ in got]
+    V = np.array(rows, dtype=np.int64).reshape(len(rows), len(states))
+    return V, [mu for _, _, mu in got], tuple(w for w, _, _ in got)
+
+
+def _assert_matches_reference(states, n, N, a, sign, flavor, include_repeats=False):
+    V, mu, words = eigenvector_matrix(states, a, sign, flavor)
+    want_V, want_mu, want_words = _reference_matrix(states, n, N, a, sign, flavor, include_repeats)
+    assert V.dtype == np.int64 and mu.dtype == np.int64
+    assert words == want_words  # the same refused words
+    assert mu.tolist() == want_mu
+    assert (V == want_V).all()
+    return V, mu, words
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("a, sign, flavor", ALL_SPECS)
+def test_eigenvector_matrix_matches_eigenbasis(n, a, sign, flavor):
+    _assert_matches_reference(signed_permutations(n), n, n, a, sign, FLAVOR[flavor])
+
+
+@pytest.mark.parametrize(
+    "a, sign, flavor", [(2, "+", "rotation"), (3, "-", "rotation"), (2, "-", "flip"), (3, "+", "flip")]
+)
+def test_eigenvector_matrix_matches_eigenbasis_n4(a, sign, flavor):
+    """One spec per route of the n = 4 chain certificate."""
+    _assert_matches_reference(signed_permutations(4), 4, 4, a, sign, FLAVOR[flavor])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("flavor", [Decoration.BAR, Decoration.TBAR])
+def test_eigenvector_matrix_a1_and_repeated_letters(sign, flavor):
+    V, mu, _ = _assert_matches_reference(signed_permutations(2), 2, 2, 1, sign, flavor)
+    assert set(np.abs(mu).tolist()) == {1}
+    # repeated letters: equal codes from different summands merge
+    for a in (2, 3):
+        _assert_matches_reference(all_words(3, 1), 3, 1, a, sign, flavor, include_repeats=True)
+
+
+def test_eigenvector_matrix_skips_even_rotation_rows():
+    states = signed_permutations(3)
+    V, mu, words = eigenvector_matrix(states, 2, "+", Decoration.BAR)
+    kept = [
+        w for w in states
+        if all(classify_primitive(u, Decoration.BAR) == "invariant" for u in lyndon_factorize(w))
+    ]
+    assert words == tuple(kept) and V.shape == (15, 48) and len(mu) == 15
+    # n = 1: 1̄ is negating under rotation, 1 is invariant
+    V1, mu1, words1 = eigenvector_matrix(signed_permutations(1), 2, "-", Decoration.BAR)
+    assert words1 == (W("1"),) and V1.tolist() == [[1, 1]] and mu1.tolist() == [2]
+
+
+def test_eigenvector_matrix_refusals():
+    # (2m+1)^3 passes 2^63 - 1 at m = 2^20
+    with pytest.raises(CodeOverflow):
+        eigenvector_matrix([SignedWord((2**20, 1, 2))], 3, "+", Decoration.TBAR)
+    # 20 equal invariant factors: the symmetrized product's L1 bound is
+    # 20!·2^20 > 2^63, refused before its 20! orders are enumerated
+    with pytest.raises(CodeOverflow):
+        eigenvector_matrix([SignedWord((1,) * 20)], 3, "+", Decoration.BAR)
+    # the eigenvector of 1 2 has words that are not states here
+    with pytest.raises(KeyError):
+        eigenvector_matrix([W("1 2"), W("-1 2"), W("2 1")], 3, "+", Decoration.TBAR)
+    V, mu, words = eigenvector_matrix([], 3, "+", Decoration.TBAR)
+    assert V.shape == (0, 0) and words == ()

@@ -54,6 +54,20 @@ def test_element_normalization():
     assert not AlgebraElement.zero()
 
 
+def test_integral_coefficients_are_ints():
+    half = Fraction(1, 2)
+    x = AlgebraElement([((1, 2), Fraction(4, 2)), ((2, 1), 3), ((-1, 2), half), ((-1, 2), half)])
+    assert x.terms() == {SignedWord((1, 2)): 2, SignedWord((2, 1)): 3, SignedWord((-1, 2)): 1}
+    for y in (x, x + x, x - 2 * x, -x, x * Fraction(6, 3)):
+        assert {type(c) for _, c in y} == {int}
+    halved = x / 2  # real division makes Fractions, and only there
+    assert type(halved.coeff((1, 2))) is int
+    assert type(halved.coeff((2, 1))) is Fraction and halved.coeff((2, 1)) == Fraction(3, 2)
+    assert {type(c) for _, c in halved + halved} == {int} and halved * 2 == x
+    assert [d["coeff"] for d in halved.to_json()] == ["1/2", "1", "3/2"]
+    assert type(AlgebraElement.from_json(x.to_json()).coeff((2, 1))) is int
+
+
 @given(st.lists(st.tuples(words, st.integers(-5, 5)), max_size=6))
 def test_element_ring_axioms(pairs):
     x = AlgebraElement(pairs)
