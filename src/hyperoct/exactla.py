@@ -15,7 +15,11 @@ Everything here returns certified exact facts, never probabilistic ones:
   k = 1..N.  With Σ m_λ = N, Newton's identities over QQ make this
   equivalent to det(xI − A) = Π (x − λ)^{m_λ}.  Each difference is bounded
   in absolute value (`trace_moduli`), so vanishing modulo pairwise coprime
-  primes whose product exceeds the bound proves it is 0.
+  primes whose product exceeds the bound proves it is 0.  No certificate
+  of the package calls it: `verify.chain_spectrum_certificate` proves
+  every deck size by its eigenvectors.  It stays because it shares no
+  code with that route: the tests check the Table-1 spectra against it,
+  and the benchmark's tracer still times it by name.
 
 Every matrix product runs through BLAS in float64 with delayed modular
 reduction (the FFLAS-FFPACK technique; Dumas, Giorgi and Pernet, ACM TOMS
@@ -305,7 +309,7 @@ def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
     return (r1 + m1 * (((r2 - r1) * inv) % m2)) % (m1 * m2)
 
 
-def kernel_certified(A, max_primes: int = len(PRIMES)) -> tuple[int, list[list[Fraction]]]:
+def kernel_certified(A) -> tuple[int, list[list[Fraction]]]:
     """Exact kernel basis of an integer matrix with certified dimension.
 
     Lifted vectors are verified over ZZ; their reduced-echelon shape makes
@@ -319,7 +323,7 @@ def kernel_certified(A, max_primes: int = len(PRIMES)) -> tuple[int, list[list[F
     collected: list[tuple[int, np.ndarray, tuple[int, ...]]] = []
     best_rank = -1
     best_pivots: Optional[tuple[int, ...]] = None
-    for p in PRIMES[:max_primes]:
+    for p in PRIMES:
         basis, pivots, _ = nullspace_mod(M, p)
         pv = tuple(pivots)
         if len(pivots) > best_rank:
@@ -370,14 +374,6 @@ def _lift_and_verify(
             if sum(row[j] * v for j, v in support) != 0:
                 return None
     return basis
-
-
-def rank_certified(A) -> int:
-    M = _int_matrix(A)
-    if M.shape[0] == 0:
-        return 0
-    dim, _ = kernel_certified(M)
-    return M.shape[1] - dim
 
 
 def independent_certificate(vectors) -> bool:
@@ -518,36 +514,3 @@ def charpoly_matches(A, predicted: dict[int, int]) -> bool:
             power = _mulmod(power, Ap, P[:, :, None])
             lam_k = _reduce(lam_k * lam, P)
     return True
-
-
-# ---------------------------------------------------------------------------
-# certified linear solve (for PBW coordinates)
-
-
-def solve_certified(A, b) -> list[Fraction]:
-    """Solve A·x = b exactly for a square nonsingular rational system.
-
-    Clears denominators, adjoins −b as an extra column, lifts the kernel of
-    the augmented matrix, and verifies by substitution.
-    """
-    Af = [[Fraction(x) for x in row] for row in A]
-    bf = [Fraction(x) for x in b]
-    den = 1
-    for row in Af:
-        for x in row:
-            den = den * x.denominator // gcd(den, x.denominator)
-    for x in bf:
-        den = den * x.denominator // gcd(den, x.denominator)
-    Ai = [[int(x * den) for x in row] for row in Af]
-    bi = [int(x * den) for x in bf]
-    n = len(Ai)
-    aug = [Ai[i] + [-bi[i]] for i in range(n)]
-    dim, basis = kernel_certified(aug)
-    if dim != 1 or basis[0][n] == 0:
-        raise CertificationError("system is singular or inconsistent")
-    v = basis[0]
-    x = [vi / v[n] for vi in v[:n]]
-    for row, target in zip(Af, bf):
-        if sum(r * xi for r, xi in zip(row, x)) != target:
-            raise CertificationError("verification of solve failed")
-    return x

@@ -247,7 +247,6 @@ def eigenbasis(
     sign: str,
     flavor: Decoration,
     include_repeats: bool = False,
-    tilde_plus_format: str = "left",
 ) -> list[tuple[SignedWord, AlgebraElement, int]]:
     """Eigenvectors for all degree-n words over labels <= N.
 
@@ -262,7 +261,7 @@ def eigenbasis(
     out = []
     for w in words:
         try:
-            vec, val = build_eigenvector(w, a, sign, flavor, tilde_plus_format)
+            vec, val = build_eigenvector(w, a, sign, flavor)
         except OutsideBasis:
             continue
         out.append((w, vec, val))

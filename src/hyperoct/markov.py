@@ -410,7 +410,7 @@ def _family_vector(kind: str, indices: tuple, S: np.ndarray) -> np.ndarray:
     return signed(adjacent(plus), adjacent(minus))
 
 
-def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None, cap: int = 5) -> dict:
+def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None) -> dict:
     """Check the subdominant eigenfunctions: K·f = β f exactly for every
     listed family member, independence of each family, and dimension match
     against the chain's multiplicity table at the subdominant eigenvalue.
@@ -421,7 +421,7 @@ def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None,
     if spec.a < 2:
         raise HypothesesNotMet("a >= 2 is required for subdominant eigenvalues 1/a")
     if tm is None:
-        tm = transition_matrix(spec, cap)
+        tm = transition_matrix(spec)
     S = np.array(tm.states, dtype=np.int64)
     mult = dict(shuffle_multiplicities(spec.a, spec.sign, spec.decoration, spec.n))
     report = {"spec": spec, "eigenvalues": [], "ok": True}

@@ -7,6 +7,7 @@ observations the source material does not claim (these never fail a run).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -34,6 +35,9 @@ from .algebra import (
 from .errors import CodeOverflow, NotIntegral
 from .descent import (
     _INT64_MAX,
+    _powers,
+    _state_codes,
+    _state_index,
     DecoratedComposition,
     Decoration,
     DescentOperator,
@@ -120,21 +124,26 @@ def _int_vector(vec: AlgebraElement, index: Callable[[SignedWord], int], size: i
     return v
 
 
-def _eigen_equations_hold(V: np.ndarray, mu: np.ndarray, M: np.ndarray) -> bool:
-    """Whether V·M = diag(mu)·V exactly: each row of V is a left eigenvector
-    of the int64 matrix M with eigenvalue mu[row].
+def _exact_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X·M for int64 matrices, exactly.
 
-    Every partial sum of an entry of V·M is at most max|V| times the largest
+    Every partial sum of an entry of X·M is at most max|X| times the largest
     column abs-sum of M in absolute value.  The product runs in int64 once
     that bound is checked to be below 2^63; past it CodeOverflow is raised.
     """
     col_norm = int(np.abs(M).max(initial=0)) * len(M)  # bounds every column abs-sum
     if col_norm <= _INT64_MAX:
         col_norm = int(np.abs(M).sum(axis=0).max(initial=0))
-    bound = int(np.abs(V).max(initial=0)) * col_norm
+    bound = int(np.abs(X).max(initial=0)) * col_norm
     if bound > _INT64_MAX:
-        raise CodeOverflow(f"eigen-equation entries may reach {bound} in absolute value")
-    return bool((V @ M == mu[:, None] * V).all())
+        raise CodeOverflow(f"product entries may reach {bound} in absolute value")
+    return X @ M
+
+
+def _eigen_equations_hold(V: np.ndarray, mu: np.ndarray, M: np.ndarray) -> bool:
+    """Whether V·M = diag(mu)·V exactly: each row of V is a left eigenvector
+    of the int64 matrix M with eigenvalue mu[row] (`_exact_product`)."""
+    return bool((_exact_product(V, M) == mu[:, None] * V).all())
 
 
 BOTH_FLAVORS = (Decoration.BAR, Decoration.TBAR)
@@ -344,7 +353,14 @@ def check_zero_parts(n_max: int, seed: int = 0) -> list[CheckResult]:
 def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
     out = []
     rng = random.Random(seed)
-    el = DescentOperator.elementary
+    mats: dict[tuple, np.ndarray] = {}
+
+    def elementary(D: DecoratedComposition, states, algebra: str) -> np.ndarray:
+        """The matrix of D on the states, built once per (D, algebra)."""
+        if (D, algebra) not in mats:
+            mats[D, algebra] = operator_matrix(DescentOperator.elementary(D), states, algebra)
+        return mats[D, algebra]
+
     for n in range(1, min(n_max, 3) + 1):
         states = signed_permutations(n)
         ok = True
@@ -352,7 +368,7 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             Ds = list(decorated_compositions(n, flavor))
             for D, Dp in itertools.product(Ds, Ds):
                 for algebra, kind in ((SHUFFLE, "commutative"), (CONCAT, "cocommutative")):
-                    lhs = operator_matrix(el(Dp), states, algebra) @ operator_matrix(el(D), states, algebra)
+                    lhs = elementary(Dp, states, algebra) @ elementary(D, states, algebra)
                     rhs = operator_matrix(compose_law(D, Dp, kind), states, algebra)
                     if not (lhs == rhs).all():
                         ok = False
@@ -367,7 +383,7 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             algebra, kind = rng.choice(
                 ((SHUFFLE, "commutative"), (CONCAT, "cocommutative"))
             )
-            lhs = operator_matrix(el(Dp), states, algebra) @ operator_matrix(el(D), states, algebra)
+            lhs = elementary(Dp, states, algebra) @ elementary(D, states, algebra)
             rhs = operator_matrix(compose_law(D, Dp, kind), states, algebra)
             if not (lhs == rhs).all():
                 ok = False
@@ -401,6 +417,12 @@ def check_riffle_composition(n_max: int, seed: int = 0) -> list[CheckResult]:
     printed_rule_ok = True
     flips = []
     detail = []
+
+    @functools.cache
+    def riffle(k: int, sign: str, flavor: Decoration, algebra: str) -> np.ndarray:
+        """The matrix of orif_k^sign on the states, built once."""
+        return operator_matrix(riffle_operator(k, sign, flavor, n), states, algebra)
+
     for a, b in ((3, 3), (3, 2), (2, 3), (2, 2)):
         for flavor in BOTH_FLAVORS:
             for algebra in (SHUFFLE, CONCAT):
@@ -412,11 +434,8 @@ def check_riffle_composition(n_max: int, seed: int = 0) -> list[CheckResult]:
                 for s1, s2 in itertools.product("+-", repeat=2):
                     naive = "+" if s1 == s2 else "-"
                     want = riffle_composite_sign(s1, s2, a, b, flavor, commutative)
-                    lhs = operator_matrix(
-                        riffle_operator(b, s2, flavor, n), states, algebra
-                    ) @ operator_matrix(riffle_operator(a, s1, flavor, n), states, algebra)
-                    rhs = operator_matrix(riffle_operator(a * b, want, flavor, n), states, algebra)
-                    equal = (lhs == rhs).all()
+                    lhs = riffle(b, s2, flavor, algebra) @ riffle(a, s1, flavor, algebra)
+                    equal = (lhs == riffle(a * b, want, flavor, algebra)).all()
                     if hypo:
                         if not equal:
                             ok = False
@@ -507,9 +526,18 @@ def _pbw_data(N: int, n: int, flavor: Decoration):
 
 
 def check_triangularity(n_max: int, seed: int = 0) -> list[CheckResult]:
-    """Triangularity of descent operators on the PBW basis, with the leading
-    coefficient equal to the predicted eigenvalue."""
-    rng = random.Random(seed)
+    """Triangularity of every elementary descent operator on the PBW basis,
+    with the leading coefficient equal to the predicted eigenvalue β.
+
+    Column j of the int64 matrix V is the j-th PBW monomial over the words,
+    and B = Mᵀ·V holds the images of the monomials under each D, for all
+    elementary D side by side.  The bracket letters are i ± ī, so V is the
+    letter change [[1, 1], [1, −1]] in every slot times an integer matrix
+    unitriangular by factor count, and Y = 2^n·V⁻¹·B is integral.  Y comes
+    from a rounded float64 solve and is accepted only when V·Y = 2^n·B
+    holds exactly and V is certified nonsingular; so the coordinates Y/2^n
+    are exact whether or not that argument holds.
+    """
     N = 2
     ok = True
     for n in range(1, min(n_max, 3) + 1):
@@ -517,39 +545,40 @@ def check_triangularity(n_max: int, seed: int = 0) -> list[CheckResult]:
         widx = {w: i for i, w in enumerate(words)}
         for flavor in BOTH_FLAVORS:
             prims, monomials = _pbw_data(N, n, flavor)
-            cols = []
-            info = []
-            for mono in monomials:
-                elt = concat_elements(*(prims[i][4] for i in mono)) if mono else AlgebraElement.unit()
-                col = [Fraction(0)] * len(words)
-                for w, c in elt:
-                    col[widx[w]] = c
-                cols.append(col)
-                lam = tuple(sorted((prims[i][1] for i in mono if prims[i][0] == 0), reverse=True))
-                lbar = tuple(sorted((prims[i][1] for i in mono if prims[i][0] == 1), reverse=True))
-                info.append((lam, lbar, len(mono)))
-            V = [[cols[j][i] for j in range(len(cols))] for i in range(len(words))]
+            V = np.stack(
+                [
+                    _int_vector(concat_elements(*(prims[i][4] for i in mono)), widx.__getitem__, len(words))
+                    for mono in monomials
+                ],
+                axis=1,
+            )
+            if V.shape[0] != V.shape[1] or not exactla.independent_certificate(V):
+                ok = False
+                continue
             Ds = list(decorated_compositions(n, flavor))
-            rng.shuffle(Ds)
-            for D in Ds[:4]:
-                for mi in rng.sample(range(len(monomials)), min(len(monomials), 10)):
-                    mono = monomials[mi]
-                    elt = (
-                        concat_elements(*(prims[i][4] for i in mono))
-                        if mono
-                        else AlgebraElement.unit()
-                    )
-                    image = apply_operator(DescentOperator.elementary(D), elt, CONCAT)
-                    rhs = [Fraction(0)] * len(words)
-                    for w, c in image:
-                        rhs[widx[w]] = c
-                    coords = exactla.solve_certified(V, rhs)
-                    lam, lbar, length = info[mi]
-                    if coords[mi] != beta(lam, lbar, D):
-                        ok = False
-                    for j, c in enumerate(coords):
-                        if c and j != mi and info[j][2] >= length:
-                            ok = False
+            B = np.hstack(
+                [_exact_product(operator_matrix(DescentOperator.elementary(D), words, CONCAT).T, V) for D in Ds]
+            )
+            Y = np.rint(2**n * np.linalg.solve(V, B)).astype(np.int64)
+            if not (_exact_product(V, Y) == 2**n * B).all():
+                ok = False
+                continue
+            # (λ, λ̄): the degrees of the invariant and the negating factors
+            shapes = [
+                tuple(
+                    tuple(sorted((prims[i][1] for i in mono if prims[i][0] == kind), reverse=True))
+                    for kind in (0, 1)
+                )
+                for mono in monomials
+            ]
+            length = np.array([len(mono) for mono in monomials])
+            # coordinate j of the image of monomial k must vanish when j has
+            # at least as many factors as k, save the diagonal
+            below = (length[:, None] >= length[None, :]) & ~np.eye(len(monomials), dtype=bool)
+            for D, Yd in zip(Ds, np.hsplit(Y, len(Ds))):
+                betas = {shape: beta(*shape, D) for shape in set(shapes)}
+                if (np.diag(Yd) != [2**n * betas[s] for s in shapes]).any() or Yd[below].any():
+                    ok = False
     return [_result("spectral.pbw_triangularity", ok, f"N = {N}, degrees <= {min(n_max, 3)}")]
 
 
@@ -662,74 +691,64 @@ def chain_spectrum_certificate(
     spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None
 ) -> dict:
     """Certify that the characteristic polynomial of the exact transition
-    matrix factors exactly as the multiplicity table predicts.
+    matrix A factors exactly as the multiplicity table predicts, at every n,
+    by one route.
 
-    n <= 3: `exactla.charpoly_matches` compares tr(K^k) with Σ m_λ λ^k for
-    k = 1..N, which by Newton's identities over QQ is the charpoly identity
-    itself.  Each difference is below N·a^(nk) + Σ m_λ|λ|^k in absolute
-    value, so it is proved 0 by vanishing modulo the primes of
-    `exactla.trace_moduli`, whose product exceeds that bound; the report
-    records how many primes and the bits of their product.
-    Larger n: the concat-algebra matrix Mc of the riffle operator is built
-    independently of the chain (`operator_matrix`), and first linked to it:
-    `report["duality"]` records the exact check A = Mcᵀ, and the
-    certificate fails without it.  So Mc's left eigenvectors are A's right
-    eigenvectors with the same eigenvalues, and everything proved of Mc
-    below holds for A.  The eigenvectors come as the rows of one int64
-    matrix V from `lyndon.eigenvector_matrix`; their eigen-equations are
-    the one exact product V·Mc = diag(μ)·V, and they are certified
-    linearly independent.  When they span, multiplicity counting pins the
-    charpoly.  For even-a rotation the nonzero eigenspaces are certified by
-    matching mod-p nullity bounds and an exact annihilation identity pins
-    the rest.
+    The concat-algebra matrix Mc of the riffle operator is built
+    independently of the chain (`operator_matrix`) and linked to it by the
+    exact check A = Mcᵀ, `report["duality"]`.  So Mc's left eigenvectors
+    are A's right eigenvectors with the same eigenvalues, and everything
+    proved of Mc below holds for A.  The eigenvectors come as the rows of
+    one int64 matrix V from `lyndon.eigenvector_matrix`; their
+    eigen-equations are the one exact product V·Mc = diag(μ)·V
+    (`report["eigen_equations"]`), and they are certified linearly
+    independent (`report["independent"]`).  So each eigenvalue's
+    multiplicity is at least its count among the rows.
+
+    - When V has a row for every state ("full-eigenbasis"), the counts sum
+      to N and are the multiplicities, which pins the charpoly:
+      `report["counts_match"]` compares them with the table.
+    - Even-a rotation has no eigenvector for the words with a negating
+      factor ("partial-eigenbasis+annihilation"), and the counts must match
+      the table's nonzero eigenvalues.  A mod-p nullity bound equal to the
+      count proves each nonzero eigenspace exactly; the exact identity
+      A^s·Π(A − λ) = 0 (`exactla.annihilates`) makes those λ semisimple and
+      leaves only 0 for the rest, whose multiplicity N − Σ m_λ must then be
+      the table's.
+
+    Every fact above is recorded whatever the others give, and the report
+    holds no arrays, so `verify`'s eigenvector and duality rows read it too.
     """
     if tm is None:
         tm = transition_matrix(spec)
-    n, a = spec.n, spec.a
-    A = tm.counts
-    size = tm.size
+    A, size = tm.counts, tm.size
     predicted = {
         int(v * tm.scale): m
-        for v, m in shuffle_multiplicities(a, spec.sign, spec.decoration, n)
+        for v, m in shuffle_multiplicities(spec.a, spec.sign, spec.decoration, spec.n)
     }
-    report = {"spec": spec, "predicted": predicted, "size": size}
-    if n <= 3:
-        moduli = exactla.trace_moduli(A, predicted)
-        report["method"] = "trace-powers"
-        report["moduli"] = {"count": len(moduli), "bits": math.prod(moduli).bit_length()}
-        report["ok"] = exactla.charpoly_matches(A, predicted)
-        return report
-    # eigenvector route: one row of V per eigenvector, at most one per state
-    Mc = operator_matrix(spec.operator(), tm.states, CONCAT)
-    report["duality"] = bool((A == Mc.T).all())
-    if not report["duality"]:
-        report["ok"] = False
-        return report
-    V, mu, _ = eigenvector_matrix(tm.states, a, spec.sign, spec.decoration)
-    counts = dict(Counter(mu.tolist()))
-    eigen_ok = _eigen_equations_hold(V, mu, Mc)
-    independent = exactla.independent_certificate(V)
-    report["eigen_equations"] = eigen_ok
-    report["independent"] = independent
-    report["eigenvector_counts"] = counts
-    if not (eigen_ok and independent):
-        report["ok"] = False
-        return report
-    if len(V) == size:
-        report["method"] = "full-eigenbasis"
-        report["ok"] = counts == predicted
-        return report
-    # partial basis (even-a rotation): nonzero eigenvalues must match counts
-    report["method"] = "partial-eigenbasis+annihilation"
     nonzero_pred = {lam: m for lam, m in predicted.items() if lam != 0}
-    if counts != nonzero_pred:
-        report["ok"] = False
+    Mc = operator_matrix(spec.operator(), tm.states, CONCAT)
+    V, mu, _ = eigenvector_matrix(tm.states, spec.a, spec.sign, spec.decoration)
+    counts = dict(Counter(mu.tolist()))
+    full = len(V) == size
+    report = {
+        "spec": spec,
+        "predicted": predicted,
+        "size": size,
+        "method": "full-eigenbasis" if full else "partial-eigenbasis+annihilation",
+        "duality": bool((A == Mc.T).all()),
+        "eigen_equations": _eigen_equations_hold(V, mu, Mc),
+        "independent": exactla.independent_certificate(V),
+        "eigenvector_counts": counts,
+        "counts_match": counts == (predicted if full else nonzero_pred),
+    }
+    report["ok"] = all(report[k] for k in ("duality", "eigen_equations", "independent", "counts_match"))
+    if full or not report["ok"]:
         return report
-    geom_ok = True
-    for lam, m in nonzero_pred.items():
-        shifted = A.copy()
-        shifted.flat[:: size + 1] -= lam
-        geom_ok = geom_ok and exactla.nullity_upper_bound(shifted) == m
+    geom_ok = all(
+        exactla.nullity_upper_bound(A - lam * np.eye(size, dtype=np.int64)) == m
+        for lam, m in nonzero_pred.items()
+    )
     report["geometric_match"] = geom_ok
     power = exactla.annihilation_power_probe(A, sorted(nonzero_pred), 8)
     annihilated = power is not None and exactla.annihilates(A, sorted(nonzero_pred), power)
@@ -740,25 +759,34 @@ def chain_spectrum_certificate(
     return report
 
 
+@functools.lru_cache(maxsize=None)
+def _chain_report(spec: ShuffleSpec) -> dict:
+    """`chain_spectrum_certificate(spec)`, run once per chain for every row
+    that reads it.  The checks ask for n <= 4 and the specs of ALL_SPECS,
+    so at most 32 reports are kept; callers share them and only read."""
+    return chain_spectrum_certificate(spec)
+
+
+def _chain_reports(n: int) -> list[dict]:
+    """The certificate reports of the 8 chains of ALL_SPECS on n cards."""
+    return [_chain_report(ShuffleSpec(n, a, sign, flavor)) for a, sign, flavor in ALL_SPECS]
+
+
 def check_chain_spectra(n_max: int, seed: int = 0) -> list[CheckResult]:
     out = []
     for n in range(2, min(n_max, 4) + 1):
-        for a, sign, flavor in ALL_SPECS:
-            spec = ShuffleSpec(n, a, sign, flavor)
-            rep = chain_spectrum_certificate(spec)
+        for rep in _chain_reports(n):
+            spec = rep["spec"]
             provenance = {k: rep[k] for k in ("method", "size", "annihilation_power") if k in rep}
-            if "moduli" in rep:
-                provenance["moduli_count"] = rep["moduli"]["count"]
-                provenance["moduli_bits"] = rep["moduli"]["bits"]
             out.append(
                 _result(
                     "spectral.chain_spectrum",
                     rep["ok"],
-                    f"n={n} a={a} sign={sign} {flavor}: {rep.get('method')}",
+                    f"n={n} a={spec.a} sign={spec.sign} {spec.flavor}: {rep['method']}",
                     n=n,
-                    a=a,
-                    sign=sign,
-                    flavor=flavor,
+                    a=spec.a,
+                    sign=spec.sign,
+                    flavor=spec.flavor,
                     **provenance,
                 )
             )
@@ -802,38 +830,26 @@ def check_duval_brute(n_max: int, seed: int = 0) -> list[CheckResult]:
 
 
 def check_eigen_equations(n_max: int, seed: int = 0) -> list[CheckResult]:
+    """The eigenvector rows of each n, read from the certificates of its 8
+    chains (`chain_spectrum_certificate`)."""
     out = []
     for n in range(1, min(n_max, 4) + 1):
-        states = signed_permutations(n)
-        ok = True
-        indep = True
-        count_ok = True
-        for a, sign, flavor in ALL_SPECS:
-            dec = ShuffleSpec(n, a, sign, flavor).decoration
-            Mc = operator_matrix(riffle_operator(a, sign, dec, n), states, CONCAT)
-            V, mu, _ = eigenvector_matrix(states, a, sign, dec)
-            if not _eigen_equations_hold(V, mu, Mc):
-                ok = False
-            if not exactla.independent_certificate(V):
-                indep = False
-            counts = Counter(mu.tolist())
-            scale = a**n
-            predicted = {
-                int(v * scale): m
-                for v, m in shuffle_multiplicities(a, sign, dec, n)
-            }
-            nonzero = {k: v for k, v in predicted.items() if k != 0}
-            expect = predicted if len(V) == len(states) else nonzero
-            if counts != expect:
-                count_ok = False
+        reports = _chain_reports(n)
         out.append(
-            _result("lyndon.eigen_equations", ok, f"n = {n}, all 8 operator configs", n=n)
+            _result(
+                "lyndon.eigen_equations",
+                all(r["eigen_equations"] for r in reports),
+                f"n = {n}, all 8 operator configs",
+                n=n,
+            )
         )
-        out.append(_result("lyndon.eigenbasis_independent", indep, f"n = {n}", n=n))
+        out.append(
+            _result("lyndon.eigenbasis_independent", all(r["independent"] for r in reports), f"n = {n}", n=n)
+        )
         out.append(
             _result(
                 "lyndon.eigenvalue_counts_match_table",
-                count_ok,
+                all(r["counts_match"] for r in reports),
                 f"n = {n} (0-eigenvalue deficit only for even-a rotation)",
                 n=n,
             )
@@ -957,14 +973,11 @@ def check_subdominant(n_max: int, seed: int = 0) -> list[CheckResult]:
 
 
 def check_chain_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
-    ok = True
-    for n in range(1, min(n_max, 3) + 1):
-        for a, sign, flavor in ALL_SPECS:
-            spec = ShuffleSpec(n, a, sign, flavor)
-            tm = transition_matrix(spec)
-            V, mu, _ = eigenvector_matrix(tm.states, a, sign, spec.decoration)
-            if not _eigen_equations_hold(V, mu, tm.counts.T):
-                ok = False
+    """K = Mcᵀ and V·Mc = diag(μ)·V give K·Vᵀ = Vᵀ·diag(μ), read from the
+    chain certificates."""
+    ok = all(
+        r["duality"] and r["eigen_equations"] for n in range(1, min(n_max, 3) + 1) for r in _chain_reports(n)
+    )
     return [
         _result(
             "markov.right_eigenfunctions_via_duality",
@@ -1044,23 +1057,19 @@ def check_sampler_agreement(n_max: int, seed: int = 11) -> list[CheckResult]:
     row = tm.counts[tm.index(w0)]
     probs = row / row.sum()
     trials = 100_000
+    _, m, order, sorted_codes = _state_codes(tm.states, spec.n)
+    weights = _powers(m, spec.n, np.int64)
     ok = True
     details = []
     for label, sampler in (("four-step", "single"), ("vectorized", "batch")):
         rng = np.random.default_rng(seed)
-        counts = np.zeros(tm.size, dtype=np.int64)
         if sampler == "single":
-            sub = 20_000
-            for _ in range(sub):
-                y = sample_step(spec, w0, rng)
-                counts[tm.index(y)] += 1
-            total = sub
+            decks = np.array([sample_step(spec, w0, rng) for _ in range(20_000)], dtype=np.int64)
         else:
-            decks = np.tile(np.array(w0, dtype=np.int64), (trials, 1))
-            decks = batch_step(spec, decks, rng)
-            for row_ in decks:
-                counts[tm.index(SignedWord(row_))] += 1
-            total = trials
+            decks = batch_step(spec, np.tile(np.array(w0, dtype=np.int64), (trials, 1)), rng)
+        total = len(decks)
+        index = _state_index(order, sorted_codes, (decks + m) @ weights, m, spec.n)
+        counts = np.bincount(index, minlength=tm.size)
         support = probs > 0
         if counts[~support].any():
             ok = False

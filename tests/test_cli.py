@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -164,6 +165,59 @@ def test_verify_suite_filter(capsys):
     assert code == 0
     assert "spectral.stirling_recursion" in out
     assert "lyndon." not in out
+
+
+# Every row name of `verify --suite all --n-max 3`, with its count.
+VERIFY_ALL_N3_ROWS = {
+    "algebra.bialgebra_compatibility": 1,
+    "algebra.bracket_parity": 1,
+    "algebra.invariant_projections": 1,
+    "algebra.involutions": 1,
+    "algebra.primitive_preservation": 1,
+    "algebra.tau_hopf_morphism": 1,
+    "algebra.tau_tilde_ambimorphism": 1,
+    "descent.composition_law": 3,
+    "descent.duality_transpose": 1,
+    "descent.riffle_composition": 1,
+    "descent.riffle_composition_counterexamples": 1,
+    "descent.riffle_composition_sign_flips": 1,
+    "descent.rows_stochastic": 1,
+    "descent.zero_parts_trivial": 1,
+    "lyndon.duval_vs_brute": 1,
+    "lyndon.eigen_equations": 3,
+    "lyndon.eigenbasis_independent": 3,
+    "lyndon.eigenvalue_counts_match_table": 3,
+    "lyndon.flip_onenegating_lemma": 1,
+    "lyndon.full_word_basis": 1,
+    "lyndon.rotation_onenegating_lemma": 1,
+    "markov.descent_expectation_exact": 1,
+    "markov.monte_carlo_descents": 1,
+    "markov.right_eigenfunctions_via_duality": 1,
+    "markov.rotation_descent_formula": 1,
+    "markov.sampler_vs_exact_row": 1,
+    "markov.stationary_uniform_unique": 1,
+    "markov.subdominant_eigenfunctions": 20,
+    "spectral.beta_type_a_reduction": 1,
+    "spectral.chain_spectrum": 16,
+    "spectral.multiplicity_identities": 1,
+    "spectral.pbw_triangularity": 1,
+    "spectral.riffle_spectrum_aggregation": 1,
+    "spectral.stirling_minima_brute": 1,
+    "spectral.stirling_recursion": 1,
+    "spectral.stirling_signed_brute": 1,
+    "spectral.table1_totals": 1,
+}
+
+
+def test_verify_all_n3(tmp_path, capsys):
+    out_path = tmp_path / "verify.json"
+    code, out, _ = run_cli(["verify", "--suite", "all", "--n-max", "3", "--out", str(out_path)], capsys)
+    assert code == 0
+    assert out.rstrip().endswith("79 checks, 0 failed")
+    rows = json.loads(out_path.read_text())["checks"]
+    assert len(rows) == 79
+    assert [r for r in rows if r["status"] == "fail"] == []
+    assert Counter(r["name"] for r in rows) == VERIFY_ALL_N3_ROWS
 
 
 def test_console_script_entrypoint():

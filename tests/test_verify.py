@@ -1,10 +1,11 @@
 import math
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from hyperoct import AlgebraElement, CodeOverflow, NotIntegral, ShuffleSpec, signed_permutations
+from hyperoct import ROTATION, AlgebraElement, CodeOverflow, NotIntegral, ShuffleSpec, signed_permutations
 from hyperoct import verify
 from hyperoct.verify import _eigen_equations_hold, _int_vector, check_chain_spectra, check_subdominant
 from conftest import W
@@ -22,15 +23,69 @@ def test_int_vector_refuses_fractions_and_foreign_words():
         _int_vector(AlgebraElement.from_word(W("1 1")), index.__getitem__, len(states))
 
 
-def test_chain_spectra_n3():
+@pytest.fixture
+def fresh_reports():
+    """An empty chain-report cache before and after the test."""
+    verify._chain_report.cache_clear()
+    yield
+    verify._chain_report.cache_clear()
+
+
+def test_chain_spectra_n3(fresh_reports):
     rows = check_chain_spectra(3)
     assert len(rows) == 16
     assert all(r.status == "pass" for r in rows), [r.detail for r in rows if r.status != "pass"]
     for r in rows:
         n = r.params["n"]
-        assert r.params["method"] == "trace-powers"
         assert r.params["size"] == 2**n * math.factorial(n)
-        assert r.params["moduli_count"] >= 1 and r.params["moduli_bits"] >= 20
+        if r.params["flavor"] == ROTATION and r.params["a"] % 2 == 0:
+            assert r.params["method"] == "partial-eigenbasis+annihilation"
+            assert r.params["annihilation_power"] >= 1
+        else:
+            assert r.params["method"] == "full-eigenbasis"
+            assert "annihilation_power" not in r.params
+
+
+def test_one_certificate_per_chain(fresh_reports, monkeypatch):
+    calls = {"chain_spectrum_certificate": Counter(), "eigenvector_matrix": Counter()}
+
+    def counted(name):
+        real = getattr(verify, name)
+
+        def wrapper(*args, **kwargs):
+            key = args[0] if name == "chain_spectrum_certificate" else (len(args[0][0]), *args[1:])
+            calls[name][key] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(verify, name, wrapper)
+
+    counted("chain_spectrum_certificate")
+    counted("eigenvector_matrix")
+    assert all(r.status != "fail" for r in verify.run_checks("all", 3))
+    specs = [ShuffleSpec(n, a, sign, flavor) for n in (1, 2, 3) for a, sign, flavor in verify.ALL_SPECS]
+    assert calls["chain_spectrum_certificate"] == Counter(specs)
+    assert calls["eigenvector_matrix"] == Counter((s.n, s.a, s.sign, s.decoration) for s in specs)
+
+
+def test_triangularity_fails_on_a_wrong_beta(monkeypatch):
+    assert verify.check_triangularity(3)[0].status == "pass"
+    real = verify.beta
+    monkeypatch.setattr(verify, "beta", lambda lam, lbar, D: real(lam, lbar, D) + 1)
+    assert verify.check_triangularity(3)[0].status == "fail"
+
+
+def test_eigen_rows_read_the_certificate(monkeypatch):
+    names = ("lyndon.eigen_equations", "markov.right_eigenfunctions_via_duality")
+
+    def rows():
+        out = verify.check_eigen_equations(2) + verify.check_chain_duality(2)
+        return [r for r in out if r.name in names]
+
+    assert len(rows()) == 3 and all(r.status == "pass" for r in rows())
+    real = verify._chain_report
+    monkeypatch.setattr(verify, "_chain_report", lambda spec: {**real(spec), "eigen_equations": False})
+    assert {r.name for r in rows()} == set(names)
+    assert all(r.status == "fail" for r in rows())
 
 
 def test_eigen_equations_hold_bounds_its_product():
