@@ -9,8 +9,12 @@ Everything here returns certified exact facts, never probabilistic ones:
   either from the caller (e.g. eigenvectors with verified eigen-equations)
   or from lifting the mod-p reduced-echelon kernel by rational
   reconstruction, followed by exact verification over ZZ.
-- `annihilates` checks a polynomial identity q(A) = 0 exactly, which pins
-  the spectrum inside q's root set.
+- `annihilation_power` builds P = Π(A − λ) exactly and finds the least
+  s with A^s·P = 0.  That identity puts the image of P inside the
+  generalized 0-eigenspace, so rank P bounds the multiplicity of 0 from
+  below (and any mod-p rank of P bounds rank P from below).
+  `annihilates` checks q(A) = A^s·P = 0 for a given s, which pins the
+  spectrum inside q's root set.
 - `charpoly_matches` compares the power sums tr(A^k) with Σ m_λ λ^k for
   k = 1..N.  With Σ m_λ = N, Newton's identities over QQ make this
   equivalent to det(xI − A) = Π (x − λ)^{m_λ}.  Each difference is bounded
@@ -21,21 +25,22 @@ Everything here returns certified exact facts, never probabilistic ones:
   code with that route: the tests check the Table-1 spectra against it,
   and the benchmark's tracer still times it by name.
 
-Every matrix product runs through BLAS in float64 with delayed modular
-reduction (the FFLAS-FFPACK technique; Dumas, Giorgi and Pernet, ACM TOMS
-2008), and is exact: a partial sum of integer products is computed exactly
-whenever every such partial sum is below 2^53 in absolute value, whatever
-order the BLAS kernel adds in.  Each product runs over at most `_PANEL`
-inner terms, and
+Every matrix product runs through BLAS in float64 and is exact: a partial
+sum of integer products is computed exactly whenever every such partial
+sum is below 2^53 in absolute value, whatever order the BLAS kernel adds
+in.
 
-- residues mod the 26-bit `PRIMES` are products of values below 2^26, so
-  `_mulmod` splits the right factor as Y_hi·2^13 + Y_lo; every partial sum
-  of X·Y_hi and X·Y_lo is then below 64·2^26·2^13 = 2^45;
-- residues mod the 20-bit `TRACE_PRIMES` need no split: 64·(p − 1)^2 < 2^46;
-- integer products in `annihilates` bound each partial sum of row i of
-  (A − λ)·V by (Σ_j |A_ij| + |λ|)·max|V|; they run in float64 while this is
-  below 2^53, in int64 while it is below 2^62, and in Python integers past
-  that.
+- Products of residues use delayed modular reduction (the FFLAS-FFPACK
+  technique; Dumas, Giorgi and Pernet, ACM TOMS 2008) over at most
+  `_PANEL` inner terms.  Residues mod the 26-bit `PRIMES` are products of
+  values below 2^26, so `_mulmod` splits the right factor as
+  Y_hi·2^13 + Y_lo; every partial sum of X·Y_hi and X·Y_lo is then below
+  64·2^26·2^13 = 2^45.  Residues mod the 20-bit `TRACE_PRIMES` need no
+  split: 64·(p − 1)^2 < 2^46.
+- Integer products in `annihilation_power` bound each partial sum of row
+  i of (A − λ)·V by (Σ_j |A_ij| + |λ|)·max|V|, over all inner terms at
+  once.  They run in float64 while this is below 2^53, in int64 while it
+  is below 2^62, and in Python integers past that.
 
 Matrices are taken as int64 arrays (or anything numpy turns into one);
 matrices with an entry of 2^31 or more in absolute value are kept as
@@ -98,16 +103,6 @@ def _int_matrix(A) -> np.ndarray:
 def _row_norm(M: np.ndarray) -> int:
     """max_i Σ_j |M_ij|, exactly."""
     return int(np.abs(M).sum(axis=1).max()) if M.size else 0
-
-
-def _matmul(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """X @ Y in float64, at most _PANEL inner terms per BLAS call; exact for
-    integer entries when every partial sum is below 2^53."""
-    out = X[:, :_PANEL] @ Y[:_PANEL]
-    part = np.empty_like(out)
-    for s in range(_PANEL, X.shape[1], _PANEL):
-        out += np.matmul(X[:, s : s + _PANEL], Y[s : s + _PANEL], out=part)
-    return out
 
 
 def _reduce(x: np.ndarray, p) -> np.ndarray:
@@ -395,69 +390,60 @@ def independent_certificate(vectors) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# exact annihilation checks (spectrum containment)
+# exact annihilation (spectrum containment)
+
+
+def annihilation_power(
+    A, nonzero_eigenvalues: Sequence[int], smax: int
+) -> tuple[Optional[int], np.ndarray]:
+    """(s, P) for P = Π(A − λ) over the given λ, exactly, and s the least
+    power <= smax with A^s·P = 0, or None when there is none.
+
+    Every product (A − λ)·V runs in float64 or int64 while the bound of the
+    module docstring proves it exact, and in Python integers past that.  P
+    comes back as int64, or as Python integers (object) once the bound
+    reaches 2^62.
+    """
+    M = _int_matrix(A)
+    norm = _row_norm(M)
+    typed = {M.dtype: M}
+
+    def minus(V: np.ndarray, lam: int) -> np.ndarray:
+        """(A − lam)·V; overwrites V when lam ≠ 0."""
+        bound = (norm + abs(lam)) * (int(np.abs(V).max()) if V.size else 0)
+        dtype = np.dtype("f8" if bound < _F64_EXACT else "i8" if bound < _I64_SAFE else "O")
+        if dtype not in typed:
+            typed[dtype] = M.astype(dtype)
+        if V.dtype != dtype:  # floats reach Python integers through int64
+            V = V.astype(np.int64, copy=False).astype(dtype, copy=False)
+        W = typed[dtype] @ V
+        if lam:
+            V *= lam
+            W -= V
+        return W
+
+    P = np.eye(M.shape[0])
+    for lam in nonzero_eigenvalues:
+        P = minus(P, int(lam))
+    if P.dtype.kind == "f":
+        P = P.astype(np.int64)
+    V = P
+    for s in range(smax + 1):
+        if not V.any():
+            return s, P
+        if s < smax:
+            V = minus(V, 0)
+    return None, P
 
 
 def annihilates(A, nonzero_eigenvalues: Sequence[int], zero_power: int) -> bool:
     """Exactly verify q(A) = 0 for q(x) = x^{zero_power}·Π(x − λ).
 
     q(A) = 0 proves the spectrum of A lies in {0} ∪ {λ} with semisimple
-    nonzero eigenvalues (they are simple roots of q).  V runs through the
-    partial products (A − λ)·V; each step multiplies in float64 or int64
-    while the bound of the module docstring proves it exact, and finishes
-    column by column in Python integers otherwise.
+    nonzero eigenvalues (they are simple roots of q).  It holds exactly
+    when `annihilation_power` finds a power s <= zero_power.
     """
-    M = _int_matrix(A)
-    n = M.shape[0]
-    steps = [int(lam) for lam in nonzero_eigenvalues] + [0] * zero_power
-    norm = _row_norm(M)
-    V = np.eye(n)
-    for i, lam in enumerate(steps):
-        maxV = int(np.abs(V).max()) if n else 0
-        if maxV == 0:
-            return True
-        bound = (norm + abs(lam)) * maxV
-        if bound < _F64_EXACT:
-            V = V.astype(np.float64, copy=False)
-            W = _matmul(M.astype(np.float64, copy=False), V)
-        elif bound < _I64_SAFE:
-            V = V.astype(np.int64, copy=False)
-            W = M.astype(np.int64, copy=False) @ V
-        else:
-            return _annihilates_python(M, V, steps[i:])
-        V *= lam
-        W -= V
-        V = W
-    return not V.any()
-
-
-def _annihilates_python(M: np.ndarray, V: np.ndarray, steps: list[int]) -> bool:
-    """Whether the remaining steps send every column of V to 0, in Python ints."""
-    sparse = [[(j, v) for j, v in enumerate(row) if v] for row in M.tolist()]
-    for vec in V.astype(np.int64).T.tolist():
-        for lam in steps:
-            vec = [sum(v * vec[j] for j, v in row) - lam * x for row, x in zip(sparse, vec)]
-        if any(vec):
-            return False
-    return True
-
-
-def annihilation_power_probe(A, nonzero_eigenvalues: Sequence[int], smax: int) -> Optional[int]:
-    """The least s <= smax with Π(A − λ)·A^s ≡ 0 mod p = PRIMES[0], or None.
-
-    A candidate zero power for `annihilates`, which proves it over ZZ; never
-    a proof on its own.
-    """
-    p = PRIMES[0]
-    Ap = (_int_matrix(A) % p).astype(np.float64)
-    V = np.eye(Ap.shape[0])
-    for lam in nonzero_eigenvalues:
-        V = _reduce(_mulmod(V, Ap, p) - (lam % p) * V, p)
-    for s in range(smax + 1):
-        if not V.any():
-            return s
-        V = _mulmod(V, Ap, p)
-    return None
+    return annihilation_power(A, nonzero_eigenvalues, zero_power)[0] is not None
 
 
 # ---------------------------------------------------------------------------

@@ -125,11 +125,13 @@ def _int_vector(vec: AlgebraElement, index: Callable[[SignedWord], int], size: i
 
 
 def _exact_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X·M for int64 matrices, exactly.
+    """X·M for int64 matrices, exactly, as an int64 matrix.
 
     Every partial sum of an entry of X·M is at most max|X| times the largest
-    column abs-sum of M in absolute value.  The product runs in int64 once
-    that bound is checked to be below 2^63; past it CodeOverflow is raised.
+    column abs-sum of M in absolute value, whatever the order of summation.
+    While that bound is below 2^53 the product is one float64 BLAS product,
+    exact term by term; up to 2^63 it runs in int64; past it CodeOverflow
+    is raised.
     """
     col_norm = int(np.abs(M).max(initial=0)) * len(M)  # bounds every column abs-sum
     if col_norm <= _INT64_MAX:
@@ -137,6 +139,8 @@ def _exact_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
     bound = int(np.abs(X).max(initial=0)) * col_norm
     if bound > _INT64_MAX:
         raise CodeOverflow(f"product entries may reach {bound} in absolute value")
+    if bound < 2**53:
+        return (X.astype(np.float64) @ M.astype(np.float64)).astype(np.int64)
     return X @ M
 
 
@@ -368,7 +372,7 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             Ds = list(decorated_compositions(n, flavor))
             for D, Dp in itertools.product(Ds, Ds):
                 for algebra, kind in ((SHUFFLE, "commutative"), (CONCAT, "cocommutative")):
-                    lhs = elementary(Dp, states, algebra) @ elementary(D, states, algebra)
+                    lhs = _exact_product(elementary(Dp, states, algebra), elementary(D, states, algebra))
                     rhs = operator_matrix(compose_law(D, Dp, kind), states, algebra)
                     if not (lhs == rhs).all():
                         ok = False
@@ -383,7 +387,7 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             algebra, kind = rng.choice(
                 ((SHUFFLE, "commutative"), (CONCAT, "cocommutative"))
             )
-            lhs = elementary(Dp, states, algebra) @ elementary(D, states, algebra)
+            lhs = _exact_product(elementary(Dp, states, algebra), elementary(D, states, algebra))
             rhs = operator_matrix(compose_law(D, Dp, kind), states, algebra)
             if not (lhs == rhs).all():
                 ok = False
@@ -434,7 +438,7 @@ def check_riffle_composition(n_max: int, seed: int = 0) -> list[CheckResult]:
                 for s1, s2 in itertools.product("+-", repeat=2):
                     naive = "+" if s1 == s2 else "-"
                     want = riffle_composite_sign(s1, s2, a, b, flavor, commutative)
-                    lhs = riffle(b, s2, flavor, algebra) @ riffle(a, s1, flavor, algebra)
+                    lhs = _exact_product(riffle(b, s2, flavor, algebra), riffle(a, s1, flavor, algebra))
                     equal = (lhs == riffle(a * b, want, flavor, algebra)).all()
                     if hypo:
                         if not equal:
@@ -709,12 +713,15 @@ def chain_spectrum_certificate(
       to N and are the multiplicities, which pins the charpoly:
       `report["counts_match"]` compares them with the table.
     - Even-a rotation has no eigenvector for the words with a negating
-      factor ("partial-eigenbasis+annihilation"), and the counts must match
-      the table's nonzero eigenvalues.  A mod-p nullity bound equal to the
-      count proves each nonzero eigenspace exactly; the exact identity
-      A^s·Π(A − λ) = 0 (`exactla.annihilates`) makes those λ semisimple and
-      leaves only 0 for the rest, whose multiplicity N − Σ m_λ must then be
-      the table's.
+      factor ("partial-eigenbasis+annihilation"), and the r rows must count
+      the table's nonzero eigenvalues, so alg(λ) >= m_λ for each λ ≠ 0.
+      `exactla.annihilation_power` builds P = Π(A − λ) over those λ
+      exactly and finds the least s <= 8 with A^s·P = 0
+      (`report["annihilation_power"]`).  Then im P lies in ker A^s, so
+      alg(0) >= rank P >= rank_p P (`report["zero_rank"]`, from one prime,
+      or a second when the first falls short).  Once rank_p P = N − r the
+      bounds sum to N, so each is an equality and no other eigenvalue
+      exists; N − r must then be the table's multiplicity of 0.
 
     Every fact above is recorded whatever the others give, and the report
     holds no arrays, so `verify`'s eigenvector and duality rows read it too.
@@ -745,17 +752,16 @@ def chain_spectrum_certificate(
     report["ok"] = all(report[k] for k in ("duality", "eigen_equations", "independent", "counts_match"))
     if full or not report["ok"]:
         return report
-    geom_ok = all(
-        exactla.nullity_upper_bound(A - lam * np.eye(size, dtype=np.int64)) == m
-        for lam, m in nonzero_pred.items()
-    )
-    report["geometric_match"] = geom_ok
-    power = exactla.annihilation_power_probe(A, sorted(nonzero_pred), 8)
-    annihilated = power is not None and exactla.annihilates(A, sorted(nonzero_pred), power)
+    zero_mult = size - len(V)
+    del Mc, V  # the N×N products below need the room
+    power, P = exactla.annihilation_power(A, sorted(nonzero_pred), 8)
+    zero_rank = exactla.rank_mod(P, exactla.PRIMES[0])
+    if zero_rank < zero_mult:
+        zero_rank = max(zero_rank, exactla.rank_mod(P, exactla.PRIMES[1]))
     report["annihilation_power"] = power
-    report["annihilated"] = annihilated
-    zero_mult = size - sum(nonzero_pred.values())
-    report["ok"] = geom_ok and annihilated and zero_mult == predicted.get(0, 0)
+    report["annihilated"] = power is not None
+    report["zero_rank"] = zero_rank
+    report["ok"] = power is not None and zero_rank == zero_mult == predicted.get(0, 0)
     return report
 
 
@@ -777,7 +783,7 @@ def check_chain_spectra(n_max: int, seed: int = 0) -> list[CheckResult]:
     for n in range(2, min(n_max, 4) + 1):
         for rep in _chain_reports(n):
             spec = rep["spec"]
-            provenance = {k: rep[k] for k in ("method", "size", "annihilation_power") if k in rep}
+            provenance = {k: rep[k] for k in ("method", "size", "annihilation_power", "zero_rank") if k in rep}
             out.append(
                 _result(
                     "spectral.chain_spectrum",

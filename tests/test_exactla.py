@@ -417,8 +417,23 @@ def test_annihilates_past_float64_products():
     assert exactla.charpoly_matches(A, {lam: 1 for lam in eigs})
 
 
-def test_annihilation_power_probe():
+def test_annihilation_power():
     A = [[2, 0, 0], [0, 0, 1], [0, 0, 0]]
-    assert exactla.annihilation_power_probe(A, [2], 4) == 2
-    assert exactla.annihilation_power_probe(A, [2], 1) is None
+    s, P = exactla.annihilation_power(A, [2], 4)
+    assert s == 2 and P.tolist() == [[0, 0, 0], [0, -2, 1], [0, 0, -2]]  # A − 2I
+    assert exactla.annihilation_power(A, [2], 1)[0] is None
     assert exactla.annihilates(A, [2], 2) and not exactla.annihilates(A, [2], 1)
+
+
+@pytest.mark.parametrize("scale", [1, 2**20, 2**40])
+def test_annihilation_power_builds_the_exact_product(scale):
+    # scale 2^20 passes 2^53 (int64 products), 2^40 passes 2^62 (Python ints)
+    eigs = [3, -2, 5, 0, 0]
+    A = [[scale * x for x in row] for row in integer_spectrum_matrix(np.random.default_rng(3), eigs)]
+    lams = [scale * lam for lam in (3, -2, 5)]
+    want = [[int(i == j) for j in range(5)] for i in range(5)]
+    for lam in lams:
+        want = [[sum(A[i][k] * want[k][j] for k in range(5)) - lam * want[i][j] for j in range(5)] for i in range(5)]
+    s, P = exactla.annihilation_power(A, lams, 3)
+    assert P.tolist() == want
+    assert s in (1, 2) and brute_annihilates(A, lams, s) and not brute_annihilates(A, lams, s - 1)

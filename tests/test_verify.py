@@ -41,9 +41,11 @@ def test_chain_spectra_n3(fresh_reports):
         if r.params["flavor"] == ROTATION and r.params["a"] % 2 == 0:
             assert r.params["method"] == "partial-eigenbasis+annihilation"
             assert r.params["annihilation_power"] >= 1
+            rep = verify._chain_report(ShuffleSpec(n, r.params["a"], r.params["sign"], r.params["flavor"]))
+            assert r.params["zero_rank"] == r.params["size"] - sum(rep["eigenvector_counts"].values())
         else:
             assert r.params["method"] == "full-eigenbasis"
-            assert "annihilation_power" not in r.params
+            assert "annihilation_power" not in r.params and "zero_rank" not in r.params
 
 
 def test_one_certificate_per_chain(fresh_reports, monkeypatch):
@@ -97,6 +99,62 @@ def test_eigen_equations_hold_bounds_its_product():
     assert _eigen_equations_hold(V * 2**60, np.array([2, 3]), M)
     with pytest.raises(CodeOverflow):
         _eigen_equations_hold(V * 2**61, np.array([2, 3]), M)
+
+
+@pytest.mark.parametrize("float_path", [True, False])
+def test_exact_product_matches_python_integers(float_path):
+    # the bound max|X| × the largest column abs-sum of M sits just below
+    # 2^53 (float64 product) or just above it (int64 product); row 0 of X
+    # is max|X| throughout, so one entry of X·M is the bound itself, odd
+    # past 2^53, where float64 has no odd integers
+    rng = np.random.default_rng(5)
+    M = rng.integers(0, 2**20, (40, 30))
+    j = int(M.sum(axis=0).argmax())
+    M[0, j] += 1 - M[:, j].sum() % 2
+    col = int(M[:, j].sum())
+    top = (2**53 - 1) // col if float_path else (2**53 // col + 1) | 1
+    assert (top * col < 2**53) == float_path
+    X = rng.integers(-top, top + 1, (25, 40))
+    X[0] = top
+    want = X.astype(object) @ M.astype(object)
+    got = verify._exact_product(X, M)
+    assert got.dtype == np.int64 and (got.astype(object) == want).all()
+    rounded = (X.astype(np.float64) @ M.astype(np.float64)).astype(np.int64).astype(object)
+    assert (rounded == want).all() == float_path  # past 2^53, float64 rounds
+
+
+ROTATION_SPEC = ShuffleSpec(3, 2, "+", ROTATION)
+
+
+def test_rotation_route_refuses_a_short_zero_rank(monkeypatch):
+    tm = verify.transition_matrix(ROTATION_SPEC)
+    rep = verify.chain_spectrum_certificate(ROTATION_SPEC, tm)
+    assert rep["ok"] and rep["zero_rank"] == 33
+    real = verify.exactla.rank_mod
+    monkeypatch.setattr(
+        verify.exactla, "rank_mod", lambda M, p: real(M, p) if len(M) < tm.size else rep["zero_rank"] - 1
+    )
+    bad = verify.chain_spectrum_certificate(ROTATION_SPEC, tm)
+    assert bad["zero_rank"] == 32 and bad["annihilated"] and bad["ok"] is False
+
+
+def test_rotation_route_refuses_a_wrong_zero_multiplicity(monkeypatch):
+    real = verify.shuffle_multiplicities
+
+    def wrong(a, sign, decoration, n):
+        return [(v, m + (v == 0)) for v, m in real(a, sign, decoration, n)]
+
+    monkeypatch.setattr(verify, "shuffle_multiplicities", wrong)
+    rep = verify.chain_spectrum_certificate(ROTATION_SPEC)
+    assert rep["counts_match"] and rep["annihilated"] and rep["zero_rank"] == 33
+    assert rep["predicted"][0] == 34 and rep["ok"] is False
+
+
+def test_rotation_route_refuses_without_an_annihilation_power(monkeypatch):
+    real = verify.exactla.annihilation_power
+    monkeypatch.setattr(verify.exactla, "annihilation_power", lambda A, eigs, smax: real(A, eigs, 1))
+    rep = verify.chain_spectrum_certificate(ROTATION_SPEC)
+    assert rep["annihilation_power"] is None and rep["annihilated"] is False and rep["ok"] is False
 
 
 def test_chain_certificate_links_the_proved_matrix_to_the_chain(monkeypatch):
