@@ -205,13 +205,38 @@ class DescentOperator:
 # sign[k]·w[src[k]].  Programs depend only on (D, algebra); each D compiles
 # once into one table, a read-only P×n pair (src, sign) with one row per
 # program.  Both algebras read the same walk over the position splits of D's
-# sizes, in opposite directions: the concat algebra reads block i of a split
-# as the input positions that deshuffling sends to slot i, while the shuffle
-# algebra writes slot i of the deconcatenation to block i as output
-# positions.  Slot i is barred when part i is decorated, and reversed too
-# for the tilde-bar decoration.  apply_operator and image_table run every
-# input through these tables; elementary_action reads them one row at a
-# time and is the word-by-word reference.
+# sizes.  The shuffle algebra reads a split as pile labels, the inverse-shuffle
+# view of a riffle (Bayer and Diaconis, 1992): output position p is dealt from
+# pile i, the block that holds p, which is slot i of the deconcatenation,
+# barred when part i is decorated and dealt from its end for tilde-bar.  The
+# concat algebra reads block i as the input positions that deshuffling sends
+# to slot i, in dealing order.  _label_programs deals for markov.batch_step
+# too.  apply_operator and image_table run every input through these tables;
+# elementary_action reads them one row at a time and is the word-by-word
+# reference.
+
+
+def _label_programs(
+    labels: np.ndarray, pile_sign: np.ndarray, pile_flip: Sequence[bool]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The programs (src, sign) that the R×n pile labels deal: pile i holds
+    the next (count of label i) input positions, start_i to end_i − 1, and
+    output position p, the (k+1)-th labelled i, takes start_i + k, or
+    end_i − 1 − k when pile_flip[i], with sign pile_sign[i]."""
+    src = np.zeros(labels.shape, dtype=np.intp)
+    start = np.zeros((len(labels), 1), dtype=np.intp)
+    for i, flip in enumerate(pile_flip):
+        hit = labels == i
+        rank = hit.cumsum(1)  # k + 1 at the positions of pile i
+        end = start + rank[:, -1:]
+        if flip:
+            np.subtract(end, rank, out=rank)
+        else:
+            rank += start - 1
+        rank *= hit
+        src += rank
+        start = end
+    return src, pile_sign[labels]
 
 
 @functools.lru_cache(maxsize=4096)
@@ -219,33 +244,21 @@ def _programs(D: DecoratedComposition, algebra: str) -> tuple[np.ndarray, np.nda
     """The programs of m∘Δ_D as read-only P×n arrays (src, sign)."""
     if algebra not in (alg.SHUFFLE, alg.CONCAT):
         raise ValueError(f"unknown algebra {algebra!r}")
-    sizes = D.undecorate()
-    n = D.total
-    signs = [1 if d is Decoration.PLAIN else -1 for _, d in D.parts]
-    flips = [d is Decoration.TBAR for _, d in D.parts]
-    slots = []  # the input positions of each deconcatenation slot, in output order
-    for start, s, flip in zip(itertools.accumulate(sizes, initial=0), sizes, flips):
-        block = range(start, start + s)
-        slots.append(block[::-1] if flip else block)
-    concat_sign = [g for g, s in zip(signs, sizes) for _ in range(s)]
-    src_rows, sign_rows = [], []
-    for split in alg._position_splits(n, sizes):
-        if algebra == alg.CONCAT:
-            src_rows.append(
-                [p for chosen, flip in zip(split, flips) for p in (chosen[::-1] if flip else chosen)]
-            )
-            sign_rows.append(concat_sign)
-        else:
-            src = [0] * n
-            sign = [0] * n
-            for chosen, slot, g in zip(split, slots, signs):
-                for p, q in zip(chosen, slot):
-                    src[p] = q
-                    sign[p] = g
-            src_rows.append(src)
-            sign_rows.append(sign)
-    src = np.array(src_rows, dtype=np.intp).reshape(len(src_rows), n)
-    sign = np.array(sign_rows, dtype=np.int64).reshape(len(sign_rows), n)
+    splits = alg._position_splits(D.total, D.undecorate())
+    positions = np.array([[p for chosen in split for p in chosen] for split in splits], dtype=np.intp)
+    piles = [(s, d) for s, d in D.parts if s]  # an empty part deals no card
+    blocks = np.repeat(np.arange(len(piles)), [s for s, _ in piles])  # the pile of each block-major column
+    pile_sign = np.where([d is Decoration.PLAIN for _, d in piles], 1, -1)
+    pile_flip = [d is Decoration.TBAR for _, d in piles]
+    if algebra == alg.SHUFFLE:
+        labels = np.empty_like(positions)
+        labels[np.arange(len(positions))[:, None], positions] = blocks
+        src, sign = _label_programs(labels, pile_sign, pile_flip)
+    else:
+        # slot i reads block i in pile order: the program the blocks deal
+        slot, slot_sign = _label_programs(blocks[None], pile_sign, pile_flip)
+        src = positions[:, slot[0]]
+        sign = np.repeat(slot_sign, len(src), axis=0)
     src.setflags(write=False)
     sign.setflags(write=False)
     return src, sign

@@ -37,6 +37,14 @@ class OutsideBasis(HyperoctError):
     """No eigenvector is defined for this word/operator combination."""
 
 
+class NotAState(HyperoctError):
+    """A deck is not a signed permutation of 1..n, so not a chain state."""
+
+
+class BadCount(HyperoctError):
+    """A step or trial count is out of range."""
+
+
 class StateSpaceTooLarge(HyperoctError):
     """2^n * n! exceeds the configured cap."""
 

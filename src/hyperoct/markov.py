@@ -6,6 +6,13 @@ the shuffle algebra; a step cuts the deck multinomially into a piles, rotates
 -numbered piles for sign '+', the odd-numbered for sign '-' -- and interleaves
 the piles uniformly.  Monte Carlo is a statistical cross-check only.
 
+A step is also one program of the riffle operator, output[p] = ±w[src[p]],
+picked at random.  ``batch_step`` samples it in the inverse-shuffle view of
+Bayer and Diaconis (1992): every output position draws an iid pile label,
+and ``descent._label_programs``, the kernel that compiles the operator's
+programs from the same labels, turns the labels into (src, sign).
+``sample_step`` keeps the literal four steps as the reference.
+
 Each chain is built once as an image table: the riffle operator has a^n
 programs, every coefficient 1, and images[i, k] indexes the k-th image of
 state i, so a^n·K(x, y) counts the programs that send x to y.  The exact
@@ -31,13 +38,16 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import (
+    BadCount,
     BadIndices,
     FlavorUnsupported,
     HypothesesNotMet,
+    NotAState,
+    SizeMismatch,
     StateSpaceTooLarge,
 )
 from .words import SignedWord, WordLike, as_word, signed_permutations
-from .descent import Decoration, image_table, operator_matrix, riffle_operator
+from .descent import Decoration, _label_programs, image_table, operator_matrix, riffle_operator
 from . import algebra as alg
 from . import exactla
 from .spectral import shuffle_multiplicities
@@ -219,31 +229,17 @@ def sample_step(spec: ShuffleSpec, x: WordLike, rng: np.random.Generator) -> Sig
 def batch_step(spec: ShuffleSpec, decks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vectorized shuffle step on an array of decks (rows of letter codes).
 
-    Uses the equivalent sampling form: n iid uniform pile labels serve as the
-    interleaving pattern, and their counts as the multinomial pile sizes.
+    Samples the inverse shuffle (Bayer and Diaconis, 1992): each output
+    position draws an iid uniform pile label, whose counts are the pile sizes
+    of the cut.  ``descent._label_programs``, which also compiles the riffle
+    programs, deals each label row into (src, sign); the deck becomes
+    sign·deck[src].
     """
-    T, n = decks.shape
-    a = spec.a
-    pattern = rng.integers(0, a, size=(T, n))
-    order = np.argsort(pattern, axis=1, kind="stable")
-    counts = np.zeros((T, a), dtype=np.int64)
-    for i in range(a):
-        counts[:, i] = (pattern == i).sum(axis=1)
-    ends = np.cumsum(counts, axis=1)
-    starts = ends - counts
-    r_grid = np.broadcast_to(np.arange(n), (T, n))
-    pile_idx = (r_grid[:, :, None] >= ends[:, None, :]).sum(axis=2)
-    dec = (pile_idx % 2) == (1 if spec.sign == "+" else 0)
-    if spec.flavor == FLIP:
-        start_r = np.take_along_axis(starts, pile_idx, axis=1)
-        end_r = np.take_along_axis(ends, pile_idx, axis=1)
-        src = np.where(dec, start_r + end_r - 1 - r_grid, r_grid)
-    else:
-        src = r_grid
-    cards = np.take_along_axis(decks, src, axis=1)
-    processed = np.where(dec, -cards, cards)
-    out = np.empty_like(decks)
-    np.put_along_axis(out, order, processed, axis=1)
+    decorated = [_decorated_pile(i, spec.sign) for i in range(spec.a)]
+    flipped = [d and spec.flavor == FLIP for d in decorated]
+    src, sign = _label_programs(rng.integers(0, spec.a, size=decks.shape), np.where(decorated, -1, 1), flipped)
+    out = np.take_along_axis(decks, src, axis=1)
+    out *= sign
     return out
 
 
@@ -255,10 +251,21 @@ def simulate(
     seed: Optional[int] = None,
     stat: str = "descents",
 ) -> dict:
-    """Monte Carlo trajectories; returns per-step means of the statistic."""
+    """Monte Carlo trajectories; returns per-step means of the statistic.
+
+    Raises SizeMismatch when the start deck does not have spec.n cards,
+    NotAState when it is not a signed permutation of 1..n, and BadCount for
+    steps < 0 or trials < 1.
+    """
     if stat != "descents":
         raise ValueError(f"unknown statistic {stat!r}")
     start = as_word(start)
+    if len(start) != spec.n:
+        raise SizeMismatch(f"a start deck of {len(start)} cards for a {spec.n}-card shuffle")
+    if sorted(map(abs, start)) != list(range(1, spec.n + 1)):
+        raise NotAState(f"{start} is not a signed permutation of 1..{spec.n}")
+    if steps < 0 or trials < 1:
+        raise BadCount(f"need steps >= 0 and trials >= 1, got steps={steps}, trials={trials}")
     rng = np.random.default_rng(seed)
     decks = np.tile(np.array(start, dtype=np.int64), (trials, 1))
     means = []
@@ -428,7 +435,8 @@ def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None)
     for value, fams in subdominant_families(spec):
         mu = int(value * tm.scale)  # ±a^(n−1): exact, since a divides a^n
         vecs = [_family_vector(kind, indices, S) for kind, indices in fams]
-        all_exact = all((tm.pull(f) == mu * f).all() for f in vecs)
+        F = np.array(vecs, dtype=np.int64).reshape(len(vecs), tm.size).T.copy()  # N×k, rows contiguous
+        all_exact = bool((tm.pull(F) == mu * F).all())
         independent = exactla.independent_certificate(vecs) if vecs else True
         expected_dim = mult.get(value, 0)
         entry = {

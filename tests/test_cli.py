@@ -252,11 +252,39 @@ def test_bad_usage(capsys):
             ["compose", "--left", "1t,2,1", "--right", "2t,2", "--algebra", "cocommutative", "--verify"],
             "c37b1d5b792150b2ba0df986140394f97ce6a731b3dbff3cfabfceefa1647910",
         ),
+        (
+            ["simulate", "--n", "7", "--a", "2", "--sign", "plus", "--flavor", "flip", "--steps", "5",
+             "--trials", "2000", "--seed", "11", "--start", "3 -1 7 2 -5 6 4"],
+            "08ae79ba9cb6ad47c68c668887a09de1b28115911a89adc96c406a4b86ac9e9f",
+        ),
+        (
+            ["simulate", "--n", "6", "--a", "3", "--sign", "minus", "--flavor", "rotation", "--steps", "4",
+             "--trials", "1500", "--seed", "5"],
+            "10d4b2d1849b837cb86fd82d8ea56ba99956184975ae7cbbdd360fa249295ff0",
+        ),
     ],
 )
 def test_output_bytes_are_stable(args, digest, capsys):
     """SHA-256 of stdout as printed while coefficients were all Fractions:
-    keeping integral coefficients as ints changes no byte."""
+    keeping integral coefficients as ints changes no byte.  The simulate
+    digests pin the sampler's use of the random stream: they were taken
+    from the argsort-and-scatter sampler that the pile-label kernel
+    replaced."""
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (["--n", "3", "--start", "1 2"], "start deck of 2 cards"),
+        (["--n", "3", "--start", "1 1 2"], "not a signed permutation"),
+        (["--n", "3", "--trials", "0"], "trials=0"),
+        (["--n", "3", "--steps", "-1"], "steps=-1"),
+    ],
+)
+def test_simulate_refusals(extra, message, capsys):
+    code, out, err = run_cli(["simulate", "--a", "2", "--flavor", "flip", "--seed", "1"] + extra, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and message in err

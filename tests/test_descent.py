@@ -37,7 +37,8 @@ from hyperoct import (
     wcomp,
     wcomp_tilde,
 )
-from hyperoct.descent import _programs, elementary_action, image_table
+from hyperoct.algebra import _position_splits
+from hyperoct.descent import _label_programs, _programs, elementary_action, image_table
 from conftest import W
 
 DC = DecoratedComposition
@@ -427,3 +428,63 @@ def test_program_tables_are_read_only():
             src[0, 0] = 1
         with pytest.raises(ValueError):
             sign[0] = -1
+
+
+def _reference_programs(D, algebra):
+    """The per-split program compiler that preceded the pile-label kernel:
+    the concat algebra reads block i of each split as input positions, the
+    shuffle algebra writes slot i of the deconcatenation to block i."""
+    sizes = D.undecorate()
+    n = D.total
+    signs = [1 if d is Decoration.PLAIN else -1 for _, d in D.parts]
+    flips = [d is Decoration.TBAR for _, d in D.parts]
+    slots = []
+    for start, s, flip in zip(itertools.accumulate(sizes, initial=0), sizes, flips):
+        block = range(start, start + s)
+        slots.append(block[::-1] if flip else block)
+    concat_sign = [g for g, s in zip(signs, sizes) for _ in range(s)]
+    src_rows, sign_rows = [], []
+    for split in _position_splits(n, sizes):
+        if algebra == CONCAT:
+            src_rows.append(
+                [p for chosen, flip in zip(split, flips) for p in (chosen[::-1] if flip else chosen)]
+            )
+            sign_rows.append(concat_sign)
+        else:
+            src = [0] * n
+            sign = [0] * n
+            for chosen, slot, g in zip(split, slots, signs):
+                for p, q in zip(chosen, slot):
+                    src[p] = q
+                    sign[p] = g
+            src_rows.append(src)
+            sign_rows.append(sign)
+    src = np.array(src_rows, dtype=np.intp).reshape(len(src_rows), n)
+    sign = np.array(sign_rows, dtype=np.int64).reshape(len(sign_rows), n)
+    return src, sign
+
+
+def test_program_tables_match_the_per_split_reference():
+    Ds = [D for n in range(6) for flavor in (Decoration.BAR, Decoration.TBAR)
+          for D in decorated_compositions(n, flavor)]
+    assert len(Ds) == 484
+    # the riffle operators' weak compositions: empty piles included
+    Ds += [D for a in (1, 2, 3, 4) for n in range(6) for sign in "+-"
+           for flavor in (Decoration.BAR, Decoration.TBAR)
+           for D in riffle_operator(a, sign, flavor, n).terms]
+    for D in Ds:
+        for algebra in (SHUFFLE, CONCAT):
+            src, sign = _programs(D, algebra)
+            want_src, want_sign = _reference_programs(D, algebra)
+            assert src.dtype == want_src.dtype and sign.dtype == want_sign.dtype
+            assert src.shape == want_src.shape and sign.shape == want_sign.shape, (str(D), algebra)
+            assert (src == want_src).all() and (sign == want_sign).all(), (str(D), algebra)
+
+
+def test_label_programs_deal_each_pile_in_order():
+    # one row: piles 0, 1, 2 of sizes 2, 1, 3 read w = 0..5 as 01 | 2 | 345;
+    # pile 1 is barred, pile 2 barred and dealt from its end
+    labels = np.array([[2, 0, 2, 1, 0, 2]])
+    src, sign = _label_programs(labels, np.array([1, -1, -1]), [False, False, True])
+    assert src.tolist() == [[5, 0, 4, 2, 1, 3]]
+    assert sign.tolist() == [[-1, 1, -1, -1, 1, -1]]

@@ -10,11 +10,14 @@ import pytest
 from hyperoct import (
     FLIP,
     ROTATION,
+    BadCount,
     BadIndices,
     FlavorUnsupported,
     HypothesesNotMet,
+    NotAState,
     ShuffleSpec,
     SignedWord,
+    SizeMismatch,
     StateSpaceTooLarge,
     all_words,
     batch_step,
@@ -29,6 +32,7 @@ from hyperoct import (
     g_fn,
     sample_step,
     signed_permutations,
+    simulate,
     stationary_distribution,
     stationary_is_unique,
     subdominant_families,
@@ -240,6 +244,70 @@ def test_batch_matches_single_distribution(tm_cache):
         for c, total in ((counts.get(y, 0), trials), (counts_single.get(y, 0), 10_000)):
             se = math.sqrt(float(p) * (1 - float(p)) * total)
             assert abs(c - float(p) * total) < 5 * se, (y, c, p)
+
+
+def _reference_batch_step(spec, decks, rng):
+    """The step that preceded the pile-label kernel: a stable argsort of the
+    labels, pile indices by broadcasting against the pile ends, and a
+    scatter of the processed cards."""
+    T, n = decks.shape
+    a = spec.a
+    pattern = rng.integers(0, a, size=(T, n))
+    order = np.argsort(pattern, axis=1, kind="stable")
+    counts = np.zeros((T, a), dtype=np.int64)
+    for i in range(a):
+        counts[:, i] = (pattern == i).sum(axis=1)
+    ends = np.cumsum(counts, axis=1)
+    starts = ends - counts
+    r_grid = np.broadcast_to(np.arange(n), (T, n))
+    pile_idx = (r_grid[:, :, None] >= ends[:, None, :]).sum(axis=2)
+    dec = (pile_idx % 2) == (1 if spec.sign == "+" else 0)
+    if spec.flavor == FLIP:
+        start_r = np.take_along_axis(starts, pile_idx, axis=1)
+        end_r = np.take_along_axis(ends, pile_idx, axis=1)
+        src = np.where(dec, start_r + end_r - 1 - r_grid, r_grid)
+    else:
+        src = r_grid
+    cards = np.take_along_axis(decks, src, axis=1)
+    processed = np.where(dec, -cards, cards)
+    out = np.empty_like(decks)
+    np.put_along_axis(out, order, processed, axis=1)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 52])
+def test_batch_step_matches_the_reference_bit_for_bit(n):
+    # a > n leaves piles empty; the kernel must consume the same draws
+    for a in (1, 2, 3, 4):
+        for sign in "+-":
+            for flavor in (ROTATION, FLIP):
+                spec = ShuffleSpec(n, a, sign, flavor)
+                for T in (1, 500):
+                    seed = 1000 * n + 10 * a + T
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    start = np.random.default_rng(seed).permutation(n) + 1
+                    start[::3] *= -1
+                    decks = ref = np.tile(start.astype(np.int64), (T, 1))
+                    for _ in range(3):
+                        decks = batch_step(spec, decks, rng)
+                        ref = _reference_batch_step(spec, ref, ref_rng)
+                        assert decks.dtype == ref.dtype and (decks == ref).all(), spec
+                        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_simulate_refuses_inputs_outside_its_chain():
+    spec = ShuffleSpec(3, 2, "+", FLIP)
+    with pytest.raises(SizeMismatch):
+        simulate(spec, (1, 2), 2, 10, seed=0)
+    with pytest.raises(NotAState):
+        simulate(spec, (1, 1, 2), 2, 10, seed=0)
+    with pytest.raises(NotAState):
+        simulate(spec, (1, -2, 4), 2, 10, seed=0)
+    with pytest.raises(BadCount):
+        simulate(spec, (1, 2, 3), 2, 0, seed=0)
+    with pytest.raises(BadCount):
+        simulate(spec, (1, 2, 3), -1, 10, seed=0)
+    assert simulate(spec, (3, -1, 2), 0, 1, seed=0)["means"] == []
 
 
 # ---------------------------------------------------------------------------
