@@ -204,16 +204,17 @@ class DescentOperator:
 # Every coproduct term of m∘Δ_D is a "signed position program": output[k] =
 # sign[k]·w[src[k]].  Programs depend only on (D, algebra); each D compiles
 # once into one table, a read-only P×n pair (src, sign) with one row per
-# program.  Both algebras read the same walk over the position splits of D's
-# sizes.  The shuffle algebra reads a split as pile labels, the inverse-shuffle
-# view of a riffle (Bayer and Diaconis, 1992): output position p is dealt from
-# pile i, the block that holds p, which is slot i of the deconcatenation,
-# barred when part i is decorated and dealt from its end for tilde-bar.  The
-# concat algebra reads block i as the input positions that deshuffling sends
-# to slot i, in dealing order.  _label_programs deals for markov.batch_step
-# too.  apply_operator and image_table run every input through these tables;
-# elementary_action reads them one row at a time and is the word-by-word
-# reference.
+# program.  Both algebras read the same walk over the position splits of the
+# sizes of D's nonempty parts: an empty part takes no position and deals no
+# card, so the walk never visits it.  The shuffle algebra reads a split as
+# pile labels, the inverse-shuffle view of a riffle (Bayer and Diaconis,
+# 1992): output position p is dealt from pile i, the block that holds p,
+# which is slot i of the deconcatenation, barred when part i is decorated
+# and dealt from its end for tilde-bar.  The concat algebra reads block i as
+# the input positions that deshuffling sends to slot i, in dealing order.
+# _label_programs deals for markov.batch_step too.  apply_operator and
+# image_table run every input through these tables; elementary_action reads
+# them one row at a time and is the word-by-word reference.
 
 
 def _label_programs(
@@ -244,9 +245,9 @@ def _programs(D: DecoratedComposition, algebra: str) -> tuple[np.ndarray, np.nda
     """The programs of m∘Δ_D as read-only P×n arrays (src, sign)."""
     if algebra not in (alg.SHUFFLE, alg.CONCAT):
         raise ValueError(f"unknown algebra {algebra!r}")
-    splits = alg._position_splits(D.total, D.undecorate())
-    positions = np.array([[p for chosen in split for p in chosen] for split in splits], dtype=np.intp)
     piles = [(s, d) for s, d in D.parts if s]  # an empty part deals no card
+    splits = alg._position_splits(D.total, [s for s, _ in piles])
+    positions = np.array([[p for chosen in split for p in chosen] for split in splits], dtype=np.intp)
     blocks = np.repeat(np.arange(len(piles)), [s for s, _ in piles])  # the pile of each block-major column
     pile_sign = np.where([d is Decoration.PLAIN for _, d in piles], 1, -1)
     pile_flip = [d is Decoration.TBAR for _, d in piles]
@@ -300,8 +301,11 @@ def _powers(m: int, n: int, dtype) -> np.ndarray:
     return np.array([(2 * m + 1) ** k for k in range(n)], dtype=dtype)
 
 
-def _state_codes(states: Sequence[SignedWord], n: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """(W, m, order, sorted_codes) for a basis of length-n words.
+@functools.lru_cache(maxsize=4)
+def _state_codes(states: tuple[SignedWord, ...], n: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
+    """(W, m, order, sorted_codes) for a basis of length-n words, as
+    read-only arrays.  Memoized by the tuple of states, so that every
+    operator matrix on one basis reads one coding.
 
     W is the N×n int64 array of the states and m their largest |label|.
     A word y (labels in [-m, m]) codes as Σ_k (y_k + m)·(2m+1)^k, little
@@ -321,6 +325,8 @@ def _state_codes(states: Sequence[SignedWord], n: int) -> tuple[np.ndarray, int,
     sorted_codes = codes[order]
     if (sorted_codes[1:] == sorted_codes[:-1]).any():
         raise ValueError("states repeat a word")
+    for a in (W, order, sorted_codes):
+        a.setflags(write=False)
     return W, m, order, sorted_codes
 
 
@@ -339,16 +345,28 @@ def _state_index(
     return order[pos]
 
 
-def _merge_codes(codes: np.ndarray, sums: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _merge_codes(codes: np.ndarray, sums: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes, sorted, with the sums of their coefficients,
-    less the zero sums; the caller has bounded the sums for the dtype.
+    less the zero sums.  Every code lies in [0, limit) (word codes:
+    limit = (2m+1)^n), and the caller has bounded the sums for their dtype.
 
-    Sorts both arrays in place, so that the caller's unsorted copies are
-    not held alongside the sorted ones.
+    For L int64 codes and b = bit_length(L), the key code·2^b + (position)
+    is below limit·2^b ≤ 2^63 when the bound holds: then one in-place sort
+    of the keys orders ``codes`` and carries each position, through which
+    the sums are gathered.  Past the bound, and for object codes, one
+    argsort orders both arrays.
     """
-    order = np.argsort(codes)
-    codes[:] = codes[order]
-    sums[:] = sums[order]
+    b = len(codes).bit_length()
+    if codes.dtype == np.int64 and limit << b <= 2**63:
+        codes <<= b
+        codes |= np.arange(len(codes))
+        codes.sort()
+        sums = sums[codes & ((1 << b) - 1)]
+        codes >>= b
+    else:
+        order = np.argsort(codes)
+        codes[:] = codes[order]
+        sums = sums[order]
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     sums = np.add.reduceat(sums, starts)
     keep = sums != 0
@@ -359,17 +377,40 @@ def _image_codes(W: np.ndarray, m: int, src: np.ndarray, sign: np.ndarray) -> np
     """N×P codes of the images of the rows of W under the programs (src, sign).
 
     A word y (labels in [-m, m]) codes as Σ_k (y_k + m)·(2m+1)^k, in W's
-    dtype.
+    dtype.  Program q writes sign[q, k]·w[src[q, k]] to position k, so the
+    codes are one product W·C + m·Σ_k (2m+1)^k, with the n×P matrix
+    C[j, q] = Σ_{k : src[q, k] = j} sign[q, k]·(2m+1)^k.  No partial sum of
+    a row of W times a column of C exceeds m·Σ_k (2m+1)^k < (2m+1)^n / 2 in
+    absolute value, so the int64 product is exact whenever (2m+1)^n fits;
+    object W runs through numpy's object matmul.
     """
     n = W.shape[1]
     powers = _powers(m, n, W.dtype)
-    codes = np.full((len(W), len(src)), m * sum(powers.tolist()), dtype=W.dtype)
-    scaled = sign.astype(W.dtype) * powers
-    for k in range(n):
-        term = W[:, src[:, k]]
-        term *= scaled[:, k]
-        codes += term
+    C = np.zeros((n, len(src)), dtype=W.dtype)
+    np.add.at(C, (src, np.arange(len(src))[:, None]), sign.astype(W.dtype) * powers)
+    codes = W @ C
+    codes += m * sum(powers.tolist())
     return codes
+
+
+def _label_ranks(words: Iterable[Sequence[int]]) -> tuple[list[int], dict[int, int]]:
+    """The sorted |labels| of the words, and the rank ±r of each letter
+    ±labels[r − 1]: the letters that ``_decode_words`` decodes."""
+    labels = sorted({abs(c) for w in words for c in w})
+    rank = {}
+    for r, label in enumerate(labels, 1):
+        rank[label], rank[-label] = r, -r
+    return labels, rank
+
+
+def _decode_words(codes: np.ndarray, labels: Sequence[int], n: int) -> list[SignedWord]:
+    """The length-n words of the codes, in base 2R+1 over the ranks of the
+    R sorted ``labels``: digit d is the rank d − R, and rank ±r is the
+    label ±labels[r − 1].  No digit of a word code is R (rank 0)."""
+    R = len(labels)
+    digits = (codes[:, None] // _powers(R, n, codes.dtype) % (2 * R + 1)).astype(np.intp)
+    lut = np.array([-c for c in reversed(labels)] + [0] + list(labels), dtype=object)
+    return list(map(SignedWord._trusted, lut[digits].tolist()))
 
 
 def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
@@ -380,11 +421,13 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     replaced by its rank r among the labels of x, which is exact because
     programs only move letters and add bars.  Every word is coded in base
     2R+1 (R the number of labels), the images of every word under every
-    program of T are coded at once, the codes are sorted once, and the
-    coefficients of equal codes are summed.  Codes are int64 while
-    (2R+1)^n fits in int64 and Python integers past it; sums are int64 while
-    their bound Σ_D |c_D|·#programs(D)·Σ_w |c_w| fits, and Python integers
-    past it.
+    program of T are coded at once, as one product W·C (``_image_codes``),
+    the codes are sorted once, by one packed-key sort while
+    (2R+1)^n·2^b ≤ 2^63 for b the bit length of their count
+    (``_merge_codes``), and the coefficients of equal codes are summed.
+    Codes are int64 while (2R+1)^n fits in int64 and Python integers past
+    it; sums are int64 while their bound Σ_D |c_D|·#programs(D)·Σ_w |c_w|
+    fits, and Python integers past it.
     """
     if not isinstance(x, AlgebraElement):
         x = AlgebraElement.from_word(as_word(x))
@@ -409,19 +452,14 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     per_program = np.repeat(np.array(cD, dtype=sum_dtype), [len(s) for s, _ in tables])
     sums = np.multiply.outer(np.array(cw, dtype=sum_dtype), per_program).ravel()
 
-    labels = sorted({abs(c) for w in words for c in w})
-    rank = {}
-    for r, label in enumerate(labels, 1):
-        rank[label], rank[-label] = r, -r
+    labels, rank = _label_ranks(words)
     R = len(labels)
     W = np.array([[rank[c] for c in w] for w in words], dtype=_code_dtype(R, n))
     codes = _image_codes(W.reshape(len(words), n), R, src, sign).ravel()
 
-    codes, sums = _merge_codes(codes, sums)
+    codes, sums = _merge_codes(codes, sums, (2 * R + 1) ** n)
 
-    digits = (codes[:, None] // _powers(R, n, codes.dtype) % (2 * R + 1)).astype(np.intp)
-    lut = np.array([-c for c in reversed(labels)] + [0] + labels, dtype=object)  # digit d: rank d - R
-    words = map(SignedWord, lut[digits].tolist())
+    words = _decode_words(codes, labels, n)
     scale = scale_x * scale_T
     if scale == 1:
         terms = dict(zip(words, sums.tolist()))
@@ -607,7 +645,7 @@ def image_table(
     n = T.degree
     if any(c.denominator != 1 for c in T.terms.values()):
         raise ValueError("operator_matrix needs integer coefficients")
-    W, m, order, sorted_codes = _state_codes(states, n)
+    W, m, order, sorted_codes = _state_codes(tuple(states), n)
     tables = [_programs(D, algebra) for D in T.terms]
     images = np.empty((sum(len(src) for src, _ in tables), len(states)), dtype=np.int32)
     coeffs = np.empty(len(images), dtype=np.int64)

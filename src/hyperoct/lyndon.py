@@ -8,15 +8,20 @@ standard-bracketing lifts a Lyndon word to a primitive element: single
 letters map to i+ī (plain) or i−ī (barred), longer words bracket their
 standard factorization recursively.
 
-``build_eigenvector`` and ``eigenbasis`` assemble eigenvectors as
-AlgebraElements and are the reference.  ``eigenvector_matrix`` assembles
-the same eigenvectors for a whole basis of states as the rows of one int64
-matrix, and is exact by this argument:
+There is one eigenvector assembly, on coded words: ``_eigen_assembly``
+names the signed orders in which the factors are concatenated, and
+``_combine`` concatenates and merges coded factors.  ``eigenvector_matrix``
+runs it on a basis of states and writes the rows of one int64 matrix;
+``build_eigenvector`` (and so ``eigenbasis``) runs it on one word, its
+labels ranked, and decodes one AlgebraElement.  The AlgebraElement
+assembly it replaced is kept in the tests as the reference.  It is exact
+by this argument:
 
 - A word y with labels in [-m, m] is coded as the integer
   Σ_k (y_k + m)·(2m+1)^k (``descent._state_codes``, the coding of
   ``descent.image_table``).  Every code of a word of length at most n is
-  below (2m+1)^n, and the states' coding proves that this fits in int64.
+  below (2m+1)^n.  For states, their coding proves that this fits in
+  int64; ``build_eigenvector`` codes in Python integers when it does not.
   The code of a concatenation xy is code(x) + code(y)·(2m+1)^|x|, so the
   codes of a product never leave that range.
 - Each eigenvector, and each bracketing inside it, is a signed sum of
@@ -25,22 +30,32 @@ matrix, and is exact by this argument:
   every partial sum formed while multiplying and merging, is at most
   count·Π‖f_i‖₁.  That bound is computed in Python integers from the exact
   L1 norms of the factors, and CodeOverflow is raised before any int64
-  arithmetic when it exceeds 2^63 − 1.  Integers never wrap.
+  arithmetic when it exceeds 2^63 − 1.  Integers never wrap:
+  ``eigenvector_matrix`` refuses there, and ``build_eigenvector`` runs the
+  same assembly on Python-integer coefficients.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import CodeOverflow, EmptyWord, NotLyndon, OutsideBasis, SingleLetter
 from .words import AlgebraElement, SignedWord, WordLike, as_word, word_lex_key
-from .algebra import concat_elements, lie_bracket
-from .descent import _INT64_MAX, Decoration, _merge_codes, _state_codes, _state_index
+from .algebra import lie_bracket
+from .descent import (
+    _INT64_MAX,
+    Decoration,
+    _code_dtype,
+    _decode_words,
+    _label_ranks,
+    _merge_codes,
+    _state_codes,
+    _state_index,
+)
 
 
 def is_lyndon(w: WordLike) -> bool:
@@ -120,49 +135,6 @@ def classify_primitive(u: WordLike, flavor: Decoration) -> str:
     raise ValueError("flavor must be BAR or TBAR")
 
 
-@dataclass
-class ClassifiedPrimitives:
-    """Lyndon-factor bracketings of a word, split by involution parity.
-
-    Order within each class is the left-to-right order of the source factors.
-    """
-
-    invariant: tuple[AlgebraElement, ...]
-    negating: tuple[AlgebraElement, ...]
-    invariant_words: tuple[SignedWord, ...]
-    negating_words: tuple[SignedWord, ...]
-    flavor: Decoration
-
-
-def classify_word(w: WordLike, flavor: Decoration) -> ClassifiedPrimitives:
-    inv, neg, invw, negw = [], [], [], []
-    for u in lyndon_factorize(w):
-        b = stdbrac(u)
-        if classify_primitive(u, flavor) == "invariant":
-            inv.append(b)
-            invw.append(u)
-        else:
-            neg.append(b)
-            negw.append(u)
-    return ClassifiedPrimitives(tuple(inv), tuple(neg), tuple(invw), tuple(negw), flavor)
-
-
-def symmetrized_product(ps: Sequence[AlgebraElement]) -> AlgebraElement:
-    """Sum over all k! orders of the concatenation product of the ps."""
-    if not ps:
-        return AlgebraElement.unit()
-    acc = AlgebraElement.zero()
-    for perm in itertools.permutations(ps):
-        acc = acc + concat_elements(*perm)
-    return acc
-
-
-def _product(elts: Sequence[AlgebraElement]) -> AlgebraElement:
-    if not elts:
-        return AlgebraElement.unit()
-    return concat_elements(*elts)
-
-
 def _two_block_setcomps(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Ordered pairs (B1, B2) of disjoint sets covering {0, ..., k−1}."""
     items = tuple(range(k))
@@ -172,72 +144,33 @@ def _two_block_setcomps(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ..
         yield b1, b2
 
 
-def build_eigenvector(
-    w: WordLike,
-    a: int,
-    sign: str,
-    flavor: Decoration,
-    tilde_plus_format: str = "left",
-) -> tuple[AlgebraElement, int]:
+def build_eigenvector(w: WordLike, a: int, sign: str, flavor: Decoration) -> tuple[AlgebraElement, int]:
     """Eigenvector of the chosen riffle operator on the concatenation algebra
     associated with the word w, together with its exact eigenvalue.
 
-    For the flip flavor with odd a and sign '+', two equivalent assemblies
-    exist; ``tilde_plus_format`` picks "left" (negating product on the left,
-    the canonical basis choice) or "right".
+    Runs the coded assembly of ``eigenvector_matrix`` on w with each |label|
+    replaced by its rank among the labels of w, and decodes the result once.
+    Ranking is exact: it keeps the alphabet order and the bars, so the
+    Lyndon factorization and its classification do not change.  Codes and
+    coefficients are int64 under the bounds of the module docstring, and
+    Python integers past them.
     """
     w = as_word(w)
     if not w:
         raise EmptyWord("no eigenvector for the empty word")
-    cls = classify_word(w, flavor)
-    ps, qs = cls.invariant, cls.negating
-    k, kbar = len(ps), len(qs)
-    sym = symmetrized_product(ps)
-    even = a % 2 == 0
+    labels, rank = _label_ranks([w])
+    ranked = SignedWord._trusted(tuple(rank[c] for c in w))
+    R, n = len(labels), len(w)
 
-    if flavor is Decoration.TBAR:
-        if even:
-            if sign == "+":
-                vec = concat_elements(sym, _product(qs)) if kbar else sym
-            else:
-                vec = concat_elements(_product(qs), sym) if kbar else sym
-            value = a**k if kbar == 0 else 0
-            return vec, value
-        if sign == "+":
-            if tilde_plus_format == "left":
-                vec = concat_elements(_product(qs), sym) if kbar else sym
-            elif tilde_plus_format == "right":
-                vec = concat_elements(sym, _product(qs)) if kbar else sym
-            else:
-                raise ValueError("tilde_plus_format must be 'left' or 'right'")
-            return vec, a**k
-        # odd a, sign '-': ascending product left of sym plus descending right
-        # of sym (the ascending/ascending form is not an eigenvector).
-        if kbar:
-            vec = concat_elements(_product(qs), sym) + concat_elements(
-                sym, _product(tuple(reversed(qs)))
-            )
-        else:
-            vec = sym
-        return vec, (-1) ** kbar * a**k
+    def assemble(dtype) -> tuple[Coded, int]:
+        letters = _letter_brackets(range(1, R + 1), R, _code_dtype(R, n), dtype)
+        return _eigenvector_codes(ranked, a, sign, flavor, R, letters)
 
-    if flavor is Decoration.BAR:
-        if even:
-            if kbar:
-                raise OutsideBasis(
-                    f"{w} has rotation-negating Lyndon factors; even-a rotation "
-                    "operators have no eigenvector for it"
-                )
-            return sym, a**k
-        acc = AlgebraElement.zero()
-        for b1, b2 in _two_block_setcomps(kbar):
-            left = _product([qs[i] for i in b1])
-            right = _product([qs[i] for i in reversed(b2)])
-            acc = acc + concat_elements(left, sym, right)
-        value = a**k if sign == "+" else (-1) ** kbar * a**k
-        return acc, value
-
-    raise ValueError("flavor must be BAR or TBAR")
+    try:
+        (codes, coeffs, _), value = assemble(np.int64)
+    except CodeOverflow:  # past the int64 bound: the same assembly in Python integers
+        (codes, coeffs, _), value = assemble(object)
+    return AlgebraElement._trusted(dict(zip(_decode_words(codes, labels, n), coeffs.tolist()))), value
 
 
 def eigenbasis(
@@ -269,9 +202,10 @@ def eigenbasis(
 
 
 # ---------------------------------------------------------------------------
-# the eigenbasis as one int64 matrix
+# the coded eigenvector assembly
 
-# A homogeneous element as (word codes, int64 coefficients, length).
+# A homogeneous element as (distinct word codes in increasing order, their
+# nonzero coefficients, length).
 Coded = tuple[np.ndarray, np.ndarray, int]
 
 
@@ -280,38 +214,67 @@ def _combine(
 ) -> Coded:
     """Σ sign·(the concatenation of the factors in that order) over the
     ``count`` pairs (sign, order) of ``orders``, merged.  Each order lists
-    every factor exactly once.
+    every factor exactly once, and the factors share one dtype for codes
+    and one for coefficients, which the result keeps.
 
-    The L1 bound of the module docstring is proved before ``orders`` is
-    read, so that an overflowing sum is refused before it is enumerated.
+    For int64 coefficients, the L1 bound of the module docstring is proved
+    before ``orders`` is read, so that an overflowing sum is refused before
+    it is enumerated.
     """
-    bound = count * math.prod(int(np.abs(coeffs).sum()) for _, coeffs, _ in factors)
-    if bound > _INT64_MAX:
-        raise CodeOverflow(f"eigenvector coefficients may sum to {bound} in absolute value")
+    if factors[0][1].dtype != object:
+        bound = count * math.prod(int(np.abs(coeffs).sum()) for _, coeffs, _ in factors)
+        if bound > _INT64_MAX:
+            raise CodeOverflow(f"eigenvector coefficients may sum to {bound} in absolute value")
+    orders = list(orders)
+    if orders == [(1, (0,))]:  # one factor, already merged
+        return factors[0]
     all_codes, all_coeffs = [], []
     for sign, order in orders:
-        codes = np.zeros(1, dtype=np.int64)
-        coeffs = np.full(1, sign, dtype=np.int64)
-        length = 0
-        for i in order:
+        codes, coeffs, length = factors[order[0]]
+        coeffs = coeffs if sign == 1 else -coeffs
+        for i in order[1:]:
             fc, fk, fl = factors[i]
             codes = (codes[:, None] + fc * base**length).ravel()
             coeffs = np.multiply.outer(coeffs, fk).ravel()
             length += fl
         all_codes.append(codes)
         all_coeffs.append(coeffs)
-    codes, coeffs = _merge_codes(np.concatenate(all_codes), np.concatenate(all_coeffs))
-    return codes, coeffs, sum(fl for _, _, fl in factors)
+    codes, coeffs = _merge_codes(np.concatenate(all_codes), np.concatenate(all_coeffs), base**length)
+    return codes, coeffs, length
+
+
+def _letter_brackets(labels: Iterable[int], m: int, code_dtype, dtype) -> dict[SignedWord, Coded]:
+    """i ↦ i + ī and ī ↦ i − ī for the given labels (at most m), and the
+    unit for the empty word, coded in base 2m+1: the seed of ``_bracket``'s
+    memo, whose dtypes every bracketing and eigenvector built from it
+    keeps."""
+    memo = {SignedWord._trusted(()): (np.zeros(1, dtype=code_dtype), np.ones(1, dtype=dtype), 0)}
+    for i in labels:
+        codes = np.array([m - i, m + i], dtype=code_dtype)
+        memo[SignedWord._trusted((i,))] = (codes, np.array([1, 1], dtype=dtype), 1)
+        memo[SignedWord._trusted((-i,))] = (codes, np.array([-1, 1], dtype=dtype), 1)
+    return memo
+
+
+def _bracket(u: SignedWord, base: int, memo: dict[SignedWord, Coded]) -> Coded:
+    """The signed standard bracketing of the Lyndon word u, coded in
+    ``base``: [bracket(left), bracket(right)] for u's standard
+    factorization, built once per word in ``memo``."""
+    if u not in memo:
+        left, right = standard_factorization(u)
+        pair = (_bracket(left, base, memo), _bracket(right, base, memo))
+        memo[u] = _combine(pair, ((1, (0, 1)), (-1, (1, 0))), 2, base)
+    return memo[u]
 
 
 def _eigen_assembly(
     kbar: int, a: int, sign: str, flavor: Decoration
 ) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """How ``build_eigenvector`` assembles its vector from the negating
+    """How an eigenvector is assembled from the negating
     bracketings q_0, ..., q_(kbar−1) (factors 0..kbar−1) and the
     symmetrized invariant product (factor kbar): the signed orders of the
     summands, and the sign of the eigenvalue relative to a^k.  Raises
-    OutsideBasis where ``build_eigenvector`` does."""
+    OutsideBasis for negating factors under an even-a rotation operator."""
     qs = tuple(range(kbar))
     sym = kbar
     if flavor is Decoration.TBAR:
@@ -327,13 +290,38 @@ def _eigen_assembly(
     if flavor is Decoration.BAR:
         if a % 2 == 0:
             if kbar:
-                raise OutsideBasis("even-a rotation operators have no eigenvector here")
+                raise OutsideBasis(
+                    "the word has rotation-negating Lyndon factors; even-a rotation "
+                    "operators have no eigenvector for it"
+                )
             return [(1, (sym,))], 1
         orders = [
             (1, (*b1, sym, *reversed(b2))) for b1, b2 in _two_block_setcomps(kbar)
         ]
         return orders, 1 if sign == "+" else (-1) ** kbar
     raise ValueError("flavor must be BAR or TBAR")
+
+
+def _eigenvector_codes(
+    w: SignedWord, a: int, sign: str, flavor: Decoration, m: int, memo: dict[SignedWord, Coded]
+) -> tuple[Coded, int]:
+    """The eigenvector of the word w (labels in [-m, m]) coded in base
+    2m+1, and its eigenvalue: the bracketings of w's Lyndon factors from
+    ``memo`` (seeded by ``_letter_brackets``), assembled as
+    ``_eigen_assembly`` says.  Raises OutsideBasis before any bracketing is
+    built."""
+    base = 2 * m + 1
+    ps, qs = [], []
+    for u in lyndon_factorize(w):
+        (ps if classify_primitive(u, flavor) == "invariant" else qs).append(u)
+    orders, value_sign = _eigen_assembly(len(qs), a, sign, flavor)
+    if ps:
+        perms = ((1, p) for p in itertools.permutations(range(len(ps))))
+        sym = _combine([_bracket(u, base, memo) for u in ps], perms, math.factorial(len(ps)), base)
+    else:
+        sym = memo[SignedWord._trusted(())]
+    coded = _combine([_bracket(u, base, memo) for u in qs] + [sym], orders, len(orders), base)
+    return coded, value_sign * a ** len(ps)
 
 
 def eigenvector_matrix(
@@ -356,37 +344,16 @@ def eigenvector_matrix(
     n = len(states[0]) if len(states) else 0
     if n == 0 and len(states):
         raise EmptyWord("no eigenvector for the empty word")
-    _, m, order, sorted_codes = _state_codes(states, n)
-    base = 2 * m + 1
-    brackets: dict[SignedWord, Coded] = {}
-
-    def bracket(u: SignedWord) -> Coded:
-        if u not in brackets:
-            if len(u) == 1:
-                i = abs(u[0])
-                codes = np.array([i + m, m - i], dtype=np.int64)
-                coeffs = np.array([1, 1 if u[0] > 0 else -1], dtype=np.int64)
-                brackets[u] = (codes, coeffs, 1)
-            else:
-                left, right = standard_factorization(u)
-                pair = (bracket(left), bracket(right))
-                brackets[u] = _combine(pair, ((1, (0, 1)), (-1, (1, 0))), 2, base)
-        return brackets[u]
-
+    W, m, order, sorted_codes = _state_codes(tuple(states), n)
+    memo = _letter_brackets(np.unique(np.abs(W)).tolist(), m, np.int64, np.int64)
     rows, mus, words = [], [], []
     for w in states:
-        ps, qs = [], []
-        for u in lyndon_factorize(w):
-            (ps if classify_primitive(u, flavor) == "invariant" else qs).append(bracket(u))
         try:
-            orders, value_sign = _eigen_assembly(len(qs), a, sign, flavor)
+            (codes, coeffs, _), mu = _eigenvector_codes(w, a, sign, flavor, m, memo)
         except OutsideBasis:
             continue
-        perms = ((1, p) for p in itertools.permutations(range(len(ps))))
-        sym = _combine(ps, perms, math.factorial(len(ps)), base)
-        codes, coeffs, _ = _combine(qs + [sym], orders, len(orders), base)
         rows.append((_state_index(order, sorted_codes, codes, m, n), coeffs))
-        mus.append(value_sign * a ** len(ps))
+        mus.append(mu)
         words.append(w)
     V = np.zeros((len(rows), len(states)), dtype=np.int64)
     for r, (cols, coeffs) in enumerate(rows):

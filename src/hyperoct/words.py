@@ -31,6 +31,12 @@ class SignedWord(tuple):
             raise NotInAlphabet(f"0 is not a signed letter: {codes}")
         return super().__new__(cls, codes)
 
+    @classmethod
+    def _trusted(cls, letters: Iterable[int]) -> "SignedWord":
+        """Wrap letters that are already nonzero Python ints, without
+        converting or checking them."""
+        return tuple.__new__(cls, letters)
+
     @property
     def degree(self) -> int:
         return len(self)

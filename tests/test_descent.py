@@ -37,6 +37,7 @@ from hyperoct import (
     wcomp,
     wcomp_tilde,
 )
+from hyperoct import descent
 from hyperoct.algebra import _position_splits
 from hyperoct.descent import _label_programs, _programs, elementary_action, image_table
 from conftest import W
@@ -348,6 +349,9 @@ def _kernel_cases(case):
     if case == "a1":
         x = element((-3, -1, 1, 2), 4, 30)
         return [(riffle_operator(1, sign, dec, 4), x) for sign in "+-" for dec in (BAR, TBAR)]
+    if case == "labels_2_20":
+        x = element((-(2**20 + 3), -(2**20), 2**20 + 1, 2**21), 4, 40)
+        return [(riffle_operator(2, "-", TBAR, 4), x), (riffle_operator(3, "+", BAR, 4), x)]
     if case == "labels_2_63":
         x = element((-(2**64 + 5), -(2**63), 3, 2**63, 2**70), 3, 30)
         return [(riffle_operator(2, "-", TBAR, 3), x), (riffle_operator(3, "+", BAR, 3), x)]
@@ -370,7 +374,7 @@ def _kernel_cases(case):
 @pytest.mark.parametrize(
     "case",
     [1, 2**40, 2**62, -(2**70)]
-    + ["fractional", "zero_operator", "degree0", "n1", "a1", "labels_2_63", "degree40", "riffle4"],
+    + ["fractional", "zero_operator", "degree0", "n1", "a1", "labels_2_20", "labels_2_63", "degree40", "riffle4"],
 )
 def test_array_path_matches_word_path(case):
     # the kernel against the word-by-word accumulation of elementary_action;
@@ -383,6 +387,76 @@ def test_array_path_matches_word_path(case):
                     for out in elementary_action(D, w, algebra):
                         want[out] = want.get(out, 0) + cD * cw
             assert apply_operator(T, x, algebra) == AlgebraElement(want), (case, T.to_json(), algebra)
+
+
+def _reference_image_codes(W, m, src, sign):
+    """The gather kernel that preceded the W·C product: one pass over the
+    N×P codes per position."""
+    n = W.shape[1]
+    powers = np.array([(2 * m + 1) ** k for k in range(n)], dtype=W.dtype)
+    codes = np.full((len(W), len(src)), m * sum(powers.tolist()), dtype=W.dtype)
+    scaled = sign.astype(W.dtype) * powers
+    for k in range(n):
+        term = W[:, src[:, k]]
+        term *= scaled[:, k]
+        codes += term
+    return codes
+
+
+def _reference_merge_codes(codes, sums):
+    """The argsort merge that preceded the packed-key sort."""
+    order = np.argsort(codes)
+    codes, sums = codes[order], sums[order]
+    starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
+    sums = np.add.reduceat(sums, starts)
+    keep = sums != 0
+    return codes[starts][keep], sums[keep]
+
+
+@pytest.mark.parametrize("dtype", [np.int64, object])
+def test_image_codes_match_the_gather_reference(dtype):
+    rng = np.random.default_rng(3)
+    for D, m in ((DC.parse("2b,1,3"), 4), (DC.parse("1t,0,2,2t"), 2), (DC.parse("0"), 1)):
+        W = rng.integers(-m, m + 1, size=(7, D.total)).astype(dtype)
+        for algebra in (SHUFFLE, CONCAT):
+            src, sign = _programs(D, algebra)
+            got = descent._image_codes(W, m, src, sign)
+            want = _reference_image_codes(W, m, src, sign)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert (got == want).all(), (str(D), algebra)
+
+
+def test_merge_codes_at_the_packed_key_bound():
+    # 1000 codes: b = 10, so the packed keys fit exactly when limit ≤ 2^53;
+    # the largest code, limit − 1, is present on both sides of the bound
+    rng = np.random.default_rng(9)
+    for limit in (2**53, 2**53 + 1, 2**62, 7):
+        codes = rng.integers(0, limit, size=1000, dtype=np.int64)
+        codes[::7] = limit - 1
+        codes[1::7] = 0
+        sums = rng.integers(-2, 3, size=1000)
+        want = _reference_merge_codes(codes.copy(), sums.copy())
+        got = descent._merge_codes(codes.copy(), sums.copy(), limit)
+        assert (got[0] == want[0]).all() and (got[1] == want[1]).all(), limit
+    # object codes and sums: the argsort path
+    codes = np.array([2**70, 5, 2**70, 3, 5], dtype=object)
+    sums = np.array([2**64, 1, -(2**64), 2, 2], dtype=object)
+    got = descent._merge_codes(codes, sums, 2**71)
+    assert got[0].tolist() == [3, 5] and got[1].tolist() == [2, 3]
+
+
+@pytest.mark.parametrize("case", [2**53, 2**70, "fractional", "labels_2_20", "labels_2_63", "degree40", "riffle4"])
+def test_apply_operator_matches_the_reference_kernels(case, monkeypatch):
+    # 2^53 and 2^70 put the sums on both sides of int64; degree 40 codes
+    # in Python integers, where (2R+1)^n passes 2^63
+    for T, x in _kernel_cases(case):
+        for algebra in (SHUFFLE, CONCAT):
+            got = apply_operator(T, x, algebra)
+            with monkeypatch.context() as mp:
+                mp.setattr(descent, "_image_codes", _reference_image_codes)
+                mp.setattr(descent, "_merge_codes", lambda codes, sums, limit: _reference_merge_codes(codes, sums))
+                want = apply_operator(T, x, algebra)
+            assert got == want, (case, algebra)
 
 
 def _definition(D, w, algebra):

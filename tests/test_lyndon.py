@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 
@@ -20,6 +21,7 @@ from hyperoct import (
     build_eigenvector,
     classify_primitive,
     concat_elements,
+    distinct_letter_words,
     eigenbasis,
     eigenvector_matrix,
     is_lyndon,
@@ -33,10 +35,10 @@ from hyperoct import (
     signed_permutations,
     standard_factorization,
     stdbrac,
-    symmetrized_product,
     tau,
     tau_tilde,
 )
+from hyperoct.lyndon import _combine
 from hyperoct.verify import ALL_SPECS, _int_vector
 from conftest import W
 
@@ -167,6 +169,72 @@ def test_classification_matches_involution_action(d):
             assert sigma(b) == want * b, (u, flavor)
 
 
+# ---------------------------------------------------------------------------
+# the AlgebraElement eigenvector assembly, the reference of the coded one
+
+
+def symmetrized_product(ps):
+    """Sum over all k! orders of the concatenation product of the ps."""
+    if not ps:
+        return AlgebraElement.unit()
+    acc = AlgebraElement.zero()
+    for perm in itertools.permutations(ps):
+        acc = acc + concat_elements(*perm)
+    return acc
+
+
+def _product(elts):
+    return concat_elements(*elts) if elts else AlgebraElement.unit()
+
+
+_stdbrac = functools.cache(stdbrac)  # the reference builds each bracketing once
+
+
+def reference_eigenvector(w, a, sign, flavor, tilde_plus_format="left"):
+    """The eigenvector of w and its eigenvalue, assembled from the
+    bracketings of its Lyndon factors as AlgebraElements.  For the flip
+    flavor with odd a and sign '+', "right" puts the negating product on
+    the right of the symmetrized one, an equivalent eigenvector."""
+    if not w:
+        raise EmptyWord("no eigenvector for the empty word")
+    ps, qs = [], []
+    for u in lyndon_factorize(w):
+        (ps if classify_primitive(u, flavor) == "invariant" else qs).append(_stdbrac(u))
+    k, kbar = len(ps), len(qs)
+    sym = symmetrized_product(ps)
+    even = a % 2 == 0
+    if flavor is Decoration.TBAR:
+        if even:
+            if sign == "+":
+                vec = concat_elements(sym, _product(qs)) if kbar else sym
+            else:
+                vec = concat_elements(_product(qs), sym) if kbar else sym
+            return vec, a**k if kbar == 0 else 0
+        if sign == "+":
+            if tilde_plus_format == "left":
+                vec = concat_elements(_product(qs), sym) if kbar else sym
+            else:
+                vec = concat_elements(sym, _product(qs)) if kbar else sym
+            return vec, a**k
+        # odd a, sign '-': ascending product left of sym plus descending right
+        # of sym (the ascending/ascending form is not an eigenvector)
+        if kbar:
+            vec = concat_elements(_product(qs), sym) + concat_elements(sym, _product(qs[::-1]))
+        else:
+            vec = sym
+        return vec, (-1) ** kbar * a**k
+    if even:
+        if kbar:
+            raise OutsideBasis(f"{w} has rotation-negating Lyndon factors")
+        return sym, a**k
+    acc = AlgebraElement.zero()
+    for mask in itertools.product((0, 1), repeat=kbar):
+        left = _product([q for q, side in zip(qs, mask) if side == 0])
+        right = _product([q for q, side in zip(qs, mask) if side == 1][::-1])
+        acc = acc + concat_elements(left, sym, right)
+    return acc, a**k if sign == "+" else (-1) ** kbar * a**k
+
+
 def test_symmetrized_product():
     p = stdbrac(W("1"))
     assert symmetrized_product([p]) == p
@@ -263,12 +331,72 @@ def test_eigen_equations_all_configs(n):
 
 def test_tilde_plus_alternate_format():
     w = W("-1 2 -3")
-    left, lval = build_eigenvector(w, 3, "+", Decoration.TBAR, tilde_plus_format="left")
-    right, rval = build_eigenvector(w, 3, "+", Decoration.TBAR, tilde_plus_format="right")
+    left, lval = build_eigenvector(w, 3, "+", Decoration.TBAR)
+    assert (left, lval) == reference_eigenvector(w, 3, "+", Decoration.TBAR, "left")
+    right, rval = reference_eigenvector(w, 3, "+", Decoration.TBAR, "right")
     assert lval == rval
     T = riffle_operator(3, "+", Decoration.TBAR, 3)
     assert apply_operator(T, left, CONCAT) == lval * left
     assert apply_operator(T, right, CONCAT) == rval * right
+
+
+def _assert_matches_reference_eigenvector(w, a, sign, flavor):
+    try:
+        want = reference_eigenvector(w, a, sign, flavor)
+    except OutsideBasis:
+        with pytest.raises(OutsideBasis):
+            build_eigenvector(w, a, sign, flavor)
+        return
+    vec, mu = build_eigenvector(w, a, sign, flavor)
+    assert (vec, mu) == want, (w, a, sign, flavor)
+    assert all(type(c) is int for _, c in vec)
+
+
+REFERENCE_WORDS = [w for d in range(1, 5) for w in all_words(d, 3)]  # n = 1 and repeated letters
+
+
+@pytest.mark.parametrize("a, sign, flavor", ALL_SPECS)
+def test_build_eigenvector_matches_the_reference(a, sign, flavor):
+    rng = random.Random(f"{a}{sign}{flavor}")
+    sampled = [
+        SignedWord(rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(d)) for d in (6, 7) for _ in range(4)
+    ]
+    for w in REFERENCE_WORDS + sampled:
+        _assert_matches_reference_eigenvector(w, a, sign, FLAVOR[flavor])
+
+
+@pytest.mark.parametrize("sign", ["+", "-"])
+@pytest.mark.parametrize("flavor", [Decoration.BAR, Decoration.TBAR])
+def test_build_eigenvector_matches_the_reference_a1(sign, flavor):
+    for w in REFERENCE_WORDS[:258]:  # degree <= 3
+        _assert_matches_reference_eigenvector(w, 1, sign, flavor)
+
+
+def test_build_eigenvector_codes_past_int64():
+    # labels 1..14 at degree 14: (2·14+1)^14 passes 2^63, so the codes are
+    # Python integers; the 14 negating singleton factors give 2^14 terms
+    w = SignedWord(range(-14, 0))
+    vec, mu = build_eigenvector(w, 3, "+", Decoration.TBAR)
+    assert len(vec) == 2**14 and mu == 1
+    assert (vec, mu) == reference_eigenvector(w, 3, "+", Decoration.TBAR)
+
+
+def test_combine_past_the_int64_coefficient_bound():
+    # 2·(2^40 + 3)^2 passes 2^63: int64 factors are refused before the
+    # orders are read, and object factors are combined in Python integers
+    codes, coeffs = np.array([0, 1]), np.array([2**40, -3])
+    orders = [(1, (0, 1)), (-1, (1, 0))]
+    with pytest.raises(CodeOverflow):
+        _combine([(codes, coeffs, 1)] * 2, iter(orders), 2, 3)
+    got = _combine([(codes, coeffs.astype(object), 1)] * 2, orders, 2, 3)
+    want = {}
+    for sign, (i, j) in orders:
+        for ci, ki in zip(codes.tolist(), coeffs.tolist()):
+            for cj, kj in zip(codes.tolist(), coeffs.tolist()):
+                want[ci + 3 * cj] = want.get(ci + 3 * cj, 0) + sign * ki * kj
+    want = {c: k for c, k in want.items() if k}
+    assert dict(zip(got[0].tolist(), got[1].tolist())) == want and got[2] == 2
+    assert got[1].dtype == object
 
 
 def test_primitive_dimensions_identity():
@@ -287,7 +415,12 @@ FLAVOR = {"rotation": Decoration.BAR, "flip": Decoration.TBAR}
 
 def _reference_matrix(states, n, N, a, sign, flavor, include_repeats=False):
     index = {w: i for i, w in enumerate(states)}
-    got = eigenbasis(n, N, a, sign, flavor, include_repeats=include_repeats)
+    got = []
+    for w in all_words(n, N) if include_repeats else distinct_letter_words(n, N):
+        try:
+            got.append((w, *reference_eigenvector(w, a, sign, flavor)))
+        except OutsideBasis:
+            continue
     assert all(type(c) is int for _, vec, _ in got for _, c in vec)
     rows = [_int_vector(vec, index.__getitem__, len(states)) for _, vec, _ in got]
     V = np.array(rows, dtype=np.int64).reshape(len(rows), len(states))
@@ -326,6 +459,19 @@ def test_eigenvector_matrix_a1_and_repeated_letters(sign, flavor):
     # repeated letters: equal codes from different summands merge
     for a in (2, 3):
         _assert_matches_reference(all_words(3, 1), 3, 1, a, sign, flavor, include_repeats=True)
+
+
+def test_eigenvector_matrix_wide_labels():
+    # label 2 moved to 2^20: an increasing relabeling keeps the rows, and
+    # only the labels that occur get a letter bracketing
+    def relabel(w):
+        return SignedWord(c if abs(c) == 1 else c // 2 * 2**20 for c in w)
+
+    states = signed_permutations(2)
+    for a, sign, flavor in ALL_SPECS:
+        V, mu, words = eigenvector_matrix(states, a, sign, FLAVOR[flavor])
+        wide = eigenvector_matrix([relabel(w) for w in states], a, sign, FLAVOR[flavor])
+        assert (wide[0] == V).all() and (wide[1] == mu).all() and wide[2] == tuple(map(relabel, words))
 
 
 def test_eigenvector_matrix_skips_even_rotation_rows():
