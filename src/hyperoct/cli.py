@@ -207,7 +207,7 @@ def cmd_stationary(args) -> int:
     pi = stationary_distribution(spec)
     tm = transition_matrix(spec, cap=args.cap)
     unique = stationary_is_unique(tm)
-    fixed = bool((tm.counts.sum(axis=0) == tm.scale).all())
+    fixed = tm.col_sums_exact()
     _dump(
         {
             "n": args.n,

@@ -301,18 +301,27 @@ def _powers(m: int, n: int, dtype) -> np.ndarray:
     return np.array([(2 * m + 1) ** k for k in range(n)], dtype=dtype)
 
 
+# The largest code range (2m+1)^n that gets a direct-address state array:
+# 32 MiB of int32, enough for the 13^6 codes of the n = 6 signed permutations.
+_DIRECT_CODES = 1 << 23
+
+
 @functools.lru_cache(maxsize=4)
-def _state_codes(states: tuple[SignedWord, ...], n: int) -> tuple[np.ndarray, int, np.ndarray, np.ndarray]:
-    """(W, m, order, sorted_codes) for a basis of length-n words, as
-    read-only arrays.  Memoized by the tuple of states, so that every
-    operator matrix on one basis reads one coding.
+def _state_codes(states: tuple[SignedWord, ...], n: int) -> tuple[np.ndarray, int, object]:
+    """(W, m, lookup) for a basis of length-n words, as read-only arrays.
+    Memoized by the tuple of states, so that every operator matrix, chain
+    and eigenvector matrix on one basis reads one coding and one lookup.
 
     W is the N×n int64 array of the states and m their largest |label|.
     A word y (labels in [-m, m]) codes as Σ_k (y_k + m)·(2m+1)^k, little
-    endian; ``order`` sorts the state codes, and ``sorted_codes`` holds them
-    in that order.  Raises SizeMismatch for a state of another length,
-    CodeOverflow when (2m+1)^n does not fit in int64, and ValueError for a
-    repeated state.
+    endian, in [0, (2m+1)^n).  When (2m+1)^n ≤ ``_DIRECT_CODES``, ``lookup``
+    is the direct-address int32 array of length (2m+1)^n that holds, at
+    each code, the index of its state, or -1 for a word that is not a state
+    (0.6 MiB for the n = 5 signed permutations).  Past that bound it is the
+    pair (order, sorted_codes): ``order`` sorts the state codes and
+    ``sorted_codes`` holds them in that order, for a binary search.
+    Raises SizeMismatch for a state of another length, CodeOverflow when
+    (2m+1)^n does not fit in int64, and ValueError for a repeated state.
     """
     if any(len(w) != n for w in states):
         raise SizeMismatch(f"degree-{n} words expected, states have other lengths")
@@ -321,28 +330,54 @@ def _state_codes(states: tuple[SignedWord, ...], n: int) -> tuple[np.ndarray, in
     if _code_dtype(m, n) is object:
         raise CodeOverflow(f"words of length {n} with labels up to {m}")
     codes = (W + m) @ _powers(m, n, np.int64)
-    order = np.argsort(codes)
-    sorted_codes = codes[order]
-    if (sorted_codes[1:] == sorted_codes[:-1]).any():
+    if (2 * m + 1) ** n <= _DIRECT_CODES:
+        index = np.arange(len(codes), dtype=np.int32)
+        lookup = np.full((2 * m + 1) ** n, -1, dtype=np.int32)
+        lookup[codes] = index
+        repeated = (lookup[codes] != index).any()  # a later copy overwrote
+        arrays = (W, lookup)
+    else:
+        order = np.argsort(codes)
+        sorted_codes = codes[order]
+        repeated = (sorted_codes[1:] == sorted_codes[:-1]).any()
+        lookup = (order, sorted_codes)
+        arrays = (W, order, sorted_codes)
+    if repeated:
         raise ValueError("states repeat a word")
-    for a in (W, order, sorted_codes):
+    for a in arrays:
         a.setflags(write=False)
-    return W, m, order, sorted_codes
+    return W, m, lookup
 
 
-def _state_index(
-    order: np.ndarray, sorted_codes: np.ndarray, codes: np.ndarray, m: int, n: int
-) -> np.ndarray:
-    """The state index of each word code in ``codes`` (any shape), from the
-    sorted state codes of ``_state_codes``.  Raises KeyError naming the
-    first word that is not a state."""
-    pos = np.searchsorted(sorted_codes, codes)
-    hit = pos < len(sorted_codes)
-    hit[hit] = sorted_codes[pos[hit]] == codes[hit]
-    if not hit.all():
-        code = int(codes[~hit].flat[0])
-        raise KeyError(tuple(code // (2 * m + 1) ** k % (2 * m + 1) - m for k in range(n)))
-    return order[pos]
+def _state_index(lookup, codes: np.ndarray, m: int, n: int) -> np.ndarray:
+    """The state index of each int64 word code in ``codes`` (any shape),
+    through the ``lookup`` of ``_state_codes``.  Raises KeyError naming the
+    first word that is not a state.
+
+    The direct array is read by one gather.  Image codes of programs lie in
+    its range by construction, as programs only move letters and add bars,
+    but codes from elsewhere need not, and numpy would wrap a negative
+    index: so every code is first checked to lie in [0, (2m+1)^n).  One max
+    checks both ends, as a negative code read as uint64 lies past 2^63.
+    """
+    if isinstance(lookup, np.ndarray):
+        if codes.view(np.uint64).max(initial=0) < len(lookup):
+            index = lookup[codes]
+            if index.min(initial=0) >= 0:
+                return index
+            hit = index >= 0
+        else:
+            hit = (codes >= 0) & (codes < len(lookup))
+            hit[hit] = lookup[codes[hit]] >= 0
+    else:
+        order, sorted_codes = lookup
+        pos = np.searchsorted(sorted_codes, codes)
+        hit = pos < len(sorted_codes)
+        hit[hit] = sorted_codes[pos[hit]] == codes[hit]
+        if hit.all():
+            return order[pos]
+    code = int(codes[~hit].flat[0])
+    raise KeyError(tuple(code // (2 * m + 1) ** k % (2 * m + 1) - m for k in range(n)))
 
 
 def _merge_codes(codes: np.ndarray, sums: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -636,23 +671,25 @@ def image_table(
     T(states[i]) = Σ_k coeffs[k]·states[images[i, k]].  ``images`` is int32
     and column-major, so that each column is contiguous.
 
-    Words are coded in base 2m+1 (m the largest |label|) and looked up among
-    the sorted state codes.  Raises CodeOverflow when (2m+1)^n does not fit
-    in int64, KeyError when an image leaves the basis, ValueError for
-    fractional coefficients or repeated states, and SizeMismatch for a state
-    whose length is not T's degree.
+    Words are coded in base 2m+1 (m the largest |label|) and looked up
+    through ``_state_codes``: by one gather from a direct-address array,
+    or past its bound by a binary search among the sorted state codes.
+    Raises CodeOverflow when (2m+1)^n does not fit in int64, KeyError when
+    an image leaves the basis, ValueError for fractional coefficients or
+    repeated states, and SizeMismatch for a state whose length is not T's
+    degree.
     """
     n = T.degree
     if any(c.denominator != 1 for c in T.terms.values()):
         raise ValueError("operator_matrix needs integer coefficients")
-    W, m, order, sorted_codes = _state_codes(tuple(states), n)
+    W, m, lookup = _state_codes(tuple(states), n)
     tables = [_programs(D, algebra) for D in T.terms]
     images = np.empty((sum(len(src) for src, _ in tables), len(states)), dtype=np.int32)
     coeffs = np.empty(len(images), dtype=np.int64)
     k = 0
     for c, (src, sign) in zip(T.terms.values(), tables):
         img = _image_codes(W, m, src, sign)
-        images[k : k + len(src)] = _state_index(order, sorted_codes, img, m, n).T
+        images[k : k + len(src)] = _state_index(lookup, img, m, n).T
         coeffs[k : k + len(src)] = int(c)
         k += len(src)
     return images.T, coeffs

@@ -344,7 +344,7 @@ def eigenvector_matrix(
     n = len(states[0]) if len(states) else 0
     if n == 0 and len(states):
         raise EmptyWord("no eigenvector for the empty word")
-    W, m, order, sorted_codes = _state_codes(tuple(states), n)
+    W, m, lookup = _state_codes(tuple(states), n)
     memo = _letter_brackets(np.unique(np.abs(W)).tolist(), m, np.int64, np.int64)
     rows, mus, words = [], [], []
     for w in states:
@@ -352,7 +352,7 @@ def eigenvector_matrix(
             (codes, coeffs, _), mu = _eigenvector_codes(w, a, sign, flavor, m, memo)
         except OutsideBasis:
             continue
-        rows.append((_state_index(order, sorted_codes, codes, m, n), coeffs))
+        rows.append((_state_index(lookup, codes, m, n), coeffs))
         mus.append(mu)
         words.append(w)
     V = np.zeros((len(rows), len(states)), dtype=np.int64)

@@ -17,8 +17,9 @@ Each chain is built once as an image table: the riffle operator has a^n
 programs, every coefficient 1, and images[i, k] indexes the k-th image of
 state i, so a^n·K(x, y) counts the programs that send x to y.  The exact
 products run on that table: v·K scatters v over the images of each state,
-and K·f sums f over them.  The dense ``counts`` is kept for output and for
-the certificates of ``exactla``.
+and K·f sums f over them.  So do the row and column sums, ``entry``, ``row``
+and unique stationarity.  The dense ``counts`` is kept for output
+(``to_json``, ``to_csv``) and for the certificates of ``exactla``.
 
 K is doubly stochastic (its columns sum to 1 as well as its rows), so the
 uniform law is stationary and every state is recurrent.  Then the fixed
@@ -91,7 +92,13 @@ class ShuffleSpec:
 
 @dataclass
 class TransitionMatrix:
-    """Exact transition matrix: integer image counts over the scale a^n."""
+    """Exact transition matrix: integer image counts over the scale a^n.
+
+    ``images`` is the image table, one column per program of the riffle
+    operator, each with coefficient 1.  ``push``, ``pull``, ``entry``,
+    ``row`` and the row and column sums read it; ``to_json`` and ``to_csv``
+    read the dense ``counts``.
+    """
 
     spec: ShuffleSpec
     states: tuple[SignedWord, ...]
@@ -132,18 +139,26 @@ class TransitionMatrix:
         return out
 
     def entry(self, x: WordLike, y: WordLike) -> Fraction:
-        return Fraction(int(self.counts[self.index(x), self.index(y)]), self.scale)
+        i, j = self.index(x), self.index(y)
+        return Fraction(int(np.count_nonzero(self.images[i] == j)), self.scale)
 
     def row(self, x: WordLike) -> dict[SignedWord, Fraction]:
-        i = self.index(x)
+        targets, hits = np.unique(self.images[self.index(x)], return_counts=True)
         return {
-            self.states[j]: Fraction(int(c), self.scale)
-            for j, c in enumerate(self.counts[i])
-            if c
+            self.states[j]: Fraction(c, self.scale)
+            for j, c in zip(targets.tolist(), hits.tolist())
         }
 
     def row_sums_exact(self) -> bool:
-        return bool((self.counts.sum(axis=1) == self.scale).all())
+        """Every row sums to a^n: each program adds its coefficient, 1, once
+        to every row, so each row sums to the number of programs."""
+        return self.images.shape[1] == self.scale
+
+    def col_sums_exact(self) -> bool:
+        """Every column sums to a^n: state j is the image of a^n pairs
+        (state, program)."""
+        hits = np.bincount(self.images.ravel(order="K"), minlength=self.size)
+        return bool((hits == self.scale).all())
 
     def to_json(self) -> dict:
         return {
@@ -181,8 +196,10 @@ def transition_matrix(spec: ShuffleSpec, cap: int = 5) -> TransitionMatrix:
         )
     states = _states(spec.n)
     T = spec.operator()
-    table = image_table(T, states, alg.SHUFFLE)  # every coefficient is 1
-    return TransitionMatrix(spec, states, operator_matrix(T, states, alg.SHUFFLE, table), table[0])
+    images, coeffs = table = image_table(T, states, alg.SHUFFLE)
+    if not (coeffs == 1).all():
+        raise ValueError(f"the riffle operator of {spec} has a coefficient other than 1")
+    return TransitionMatrix(spec, states, operator_matrix(T, states, alg.SHUFFLE, table), images)
 
 
 # ---------------------------------------------------------------------------
@@ -394,27 +411,40 @@ _FAMILY_PAIRS = {
 }
 
 
+def _family_vectors(fams: Sequence[tuple[str, tuple]], S: np.ndarray) -> list[np.ndarray]:
+    """eigenfunction_value(kind, w, *indices) for every (kind, indices) of
+    fams and every row w of the int64 word array S, on the whole array.
+
+    The adjacent pairs (u, v) of the rows are coded once, as the N×(n−1)
+    array (u + m)·(2m+1) + (v + m) for m the largest |label|.  A family
+    member is then one lookup over the (2m+1)^2 pair codes, holding 2 at
+    the pairs that give +1 and 1 at those that give −1: the largest hit of
+    a row is its value, with +1 winning as in the scalar functions.
+    """
+    m = int(np.abs(S).max(initial=0))
+    pairs = (S[:, :-1] + m) * (2 * m + 1) + (S[:, 1:] + m)
+    value = np.array([0, -1, 1], dtype=np.int64)
+    out = []
+    for kind, indices in fams:
+        if kind == "g":
+            (i,) = indices
+            ends = S[:, [0, -1]]
+            plus, minus = (ends == i).any(axis=1), (ends == -i).any(axis=1)
+            out.append(np.where(plus, 1, np.where(minus, -1, 0)).astype(np.int64))
+            continue
+        lookup = np.zeros((2 * m + 1) ** 2, dtype=np.int8)
+        plus, minus = _FAMILY_PAIRS[kind](*indices)
+        for mark, listed in ((1, minus), (2, plus)):
+            for u, v in listed:
+                if abs(u) <= m and abs(v) <= m:  # else no row holds the pair
+                    lookup[(u + m) * (2 * m + 1) + (v + m)] = mark
+        out.append(value[lookup[pairs].max(axis=1, initial=0)])
+    return out
+
+
 def _family_vector(kind: str, indices: tuple, S: np.ndarray) -> np.ndarray:
-    """eigenfunction_value(kind, w, *indices) for every row w of the int64
-    word array S, computed on the whole array at once."""
-
-    def signed(plus: np.ndarray, minus: np.ndarray) -> np.ndarray:
-        return np.where(plus, 1, np.where(minus, -1, 0)).astype(np.int64)
-
-    if kind == "g":
-        (i,) = indices
-        ends = S[:, [0, -1]]
-        return signed((ends == i).any(axis=1), (ends == -i).any(axis=1))
-    plus, minus = _FAMILY_PAIRS[kind](*indices)
-    left, right = S[:, :-1], S[:, 1:]
-
-    def adjacent(pairs) -> np.ndarray:
-        hit = np.zeros(len(S), dtype=bool)
-        for u, v in pairs:
-            hit |= ((left == u) & (right == v)).any(axis=1)
-        return hit
-
-    return signed(adjacent(plus), adjacent(minus))
+    """eigenfunction_value(kind, w, *indices) for every row w of S."""
+    return _family_vectors([(kind, indices)], S)[0]
 
 
 def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None) -> dict:
@@ -434,7 +464,7 @@ def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None)
     report = {"spec": spec, "eigenvalues": [], "ok": True}
     for value, fams in subdominant_families(spec):
         mu = int(value * tm.scale)  # ±a^(n−1): exact, since a divides a^n
-        vecs = [_family_vector(kind, indices, S) for kind, indices in fams]
+        vecs = _family_vectors(fams, S)
         F = np.array(vecs, dtype=np.int64).reshape(len(vecs), tm.size).T.copy()  # N×k, rows contiguous
         all_exact = bool((tm.pull(F) == mu * F).all())
         independent = exactla.independent_certificate(vecs) if vecs else True
@@ -495,15 +525,16 @@ def _strongly_connected(images: np.ndarray) -> bool:
 def stationary_is_unique(tm: TransitionMatrix) -> bool:
     """Certify that the fixed space of K^T is exactly 1-dimensional.
 
-    Every column of counts summing to a^n (checked exactly) puts the uniform
-    law in the fixed space and makes K doubly stochastic, so every state is
-    recurrent and the fixed space has one dimension per communicating class.
-    The law is then unique iff the transition graph is strongly connected:
-    every state is reachable from state 0 and reaches it.  Both searches run
-    over the image table in O(N·a^n).  Chains with n <= 2 (at most 8 states)
-    must also pass a mod-p bound on dim ker(K^T − I).
+    Every column of K summing to 1 (checked exactly, on the table) puts the
+    uniform law in the fixed space and makes K doubly stochastic, so every
+    state is recurrent and the fixed space has one dimension per
+    communicating class.  The law is then unique iff the transition graph
+    is strongly connected: every state is reachable from state 0 and
+    reaches it.  Both searches run over the image table in O(N·a^n).
+    Chains with n <= 2 (at most 8 states) must also pass a mod-p bound on
+    dim ker(K^T − I).
     """
-    if not (tm.counts.sum(axis=0) == tm.scale).all():
+    if not tm.col_sums_exact():
         return False
     connected = _strongly_connected(tm.images)
     if tm.spec.n <= 2:

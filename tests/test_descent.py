@@ -18,12 +18,14 @@ from hyperoct import (
     NotHomogeneous,
     SignedWord,
     SizeMismatch,
+    all_words,
     apply_elementary,
     apply_operator,
     compatible_matrices,
     concat_elements,
     deconcatenate,
     deshuffle,
+    eigenvector_matrix,
     project_invariant,
     shuffle_product,
     tau,
@@ -272,6 +274,123 @@ def test_image_table_refusals():
     with pytest.raises(CodeOverflow):
         operator_matrix(T3, [SignedWord((2**20, 1, 2))], SHUFFLE)
     assert operator_matrix(T3, [SignedWord((2**20 - 1, 1, 2))], SHUFFLE).tolist() == [[1]]
+
+
+# ---------------------------------------------------------------------------
+# the direct-address state lookup against the binary search
+
+LOOKUP_SPECS = [
+    (a, sign, dec) for a in (2, 3) for sign in "+-" for dec in (Decoration.BAR, Decoration.TBAR)
+]
+
+
+def _both_lookups(monkeypatch, fn):
+    """fn() with the direct-address lookup of ``_state_codes``, then with
+    the binary search, which the bound forces for every basis."""
+    descent._state_codes.cache_clear()
+    try:
+        direct = fn()
+        monkeypatch.setattr(descent, "_DIRECT_CODES", 0)
+        descent._state_codes.cache_clear()
+        return direct, fn()
+    finally:
+        monkeypatch.undo()
+        descent._state_codes.cache_clear()
+
+
+def _raised(fn):
+    with pytest.raises(KeyError) as info:
+        fn()
+    return info.value.args
+
+
+def test_direct_lookup_matches_search_image_tables(monkeypatch):
+    bases = [signed_permutations(n) for n in (1, 2, 3, 4)] + [all_words(3, 2)]
+    for states in bases:
+        n = len(states[0])
+        lookups = _both_lookups(monkeypatch, lambda: descent._state_codes(tuple(states), n)[2])
+        assert isinstance(lookups[0], np.ndarray) and isinstance(lookups[1], tuple)
+        for a, sign, dec in LOOKUP_SPECS:
+            T = riffle_operator(a, sign, dec, n)
+            for algebra in (SHUFFLE, CONCAT):
+                direct, search = _both_lookups(monkeypatch, lambda: image_table(T, states, algebra))
+                assert direct[0].dtype == search[0].dtype == np.int32
+                assert direct[0].flags.f_contiguous and search[0].flags.f_contiguous
+                assert np.array_equal(direct[0], search[0]) and np.array_equal(direct[1], search[1])
+
+
+def test_direct_lookup_matches_search_eigenvector_matrices(monkeypatch):
+    bases = [signed_permutations(n) for n in (1, 2, 3, 4)] + [all_words(3, 2)]
+    for states in bases:
+        for a, sign, dec in LOOKUP_SPECS:
+            direct, search = _both_lookups(
+                monkeypatch, lambda: eigenvector_matrix(states, a, sign, dec)
+            )
+            assert np.array_equal(direct[0], search[0]) and direct[0].dtype == search[0].dtype
+            assert np.array_equal(direct[1], search[1]) and direct[2] == search[2]
+
+
+def test_direct_lookup_refusals_match_search(monkeypatch):
+    T = riffle_operator(2, "+", Decoration.BAR, 2)
+    states = [W("1 2"), W("-1 2"), W("1 -2")]  # 2 1 and its bars are not states
+    direct, search = _both_lookups(
+        monkeypatch, lambda: _raised(lambda: image_table(T, states, SHUFFLE))
+    )
+    assert direct == search and len(direct[0]) == 2 and direct[0] not in states
+    # an eigenvector leaving the basis: that of 1 2 1 has other words
+    basis = [W("1 2 1")]
+    direct, search = _both_lookups(
+        monkeypatch, lambda: _raised(lambda: eigenvector_matrix(basis, 2, "+", Decoration.TBAR))
+    )
+    assert direct == search and len(direct[0]) == 3 and direct[0] not in basis
+
+
+def test_state_index_refuses_codes_out_of_range(monkeypatch):
+    # m = 3, n = 3: codes lie in [0, 343); a label m + 1 = 4 in the top
+    # position codes past the range, a label -4 there codes below 0
+    states = tuple(signed_permutations(3))
+    m, n = 3, 3
+    weights = np.array([1, 7, 49], dtype=np.int64)
+    decks = np.array([[1, 2, 3], [1, 2, 4], [1, 2, -4]], dtype=np.int64)
+    codes = (decks + m) @ weights
+    assert codes[1] >= 7**3 and codes[2] < 0
+
+    def refusals():
+        _, _, lookup = descent._state_codes(states, n)
+        assert descent._state_index(lookup, codes[:1], m, n).tolist() == [states.index(W("1 2 3"))]
+        return [_raised(lambda: descent._state_index(lookup, codes[k:k + 1], m, n)) for k in (1, 2)] + [
+            # the first word that is not a state is named, in flat order:
+            # here the in-range non-state 1 1 1 before the code below 0
+            _raised(lambda: descent._state_index(lookup, np.array([[codes[0], 4 * 57], [codes[2], 0]]), m, n)),
+            _raised(lambda: descent._state_index(lookup, np.array([-1]), m, n)),
+        ]
+
+    direct, search = _both_lookups(monkeypatch, refusals)
+    assert direct == search
+    assert direct[2] == ((1, 1, 1),)
+
+
+def test_direct_lookup_size_bound(monkeypatch):
+    # 2m + 1 = 5 at n = 2: the direct array has 25 entries
+    states = tuple(signed_permutations(2))
+    T = riffle_operator(3, "-", Decoration.TBAR, 2)
+    want = image_table(T, states, SHUFFLE)
+    try:
+        for bound, direct in ((25, True), (24, False)):
+            descent._state_codes.cache_clear()
+            monkeypatch.setattr(descent, "_DIRECT_CODES", bound)
+            lookup = descent._state_codes(states, 2)[2]
+            assert isinstance(lookup, np.ndarray) is direct
+            if direct:
+                assert lookup.dtype == np.int32 and len(lookup) == 25 and not lookup.flags.writeable
+                assert sorted(lookup[lookup >= 0].tolist()) == list(range(8))
+            got = image_table(T, states, SHUFFLE)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            with pytest.raises(ValueError):  # a repeated state, on both sides
+                descent._state_codes(states + states[:1], 2)
+    finally:
+        monkeypatch.undo()
+        descent._state_codes.cache_clear()
 
 
 def test_apply_operator_keeps_integral_coefficients_int():

@@ -19,6 +19,7 @@ from hyperoct import (
     SignedWord,
     SizeMismatch,
     StateSpaceTooLarge,
+    TransitionMatrix,
     all_words,
     batch_step,
     des,
@@ -39,7 +40,8 @@ from hyperoct import (
     transition_matrix,
     verify_subdominant,
 )
-from hyperoct import exactla
+from hyperoct import exactla, markov
+from hyperoct.descent import image_table
 from hyperoct.markov import _family_vector, _strongly_connected
 from hyperoct.verify import chain_spectrum_certificate
 from conftest import W
@@ -346,6 +348,54 @@ def test_table_products_match_dense(tm_cache, n, a, sign, flavor):
     big = np.array([int(x) * 2**70 for x in v], dtype=object)
     assert (tm.push(big) == np.array([int(x) * 2**70 for x in v @ tm.counts], dtype=object)).all()
     assert tm.images.dtype == np.int32 and tm.images.shape == (tm.size, a**n)
+
+
+def _dense_row(tm, i):
+    return {y: Fraction(int(c), tm.scale) for y, c in zip(tm.states, tm.counts[i]) if c}
+
+
+def _assert_table_reads_match_dense(tm, rows):
+    assert tm.row_sums_exact() is bool((tm.counts.sum(axis=1) == tm.scale).all())
+    assert tm.col_sums_exact() is bool((tm.counts.sum(axis=0) == tm.scale).all())
+    for i, x in enumerate(tm.states):
+        assert list(tm.row(x).items()) == list(_dense_row(tm, i).items()), x
+    for i in rows:
+        x = tm.states[i]
+        assert [tm.entry(x, y) for y in tm.states] == [Fraction(int(c), tm.scale) for c in tm.counts[i]]
+
+
+@pytest.mark.parametrize(
+    "a,sign,flavor", [(a, s, f) for a in (1, 2, 3) for s in "+-" for f in (ROTATION, FLIP)]
+)
+def test_table_sums_entries_and_rows_match_dense(tm_cache, a, sign, flavor):
+    rng = np.random.default_rng(a)
+    for n in (1, 2, 3, 4):
+        tm = tm_cache(n, a, sign, flavor)
+        assert tm.row_sums_exact() and tm.col_sums_exact()
+        _assert_table_reads_match_dense(tm, rng.choice(tm.size, size=min(tm.size, 4), replace=False))
+
+
+def test_table_column_sums_catch_a_moved_image(tm_cache):
+    tm = tm_cache(3, 2, "-", FLIP)
+    images = tm.images.copy(order="F")
+    images[5, 0] = (images[5, 0] + 1) % tm.size  # one program of state 5 lands elsewhere
+    counts = np.zeros_like(tm.counts)
+    for col in images.T:
+        counts[np.arange(tm.size), col] += 1
+    bad = TransitionMatrix(tm.spec, tm.states, counts, images)
+    assert bad.row_sums_exact() and not bad.col_sums_exact()
+    assert not stationary_is_unique(bad)
+    _assert_table_reads_match_dense(bad, [5])
+
+
+def test_transition_matrix_refuses_a_coefficient_other_than_1(monkeypatch):
+    def doubled(*args):
+        images, coeffs = image_table(*args)
+        return images, 2 * coeffs
+
+    monkeypatch.setattr(markov, "image_table", doubled)
+    with pytest.raises(ValueError):
+        transition_matrix(ShuffleSpec(2, 2, "+", FLIP))
 
 
 def test_family_vectors_match_scalar():

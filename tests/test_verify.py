@@ -184,3 +184,12 @@ def test_subdominant_rows_carry_their_sizes():
         assert {"eigenvalue", "family_size", "expected_multiplicity"} <= set(r.params)
         assert r.params["family_size"] == r.params["expected_multiplicity"]
         assert abs(r.params["eigenvalue"]) == Fraction(1, r.params["a"])
+
+
+def test_sampler_agreement_refuses_a_deck_outside_the_labels(monkeypatch):
+    # with m = 3, the deck 4 -3 1 codes in base 7 as the state -3 -2 1: the
+    # label 4 carries into the next digit, so it must be refused, not counted
+    monkeypatch.setattr(verify, "sample_step", lambda spec, w, rng: W("4 -3 1"))
+    with pytest.raises(KeyError) as info:
+        verify.check_sampler_agreement(3)
+    assert info.value.args == ((4, -3, 1),)
