@@ -46,7 +46,7 @@ class BadCount(HyperoctError):
 
 
 class StateSpaceTooLarge(HyperoctError):
-    """2^n * n! exceeds the configured cap."""
+    """2^n * n! states are too many for a dense transition matrix."""
 
 
 class HypothesesNotMet(HyperoctError):

@@ -3,12 +3,11 @@
 Everything here returns certified exact facts, never probabilistic ones:
 
 - A mod-p elimination bounds the rank from below, hence the nullity from
-  above (an unlucky prime only weakens the bound, never breaks it).
-- Exactly verified kernel vectors bound the nullity from below.
-- When the two bounds meet, the dimension is proved.  Kernel vectors come
-  either from the caller (e.g. eigenvectors with verified eigen-equations)
-  or from lifting the mod-p reduced-echelon kernel by rational
-  reconstruction, followed by exact verification over ZZ.
+  above (an unlucky prime only weakens the bound, never breaks it).  So
+  full rank mod one prime proves rows independent.
+- Exactly verified kernel vectors, e.g. eigenvectors with verified
+  eigen-equations, bound the nullity from below; when the two bounds
+  meet, the dimension is proved.
 - `annihilation_power` builds P = Π(A − λ) exactly and finds the least
   s with A^s·P = 0.  That identity puts the image of P inside the
   generalized 0-eigenspace, so rank P bounds the multiplicity of 0 from
@@ -49,15 +48,13 @@ Python integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import CertificationError
 
-# Primes just below 2^26, for elimination and kernels mod p: residues are
+# Primes just below 2^26, for elimination mod p: residues are
 # below 2^26, so `_mulmod` keeps 64-term dot products exact in float64 by
 # splitting one factor into 13-bit halves.
 PRIMES = (67108859, 67108837, 67108819, 67108777, 67108763, 67108729, 67108693)
@@ -245,21 +242,6 @@ def rank_mod(A: np.ndarray, p: int) -> int:
     return len(rref_mod(A, p)[1])
 
 
-def nullspace_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int], list[int]]:
-    """Kernel basis of A mod p in reduced-echelon parametrization.
-
-    Returns (basis, pivots, free_cols); basis row b has b[free] = 1 at its
-    own free column, 0 at the others, and −R[i, free] at pivot column i.
-    """
-    R, pivots = rref_mod(A, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(R.shape[1]) if c not in pivot_set]
-    basis = np.zeros((len(free), R.shape[1]), dtype=np.int64)
-    basis[np.arange(len(free)), free] = 1
-    basis[:, pivots] = (-R[: len(pivots), free].T) % p
-    return basis, pivots, free
-
-
 def nullity_upper_bound(A, primes: int = 2) -> int:
     """Certified upper bound on dim_QQ ker(A): min over primes of n − rank_p."""
     M = _int_matrix(A)
@@ -274,119 +256,18 @@ def nullity_upper_bound(A, primes: int = 2) -> int:
     return best
 
 
-# ---------------------------------------------------------------------------
-# rational reconstruction and certified kernels
-
-
-def rational_reconstruct(r: int, m: int) -> Optional[Fraction]:
-    """The unique n/d with |n|, d <= sqrt(m/2) and n ≡ d·r (mod m), if any."""
-    r %= m
-    bound = int((m // 2) ** 0.5)
-    old_r, cur_r = m, r
-    old_s, cur_s = 0, 1
-    while cur_r > bound:
-        q = old_r // cur_r
-        old_r, cur_r = cur_r, old_r - q * cur_r
-        old_s, cur_s = cur_s, old_s - q * cur_s
-    num, den = cur_r, cur_s
-    if den == 0:
-        return None
-    if den < 0:
-        num, den = -num, -den
-    if den > bound or gcd(den, m) != 1:
-        return None
-    g = gcd(num, den)
-    return Fraction(num // g, den // g)
-
-
-def _crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
-    inv = pow(m1 % m2, -1, m2)
-    return (r1 + m1 * (((r2 - r1) * inv) % m2)) % (m1 * m2)
-
-
-def kernel_certified(A) -> tuple[int, list[list[Fraction]]]:
-    """Exact kernel basis of an integer matrix with certified dimension.
-
-    Lifted vectors are verified over ZZ; their reduced-echelon shape makes
-    them independent; the mod-p nullity matches, so no further kernel vectors
-    can exist.  Raises CertificationError if lifting fails for all primes
-    (possible when kernel entries are astronomically large).
-    """
-    M = _int_matrix(A)
-    if M.shape[0] == 0:
-        return 0, []
-    collected: list[tuple[int, np.ndarray, tuple[int, ...]]] = []
-    best_rank = -1
-    best_pivots: Optional[tuple[int, ...]] = None
-    for p in PRIMES:
-        basis, pivots, _ = nullspace_mod(M, p)
-        pv = tuple(pivots)
-        if len(pivots) > best_rank:
-            best_rank = len(pivots)
-            best_pivots = pv
-            collected = [(p, basis, pv)]
-        elif pv == best_pivots:
-            collected.append((p, basis, pv))
-        lifted = _lift_and_verify(M, [(q, b) for q, b, _ in collected])
-        if lifted is not None:
-            return len(lifted), lifted
-    raise CertificationError("kernel lifting failed for all configured primes")
-
-
-def _lift_and_verify(
-    M: np.ndarray, residue_bases: list[tuple[int, np.ndarray]]
-) -> Optional[list[list[Fraction]]]:
-    p0, b0 = residue_bases[0]
-    k, n = b0.shape
-    if k == 0:
-        return []
-    modulus = p0
-    combined = b0.tolist()
-    for p, b in residue_bases[1:]:
-        for i in range(k):
-            row = combined[i]
-            brow = b[i]
-            for j in range(n):
-                row[j] = _crt_pair(row[j], modulus, int(brow[j]), p)
-        modulus *= p
-    basis: list[list[Fraction]] = []
-    for i in range(k):
-        vec = []
-        for j in range(n):
-            f = rational_reconstruct(combined[i][j], modulus)
-            if f is None:
-                return None
-            vec.append(f)
-        basis.append(vec)
-    rows = M.tolist()
-    for vec in basis:
-        den = 1
-        for f in vec:
-            den = den * f.denominator // gcd(den, f.denominator)
-        ivec = [int(f * den) for f in vec]
-        support = [(j, v) for j, v in enumerate(ivec) if v]
-        for row in rows:
-            if sum(row[j] * v for j, v in support) != 0:
-                return None
-    return basis
-
-
 def independent_certificate(vectors) -> bool:
     """Prove linear independence over QQ of integer row vectors.
 
-    Full rank mod any prime is a proof; as a fallback the transpose kernel is
-    certified exactly.
+    Full rank mod a prime is a proof.  False means that none of three
+    primes gave full rank: dependent rows, or (rarely) three unlucky primes.
     """
     M = _int_matrix(vectors)
     if M.shape[0] == 0:
         return True
     if M.shape[0] > M.shape[1]:
         return False
-    for p in PRIMES[:3]:
-        if rank_mod(M, p) == M.shape[0]:
-            return True
-    dim, _ = kernel_certified(M.T)
-    return dim == 0
+    return any(rank_mod(M, p) == M.shape[0] for p in PRIMES[:3])
 
 
 # ---------------------------------------------------------------------------

@@ -187,12 +187,17 @@ def _states(n: int) -> tuple[SignedWord, ...]:
     return tuple(signed_permutations(n))
 
 
-def transition_matrix(spec: ShuffleSpec, cap: int = 5) -> TransitionMatrix:
-    """Exact 2^n n!-state transition matrix of the shuffle."""
+# The largest deck size of `transition_matrix`: the dense `counts` of
+# n = 6 alone would take 17 GB.
+_MAX_N = 5
+
+
+def transition_matrix(spec: ShuffleSpec) -> TransitionMatrix:
+    """Exact 2^n n!-state transition matrix of the shuffle, for n <= 5."""
     size = 2**spec.n * math.factorial(spec.n)
-    if spec.n > cap:
+    if spec.n > _MAX_N:
         raise StateSpaceTooLarge(
-            f"2^{spec.n}*{spec.n}! = {size} states exceeds cap n <= {cap}"
+            f"2^{spec.n}*{spec.n}! = {size} states exceeds the limit n <= {_MAX_N}"
         )
     states = _states(spec.n)
     T = spec.operator()
@@ -553,7 +558,13 @@ def exact_stat_expectation(
 
     The mass after t steps is a^(nt) in all, so every partial sum is at most
     a^(nt)·max|stat|; past int64 the same products run on Python integers.
+    Raises BadCount for t < 0 and SizeMismatch unless there is one stat
+    value per state.
     """
+    if t < 0:
+        raise BadCount(f"need t >= 0, got t={t}")
+    if len(stat_values) != tm.size:
+        raise SizeMismatch(f"{len(stat_values)} stat values for {tm.size} states")
     bound = tm.scale**t * max(1, max(map(abs, stat_values), default=0))
     dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
     v = np.zeros(tm.size, dtype=dtype)

@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+import time
 from collections import Counter
 
 import pytest
@@ -149,6 +150,16 @@ def test_compose_verify(capsys):
     assert all(entry["comp"] for entry in data["operator"])
 
 
+def test_compose_verify_degree_6_is_quick(capsys):
+    # 46,080 signed permutations: the identity is checked on one word, so
+    # no 46,080² matrix is built
+    start = time.perf_counter()
+    code, out, _ = run_cli(["compose", "--left", "2b,1,3", "--right", "1,3b,2", "--verify"], capsys)
+    elapsed = time.perf_counter() - start
+    assert code == 0 and json.loads(out)["verified"] is True
+    assert elapsed < 1.0
+
+
 def test_stationary(capsys):
     code, out, _ = run_cli(
         ["stationary", "--n", "2", "--a", "2", "--sign", "plus", "--flavor", "flip"],
@@ -218,6 +229,11 @@ def test_verify_all_n3(tmp_path, capsys):
     assert len(rows) == 79
     assert [r for r in rows if r["status"] == "fail"] == []
     assert Counter(r["name"] for r in rows) == VERIFY_ALL_N3_ROWS
+    # the SHA-256 of the file as the matrix route of the composition checks
+    # wrote it: any change to a row's status, detail or params shows here
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "40b771de1d18b82b1249773e239b8180cf329d8a114379d690a864087310e357"
+    )
 
 
 def test_console_script_entrypoint():

@@ -2,7 +2,6 @@ import itertools
 import math
 import random
 from collections import Counter
-from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -11,27 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 from hyperoct import CertificationError, HyperoctError, ShuffleSpec, exactla
 from hyperoct.spectral import shuffle_multiplicities
-
-
-def fraction_gauss_rank(rows):
-    """Oracle: plain Gaussian elimination over Fraction."""
-    M = [[Fraction(x) for x in row] for row in rows]
-    rank = 0
-    cols = len(M[0]) if M else 0
-    r = 0
-    for c in range(cols):
-        piv = next((i for i in range(r, len(M)) if M[i][c]), None)
-        if piv is None:
-            continue
-        M[r], M[piv] = M[piv], M[r]
-        M[r] = [x / M[r][c] for x in M[r]]
-        for i in range(len(M)):
-            if i != r and M[i][c]:
-                f = M[i][c]
-                M[i] = [a - f * b for a, b in zip(M[i], M[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 def rref_mod_per_pivot(A, p):
@@ -108,38 +86,11 @@ def berkowitz_matches(A, predicted):
     return poly == [1]
 
 
-@given(st.integers(0, 10_000), st.integers(2, 50))
-def test_rational_reconstruct_roundtrip(num, den):
-    m = 67108859 * 67108837
-    f = Fraction(num, den)
-    residue = (f.numerator * pow(f.denominator, -1, m)) % m
-    assert exactla.rational_reconstruct(residue, m) == f
-
-
 def test_rref_mod_rank():
     p = exactla.PRIMES[0]
     A = np.array([[1, 2, 3], [2, 4, 6], [0, 1, 1]], dtype=np.int64)
     R, pivots = exactla.rref_mod(A, p)
     assert len(pivots) == 2
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(-9, 9), min_size=4, max_size=4), min_size=2, max_size=6))
-def test_kernel_certified_matches_oracle(rows):
-    dim, basis = exactla.kernel_certified(rows)
-    assert dim == 4 - fraction_gauss_rank(rows)
-    for vec in basis:
-        for row in rows:
-            assert sum(Fraction(r) * v for r, v in zip(row, vec)) == 0
-
-
-def test_kernel_certified_structured():
-    # kernel spanned by (1, 1, 1)
-    rows = [[1, -2, 1], [2, -1, -1]]
-    dim, basis = exactla.kernel_certified(rows)
-    assert dim == 1
-    v = basis[0]
-    assert v[0] == v[1] == v[2] != 0
 
 
 def test_rank_and_independence():

@@ -66,7 +66,7 @@ def test_transition_n1_flip_minus(tm_cache):
 
 def test_state_space_cap():
     with pytest.raises(StateSpaceTooLarge):
-        transition_matrix(ShuffleSpec(6, 2, "+", FLIP), cap=5)
+        transition_matrix(ShuffleSpec(6, 2, "+", FLIP))
 
 
 @pytest.mark.parametrize("a,sign,flavor", [(2, "+", FLIP), (3, "-", ROTATION)])
@@ -439,6 +439,18 @@ def test_expectation_past_int64(tm_cache):
     w0 = W("3 -2 1")
     for t in (13, 14, 20):
         assert exact_stat_expectation(tm, w0, t, desvec) == expected_descents(spec, w0, t)
+
+
+def test_expectation_refuses_a_negative_step_count(tm_cache):
+    tm = tm_cache(2, 2, "+", FLIP)
+    with pytest.raises(BadCount, match="t=-1"):
+        exact_stat_expectation(tm, W("2 1"), -1, [des(s) for s in tm.states])
+
+
+def test_expectation_refuses_a_stat_of_the_wrong_length(tm_cache):
+    tm = tm_cache(2, 2, "+", FLIP)
+    with pytest.raises(SizeMismatch, match="7 stat values for 8 states"):
+        exact_stat_expectation(tm, W("2 1"), 1, [des(s) for s in tm.states][:-1])
 
 
 def test_expectation_exact_under_optimize():

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 from fractions import Fraction
@@ -5,7 +6,22 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from hyperoct import ROTATION, AlgebraElement, CodeOverflow, NotIntegral, ShuffleSpec, signed_permutations
+from hyperoct import (
+    CONCAT,
+    ROTATION,
+    SHUFFLE,
+    AlgebraElement,
+    CodeOverflow,
+    DecoratedComposition,
+    DescentOperator,
+    NotIntegral,
+    ShuffleSpec,
+    compose_law,
+    decorated_compositions,
+    operator_matrix,
+    riffle_operator,
+    signed_permutations,
+)
 from hyperoct import verify
 from hyperoct.verify import _eigen_equations_hold, _int_vector, check_chain_spectra, check_subdominant
 from conftest import W
@@ -193,3 +209,82 @@ def test_sampler_agreement_refuses_a_deck_outside_the_labels(monkeypatch):
     with pytest.raises(KeyError) as info:
         verify.check_sampler_agreement(3)
     assert info.value.args == ((4, -3, 1),)
+
+
+# --- the one-word route of the identity checks against the matrix route -----
+
+
+def _matrix_verdict(T, factors, algebra, states, mat):
+    """Whether T = F_1 ∘ ⋯ ∘ F_k as matrices on the states: rows are inputs,
+    so the composite is M(F_k)···M(F_1)."""
+    lhs = np.eye(len(states), dtype=np.int64)
+    for F in factors:
+        lhs = mat(F) @ lhs
+    return bool((lhs == mat(T)).all())
+
+
+def _matrices(states, algebra):
+    """The matrix of an operator on the states, built once per operator."""
+    cache = {}
+
+    def mat(T):
+        key = tuple(T.canonical_items())
+        if key not in cache:
+            cache[key] = operator_matrix(T, states, algebra)
+        return cache[key]
+
+    return mat
+
+
+def test_one_word_verdicts_match_the_matrices_on_the_composition_law():
+    verdicts = Counter()
+    for n in (1, 2, 3):
+        states = signed_permutations(n)
+        for algebra, kind in ((SHUFFLE, "commutative"), (CONCAT, "cocommutative")):
+            mat = _matrices(states, algebra)
+            for flavor in verify.BOTH_FLAVORS:
+                Ds = list(decorated_compositions(n, flavor))
+                for D, Dp in itertools.product(Ds, Ds):
+                    factors = [DescentOperator.elementary(D), DescentOperator.elementary(Dp)]
+                    # the law's prediction, and the prediction with the factors swapped
+                    for T in (compose_law(D, Dp, kind), compose_law(Dp, D, kind)):
+                        got = verify._composes_to(T, factors, algebra)
+                        assert got == _matrix_verdict(T, factors, algebra, states, mat), (str(D), str(Dp), algebra)
+                        verdicts[got] += 1
+    assert verdicts[True] and verdicts[False]  # a helper that always passes fails here
+
+
+def test_one_word_verdicts_match_the_matrices_on_zero_parts():
+    states = signed_permutations(2)
+    for flavor in verify.BOTH_FLAVORS:
+        base = DescentOperator.elementary(DecoratedComposition.from_sizes((1, 1), (0,), flavor))
+        same = DecoratedComposition.from_sizes((0, 1, 0, 1, 0), (1,), flavor)
+        other = DecoratedComposition.from_sizes((0, 1, 1), (2,), flavor)
+        for algebra in (SHUFFLE, CONCAT):
+            mat = _matrices(states, algebra)
+            for D, want in ((same, True), (other, False)):
+                factors = [DescentOperator.elementary(D)]
+                assert verify._composes_to(base, factors, algebra) is want
+                assert _matrix_verdict(base, factors, algebra, states, mat) is want
+
+
+def test_one_word_verdicts_match_the_matrices_on_riffle_composites():
+    n = 3
+    states = signed_permutations(n)
+    verdicts = Counter()
+    outside = Counter()
+    for algebra in (SHUFFLE, CONCAT):
+        mat = _matrices(states, algebra)
+        commutative = algebra == SHUFFLE
+        for (a, b), flavor in itertools.product(itertools.product((2, 3), repeat=2), verify.BOTH_FLAVORS):
+            hypo = (a if commutative else b) % 2 == 1 or flavor is verify.Decoration.TBAR
+            for s1, s2, sign in itertools.product("+-", repeat=3):
+                T = riffle_operator(a * b, sign, flavor, n)
+                factors = [riffle_operator(a, s1, flavor, n), riffle_operator(b, s2, flavor, n)]
+                got = verify._composes_to(T, factors, algebra)
+                assert got == _matrix_verdict(T, factors, algebra, states, mat), (a, b, flavor, algebra, s1, s2, sign)
+                verdicts[got] += 1
+                if not hypo and sign == verify.riffle_composite_sign(s1, s2, a, b, flavor, commutative):
+                    outside[got] += 1
+    assert verdicts[True] and verdicts[False]
+    assert outside[False]  # the counterexamples the check reports outside the hypotheses
