@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -46,13 +45,6 @@ def _dump(obj, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _default_seed(args_seed):
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("HYPEROCT_SEED")
-    return int(env) if env else None
-
-
 def _add_chain_flags(p: argparse.ArgumentParser, sign_default="plus") -> None:
     p.add_argument("--n", type=int, required=True, help="deck size")
     p.add_argument("--a", type=int, required=True, help="number of piles/hands")
@@ -76,6 +68,8 @@ def cmd_spectrum(args) -> int:
         ]
         _dump({"operator": str(D), "n": n, "eigenvalues": rows}, args.out)
         return 0
+    if args.n is None or args.a is None:
+        raise HyperoctError("spectrum needs --op, or both --n and --a")
     spec = ShuffleSpec(args.n, args.a, _SIGNS[args.sign], args.flavor)
     rows = [
         {"eigenvalue": str(v), "multiplicity": m}
@@ -169,9 +163,8 @@ def cmd_matrix(args) -> int:
 def cmd_simulate(args) -> int:
     spec = ShuffleSpec(args.n, args.a, _SIGNS[args.sign], args.flavor)
     start = SignedWord.parse(args.start) if args.start else SignedWord(range(1, args.n + 1))
-    seed = _default_seed(args.seed)
-    out = simulate(spec, start, args.steps, args.trials, seed, args.stat)
-    if spec.flavor == "flip" and args.stat == "descents":
+    out = simulate(spec, start, args.steps, args.trials, args.seed)
+    if spec.flavor == "flip":
         out["expected"] = [
             str(expected_descents(spec, start, t)) for t in range(1, args.steps + 1)
         ]
@@ -279,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_chain_flags(sim)
     sim.add_argument("--steps", type=int, default=1)
     sim.add_argument("--trials", type=int, default=100_000)
-    sim.add_argument("--seed", type=int, default=None, help="default: HYPEROCT_SEED")
-    sim.add_argument("--stat", choices=["descents"], default="descents")
+    sim.add_argument("--seed", type=int, default=None, help="default: fresh entropy")
     sim.add_argument("--start", help="starting deck, e.g. '3 2 1'")
     sim.add_argument("--out")
     sim.set_defaults(fn=cmd_simulate)

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CodeOverflow, FlavorMismatch, NotHomogeneous, SizeMismatch
+from .errors import BadCount, CodeOverflow, FlavorMismatch, NotHomogeneous, SizeMismatch
 from .words import AlgebraElement, SignedWord, WordLike, as_word, exact_coeff
 from . import algebra as alg
 
@@ -108,7 +108,10 @@ class DecoratedComposition:
         for tok in text.strip().split(","):
             tok = tok.strip()
             suffix = tok[-1] if tok and tok[-1] in "bt" else ""
-            size = int(tok[: len(tok) - len(suffix)])
+            try:
+                size = int(tok[: len(tok) - len(suffix)])
+            except ValueError:
+                raise SizeMismatch(f"part {tok!r} of {text!r} is not a size") from None
             parts.append((size, _FROM_SUFFIX[suffix]))
         return cls(tuple(parts))
 
@@ -240,9 +243,16 @@ def _label_programs(
     return src, pile_sign[labels]
 
 
+def _piles(D: DecoratedComposition) -> DecoratedComposition:
+    """D without its empty parts, which deal no card: the one key under
+    which ``_programs`` compiles every D that has the same table."""
+    return DecoratedComposition(tuple(p for p in D.parts if p[0]))
+
+
 @functools.lru_cache(maxsize=4096)
 def _programs(D: DecoratedComposition, algebra: str) -> tuple[np.ndarray, np.ndarray]:
-    """The programs of m∘Δ_D as read-only P×n arrays (src, sign)."""
+    """The programs of m∘Δ_D as read-only P×n arrays (src, sign).  Callers
+    pass ``_piles(D)``, so that each table compiles once."""
     if algebra not in (alg.SHUFFLE, alg.CONCAT):
         raise ValueError(f"unknown algebra {algebra!r}")
     piles = [(s, d) for s, d in D.parts if s]  # an empty part deals no card
@@ -273,7 +283,7 @@ def elementary_action(D: DecoratedComposition, w: WordLike, algebra: str) -> Ite
     w = tuple(as_word(w))
     if D.total != len(w):
         raise SizeMismatch(f"{D} does not split a degree-{len(w)} word")
-    src, sign = _programs(D, algebra)
+    src, sign = _programs(_piles(D), algebra)
     for row, signs in zip(src.tolist(), sign.tolist()):
         yield tuple(g * w[i] for i, g in zip(row, signs))
 
@@ -474,7 +484,7 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     if not T.terms:
         return AlgebraElement.zero()
     words, coeffs = zip(*x)
-    tables = [_programs(D, algebra) for D in T.terms]
+    tables = [_programs(_piles(D), algebra) for D in T.terms]
     src = np.concatenate([s for s, _ in tables])
     sign = np.concatenate([g for _, g in tables])
 
@@ -507,7 +517,7 @@ def riffle_operator(a: int, sign: str, flavor: Decoration, n: int) -> DescentOpe
     """The a-handed riffle operator: all a-part compositions of n, decorating
     even-indexed parts (sign '+') or odd-indexed parts (sign '-'), 1-based."""
     if a < 1:
-        raise ValueError("a must be >= 1")
+        raise BadCount(f"need a >= 1, got a={a}")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if flavor not in (Decoration.BAR, Decoration.TBAR):
@@ -683,7 +693,7 @@ def image_table(
     if any(c.denominator != 1 for c in T.terms.values()):
         raise ValueError("operator_matrix needs integer coefficients")
     W, m, lookup = _state_codes(tuple(states), n)
-    tables = [_programs(D, algebra) for D in T.terms]
+    tables = [_programs(_piles(D), algebra) for D in T.terms]
     images = np.empty((sum(len(src) for src, _ in tables), len(states)), dtype=np.int32)
     coeffs = np.empty(len(images), dtype=np.int64)
     k = 0

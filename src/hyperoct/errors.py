@@ -42,7 +42,7 @@ class NotAState(HyperoctError):
 
 
 class BadCount(HyperoctError):
-    """A step or trial count is out of range."""
+    """A count (cards, piles, steps or trials) is out of range."""
 
 
 class StateSpaceTooLarge(HyperoctError):

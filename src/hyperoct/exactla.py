@@ -242,14 +242,15 @@ def rank_mod(A: np.ndarray, p: int) -> int:
     return len(rref_mod(A, p)[1])
 
 
-def nullity_upper_bound(A, primes: int = 2) -> int:
-    """Certified upper bound on dim_QQ ker(A): min over primes of n − rank_p."""
+def nullity_upper_bound(A) -> int:
+    """Certified upper bound on dim_QQ ker(A): min over two primes of
+    n − rank_p."""
     M = _int_matrix(A)
     if M.shape[0] == 0:
         return 0
     n = M.shape[1]
     best = n
-    for p in PRIMES[:primes]:
+    for p in PRIMES[:2]:
         best = min(best, n - rank_mod(M, p))
         if best == 0:
             break

@@ -43,7 +43,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import CodeOverflow, EmptyWord, NotLyndon, OutsideBasis, SingleLetter
+from .errors import BadCount, CodeOverflow, EmptyWord, NotLyndon, OutsideBasis, SingleLetter
 from .words import AlgebraElement, SignedWord, WordLike, as_word, word_lex_key
 from .algebra import lie_bracket
 from .descent import (
@@ -153,8 +153,10 @@ def build_eigenvector(w: WordLike, a: int, sign: str, flavor: Decoration) -> tup
     Ranking is exact: it keeps the alphabet order and the bars, so the
     Lyndon factorization and its classification do not change.  Codes and
     coefficients are int64 under the bounds of the module docstring, and
-    Python integers past them.
+    Python integers past them.  Raises BadCount for a < 1.
     """
+    if a < 1:
+        raise BadCount(f"need a >= 1, got a={a}")
     w = as_word(w)
     if not w:
         raise EmptyWord("no eigenvector for the empty word")
@@ -338,9 +340,11 @@ def eigenvector_matrix(
     written over the states.  Each bracketing is built once per Lyndon
     word, and coefficients are int64 under the bounds of the module
     docstring, past which CodeOverflow is raised.  Raises KeyError naming
-    a word of an eigenvector that is not a state, and the errors of
-    ``descent._state_codes`` for the states.
+    a word of an eigenvector that is not a state, BadCount for a < 1, and
+    the errors of ``descent._state_codes`` for the states.
     """
+    if a < 1:
+        raise BadCount(f"need a >= 1, got a={a}")
     n = len(states[0]) if len(states) else 0
     if n == 0 and len(states):
         raise EmptyWord("no eigenvector for the empty word")

@@ -22,10 +22,11 @@ and unique stationarity.  The dense ``counts`` is kept for output
 (``to_json``, ``to_csv``) and for the certificates of ``exactla``.
 
 K is doubly stochastic (its columns sum to 1 as well as its rows), so the
-uniform law is stationary and every state is recurrent.  Then the fixed
-space of K^T has one dimension per communicating class (Levin, Peres and
-Wilmer, Markov Chains and Mixing Times, ch. 1), so the stationary law is
-unique if and only if the transition graph is strongly connected.
+uniform law is stationary and, as it charges every state, every state is
+recurrent.  Then the fixed space of K^T has one dimension per communicating
+class, and every class is closed (Levin, Peres and Wilmer, Markov Chains
+and Mixing Times, ch. 1).  So the stationary law is unique if and only if
+state 0 reaches every state: no reverse search is needed.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class ShuffleSpec:
 
     def __post_init__(self):
         if self.n < 1 or self.a < 1:
-            raise ValueError("need n >= 1 and a >= 1")
+            raise BadCount(f"need n >= 1 and a >= 1, got n={self.n}, a={self.a}")
         if self.flavor not in (ROTATION, FLIP):
             raise ValueError(f"flavor must be 'rotation' or 'flip', got {self.flavor!r}")
         if self.sign not in _SIGNS:
@@ -271,16 +272,13 @@ def simulate(
     steps: int,
     trials: int,
     seed: Optional[int] = None,
-    stat: str = "descents",
 ) -> dict:
-    """Monte Carlo trajectories; returns per-step means of the statistic.
+    """Monte Carlo trajectories; returns per-step means of the descent count.
 
     Raises SizeMismatch when the start deck does not have spec.n cards,
     NotAState when it is not a signed permutation of 1..n, and BadCount for
     steps < 0 or trials < 1.
     """
-    if stat != "descents":
-        raise ValueError(f"unknown statistic {stat!r}")
     start = as_word(start)
     if len(start) != spec.n:
         raise SizeMismatch(f"a start deck of {len(start)} cards for a {spec.n}-card shuffle")
@@ -301,7 +299,7 @@ def simulate(
         "steps": steps,
         "trials": trials,
         "seed": seed,
-        "stat": stat,
+        "stat": "descents",
         "means": means,
     }
 
@@ -500,48 +498,37 @@ def stationary_distribution(spec: ShuffleSpec) -> list[Fraction]:
     return [Fraction(1, size)] * size
 
 
-def _reaches_all(indptr: np.ndarray, adj: np.ndarray) -> bool:
-    """Does breadth-first search from vertex 0 reach every vertex of the
-    graph whose out-neighbours of i are adj[indptr[i]:indptr[i + 1]]?"""
-    seen = np.zeros(len(indptr) - 1, dtype=bool)
+def _reaches_all(images: np.ndarray) -> bool:
+    """Does breadth-first search from state 0 reach every state of the graph
+    with the edges i → images[i, k]?"""
+    seen = np.zeros(len(images), dtype=bool)
     seen[0] = True
     frontier = np.array([0])
     while len(frontier):
-        starts, lengths = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
-        offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        nxt = np.unique(adj[np.repeat(starts, lengths) + offsets])
+        nxt = np.unique(images[frontier])
         frontier = nxt[~seen[nxt]]
         seen[frontier] = True
     return bool(seen.all())
-
-
-def _strongly_connected(images: np.ndarray) -> bool:
-    """Does state 0 reach every state, and every state reach state 0, in the
-    graph with the edges i → images[i, k]?"""
-    size, width = images.shape
-    forward = images.ravel()
-    backward = np.argsort(forward, kind="stable") // width  # sources, by target
-    back_ptr = np.concatenate(([0], np.cumsum(np.bincount(forward, minlength=size))))
-    return _reaches_all(np.arange(size + 1) * width, forward) and _reaches_all(
-        back_ptr, backward
-    )
 
 
 def stationary_is_unique(tm: TransitionMatrix) -> bool:
     """Certify that the fixed space of K^T is exactly 1-dimensional.
 
     Every column of K summing to 1 (checked exactly, on the table) puts the
-    uniform law in the fixed space and makes K doubly stochastic, so every
-    state is recurrent and the fixed space has one dimension per
-    communicating class.  The law is then unique iff the transition graph
-    is strongly connected: every state is reachable from state 0 and
-    reaches it.  Both searches run over the image table in O(N·a^n).
+    uniform law in the fixed space and makes K doubly stochastic.  A finite
+    doubly stochastic chain has no transient state: the uniform law is
+    stationary and charges every state, and a stationary law charges no
+    transient state.  So every state is recurrent, the communicating
+    classes are closed, and the fixed space has one dimension per class.
+    If state 0 reaches every state, they all lie in state 0's class, and
+    the law is unique; if not, the states it misses form another class.
+    One forward search over the image table decides it, in O(N·a^n).
     Chains with n <= 2 (at most 8 states) must also pass a mod-p bound on
     dim ker(K^T − I).
     """
     if not tm.col_sums_exact():
         return False
-    connected = _strongly_connected(tm.images)
+    connected = _reaches_all(tm.images)
     if tm.spec.n <= 2:
         # bench/test_bench.py traces exactla.rref_mod through this call on an
         # n = 2 chain; at n >= 3 the O(N^3) elimination would dominate.

@@ -206,13 +206,11 @@ def riffle_spectrum(
     b: Sequence[int],
     b_bar: Sequence[int],
     n: int,
-    dim: int = None,
 ) -> list[tuple[int, int]]:
     """Spectrum of the (unscaled) riffle operator on a degree-n component with
     primitive counts b, b̄: list of (eigenvalue, multiplicity), sorted by
-    descending eigenvalue.  For even a, ``dim`` (the component's dimension)
-    fixes the multiplicity of the eigenvalue 0; it defaults to the PBW count
-    derived from b and b̄.
+    descending eigenvalue.  For even a, the component's dimension, the PBW
+    count derived from b and b̄, fixes the multiplicity of the eigenvalue 0.
     """
 
     def get(seq, i):
@@ -236,13 +234,10 @@ def riffle_spectrum(
             if m:
                 out.append((a**l, m))
                 total += m
-        if dim is None:
-            full = _series_one(n)
-            for i in range(1, n + 1):
-                full = _series_mul(
-                    full, _geometric_factor(0, i, get(b, i) + get(b_bar, i), n), n
-                )
-            dim = coeff(full, 0)
+        full = _series_one(n)
+        for i in range(1, n + 1):
+            full = _series_mul(full, _geometric_factor(0, i, get(b, i) + get(b_bar, i), n), n)
+        dim = coeff(full, 0)
         if dim - total:
             out.append((0, dim - total))
     elif sign == "+":

@@ -128,7 +128,7 @@ def test_matrix_and_determinism(tmp_path, capsys):
 
 def test_simulate_determinism(tmp_path, capsys):
     args = ["simulate", "--n", "3", "--a", "2", "--flavor", "flip", "--steps", "2",
-            "--trials", "5000", "--seed", "7", "--stat", "descents"]
+            "--trials", "5000", "--seed", "7"]
     f1, f2 = tmp_path / "s1.json", tmp_path / "s2.json"
     run_cli(args + ["--out", str(f1)], capsys)
     run_cli(args + ["--out", str(f2)], capsys)
@@ -304,3 +304,24 @@ def test_simulate_refusals(extra, message, capsys):
     code, out, err = run_cli(["simulate", "--a", "2", "--flavor", "flip", "--seed", "1"] + extra, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["spectrum"],
+        ["spectrum", "--a", "2"],
+        ["spectrum", "--n", "0", "--a", "2"],
+        ["spectrum", "--op", "2x,1"],
+        ["spectrum", "--op", "b"],
+        ["compose", "--left", "2,x", "--right", "2"],
+        ["simulate", "--n", "3", "--a", "0", "--flavor", "flip", "--seed", "1"],
+        ["stationary", "--n", "2", "--a", "0", "--flavor", "flip"],
+        ["eigenvector", "--word", "2 1", "--a", "0", "--flavor", "flip"],
+        ["eigenbasis", "--n", "2", "--a", "0", "--flavor", "flip"],
+    ],
+)
+def test_typed_refusals(args, capsys):
+    code, out, err = run_cli(args, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err

@@ -41,7 +41,7 @@ from hyperoct import (
 )
 from hyperoct import descent
 from hyperoct.algebra import _position_splits
-from hyperoct.descent import _label_programs, _programs, elementary_action, image_table
+from hyperoct.descent import _label_programs, _piles, _programs, elementary_action, image_table
 from conftest import W
 
 DC = DecoratedComposition
@@ -623,6 +623,22 @@ def test_program_tables_are_read_only():
             sign[0] = -1
 
 
+def test_empty_parts_share_one_program_table():
+    bare = DC.parse("3t,2")
+    padded = [DC.parse(text) for text in ("0,3t,2", "3t,0,2,0", "0,0,3t,0,2")]
+    assert all(_piles(D) == bare for D in padded)
+    w = W("3 -1 2 -5 4")
+    for algebra in (SHUFFLE, CONCAT):
+        table = _programs(_piles(bare), algebra)
+        assert all(_programs(_piles(D), algebra) is table for D in padded)
+        misses = _programs.cache_info().misses
+        for D in padded:
+            assert apply_elementary(D, w, algebra) == apply_elementary(bare, w, algebra)
+            apply_operator(DescentOperator.elementary(D), w, algebra)
+            image_table(DescentOperator.elementary(D), signed_permutations(5), algebra)
+        assert _programs.cache_info().misses == misses
+
+
 def _reference_programs(D, algebra):
     """The per-split program compiler that preceded the pile-label kernel:
     the concat algebra reads block i of each split as input positions, the
@@ -667,7 +683,7 @@ def test_program_tables_match_the_per_split_reference():
            for D in riffle_operator(a, sign, flavor, n).terms]
     for D in Ds:
         for algebra in (SHUFFLE, CONCAT):
-            src, sign = _programs(D, algebra)
+            src, sign = _programs(_piles(D), algebra)
             want_src, want_sign = _reference_programs(D, algebra)
             assert src.dtype == want_src.dtype and sign.dtype == want_sign.dtype
             assert src.shape == want_src.shape and sign.shape == want_sign.shape, (str(D), algebra)

@@ -42,7 +42,8 @@ from hyperoct import (
 )
 from hyperoct import exactla, markov
 from hyperoct.descent import image_table
-from hyperoct.markov import _family_vector, _strongly_connected
+from hyperoct.errors import BadCount
+from hyperoct.markov import _family_vector, _reaches_all
 from hyperoct.verify import chain_spectrum_certificate
 from conftest import W
 
@@ -50,8 +51,10 @@ from conftest import W
 def test_spec_validation():
     s = ShuffleSpec(3, 2, "plus", "flip")
     assert s.sign == "+"
-    with pytest.raises(ValueError):
+    with pytest.raises(BadCount):
         ShuffleSpec(0, 2, "+", "flip")
+    with pytest.raises(BadCount):
+        ShuffleSpec(2, 0, "+", "flip")
     with pytest.raises(ValueError):
         ShuffleSpec(2, 2, "+", "twist")
 
@@ -316,6 +319,34 @@ def test_simulate_refuses_inputs_outside_its_chain():
 # the image-table chain layer against dense and scalar references
 
 
+def _reference_reaches_all(indptr, adj):
+    """Breadth-first search from vertex 0 over the CSR graph whose
+    out-neighbours of i are adj[indptr[i]:indptr[i + 1]]."""
+    seen = np.zeros(len(indptr) - 1, dtype=bool)
+    seen[0] = True
+    frontier = np.array([0])
+    while len(frontier):
+        starts, lengths = indptr[frontier], indptr[frontier + 1] - indptr[frontier]
+        offsets = np.arange(lengths.sum()) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        nxt = np.unique(adj[np.repeat(starts, lengths) + offsets])
+        frontier = nxt[~seen[nxt]]
+        seen[frontier] = True
+    return bool(seen.all())
+
+
+def _strongly_connected(images):
+    """The two-way search that unique stationarity ran before it read
+    double stochasticity: state 0 reaches every state, and every state
+    reaches state 0 (a forward search over the reversed edges)."""
+    size, width = images.shape
+    forward = images.ravel()
+    backward = np.argsort(forward, kind="stable") // width  # sources, by target
+    back_ptr = np.concatenate(([0], np.cumsum(np.bincount(forward, minlength=size))))
+    return _reference_reaches_all(np.arange(size + 1) * width, forward) and _reference_reaches_all(
+        back_ptr, backward
+    )
+
+
 @pytest.mark.parametrize(
     "a,sign,flavor", [(a, s, f) for a in (1, 2, 3) for s in "+-" for f in (ROTATION, FLIP)]
 )
@@ -325,17 +356,42 @@ def test_strong_connectivity_matches_nullity(tm_cache, a, sign, flavor):
         B = tm.counts.T - tm.scale * np.eye(tm.size, dtype=np.int64)
         want = exactla.nullity_upper_bound(B) == 1
         assert _strongly_connected(tm.images) is want, n
+        assert _reaches_all(tm.images) is want, n
         assert stationary_is_unique(tm) is want, n
         if a == 1 and n >= 2:
             assert want is False
 
 
-def test_strong_connectivity_small_graphs():
-    # a 3-cycle; a path (0 reaches all, nothing reaches 0); two 2-cycles
-    assert _strongly_connected(np.array([[1], [2], [0]], dtype=np.int32))
-    assert not _strongly_connected(np.array([[1], [2], [2]], dtype=np.int32))
-    assert not _strongly_connected(np.array([[1], [0], [3], [2]], dtype=np.int32))
-    assert _strongly_connected(np.array([[0, 1], [1, 0]], dtype=np.int32))
+def test_forward_reach_is_strong_connectivity_on_doubly_stochastic_tables():
+    # every column a permutation of the states, so every state has as many
+    # in-edges as out-edges; half the tables keep two blocks apart
+    rng = np.random.default_rng(14)
+    disconnected = 0
+    for t in range(3000):
+        size, width = int(rng.integers(2, 13)), int(rng.integers(1, 4))
+        if t % 2:
+            cut = int(rng.integers(1, size))
+            order = rng.permutation(size)
+            columns = [
+                np.concatenate([rng.permutation(order[:cut]), rng.permutation(order[cut:])])[np.argsort(order)]
+                for _ in range(width)
+            ]
+        else:
+            columns = [rng.permutation(size) for _ in range(width)]
+        images = np.stack(columns, axis=1).astype(np.int32)
+        want = _strongly_connected(images)
+        disconnected += not want
+        assert _reaches_all(images) is want, images.tolist()
+    assert disconnected >= 1500
+
+
+def test_reaches_all_small_graphs():
+    # a 3-cycle; a path from 0, and the reversed path; two 2-cycles
+    assert _reaches_all(np.array([[1], [2], [0]], dtype=np.int32))
+    assert _reaches_all(np.array([[1], [2], [2]], dtype=np.int32))
+    assert not _reaches_all(np.array([[0], [0], [1]], dtype=np.int32))
+    assert not _reaches_all(np.array([[1], [0], [3], [2]], dtype=np.int32))
+    assert _reaches_all(np.array([[0, 1], [1, 0]], dtype=np.int32))
 
 
 @pytest.mark.parametrize("n,a,sign,flavor", [(2, 2, "+", FLIP), (3, 3, "-", ROTATION), (4, 2, "-", FLIP), (4, 3, "+", ROTATION)])

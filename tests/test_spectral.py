@@ -121,7 +121,7 @@ def test_riffle_spectrum_against_aggregation():
         b, bb = primitive_dimensions(N, n, flavor)
         for a in (1, 2, 3):
             for sign in ("+", "-"):
-                spd = dict(riffle_spectrum(a, sign, flavor, b, bb, n, dim=(2 * N) ** n))
+                spd = dict(riffle_spectrum(a, sign, flavor, b, bb, n))
                 ev = operator_eigenvalues(riffle_operator(a, sign, flavor, n))
                 mg = multiplicity_genfun(b, bb, n)
                 agg = Counter()
@@ -132,7 +132,7 @@ def test_riffle_spectrum_against_aggregation():
 
 def test_riffle_spectrum_a1():
     b, bb = primitive_dimensions(1, 3, Decoration.BAR)
-    spd = riffle_spectrum(1, "+", Decoration.BAR, b, bb, 3, dim=8)
+    spd = riffle_spectrum(1, "+", Decoration.BAR, b, bb, 3)
     assert spd == [(1, 8)]
 
 

@@ -177,17 +177,38 @@ def test_chain_certificate_links_the_proved_matrix_to_the_chain(monkeypatch):
     spec = ShuffleSpec(4, 3, "+", "flip")
     tm = verify.transition_matrix(spec)
     rep = verify.chain_spectrum_certificate(spec, tm)
-    assert rep["ok"] and rep["duality"] and rep["method"] == "full-eigenbasis"
-    real = verify.operator_matrix
+    assert rep["ok"] and rep["eigen_equations"] and rep["method"] == "full-eigenbasis"
+    assert "duality" not in rep
+    counts = tm.counts.copy()
+    counts[5, 7] += 1
+    bad = verify.chain_spectrum_certificate(spec, verify.TransitionMatrix(spec, tm.states, counts, tm.images))
+    assert bad["eigen_equations"] is False and bad["ok"] is False
+    real = verify.eigenvector_matrix
 
-    def corrupted(T, states, algebra, table=None):
-        M = real(T, states, algebra, table)
-        M[5, 7] += 1
-        return M
+    def corrupted(*args):
+        V, mu, words = real(*args)
+        V[5, 7] += 1
+        return V, mu, words
 
-    monkeypatch.setattr(verify, "operator_matrix", corrupted)
-    rep = verify.chain_spectrum_certificate(spec, tm)
-    assert rep["duality"] is False and rep["ok"] is False
+    monkeypatch.setattr(verify, "eigenvector_matrix", corrupted)
+    bad = verify.chain_spectrum_certificate(spec, tm)
+    assert bad["eigen_equations"] is False and bad["ok"] is False
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_chain_certificate_matches_the_concat_side_route(n):
+    # the route the certificate took before it read A itself: the riffle
+    # duality A = Mcᵀ against the concat-algebra matrix Mc, then the left
+    # eigen-equations V·Mc = diag(μ)·V
+    for a, sign, flavor in verify.ALL_SPECS:
+        spec = ShuffleSpec(n, a, sign, flavor)
+        tm = verify.transition_matrix(spec)
+        Mc = operator_matrix(spec.operator(), tm.states, CONCAT)
+        assert (Mc == tm.counts.T).all(), spec
+        V, mu, _ = verify.eigenvector_matrix(tm.states, a, sign, spec.decoration)
+        rep = verify.chain_spectrum_certificate(spec, tm)
+        assert rep["eigen_equations"] is _eigen_equations_hold(V, mu, Mc) is True, spec
+        assert rep["ok"], spec
 
 
 def test_subdominant_rows_carry_their_sizes():
