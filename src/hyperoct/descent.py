@@ -390,6 +390,24 @@ def _state_index(lookup, codes: np.ndarray, m: int, n: int) -> np.ndarray:
     raise KeyError(tuple(code // (2 * m + 1) ** k % (2 * m + 1) - m for k in range(n)))
 
 
+def _word_index(states: tuple[SignedWord, ...], n: int, words: np.ndarray) -> np.ndarray:
+    """The state index of each row of the int64 array ``words``, through the
+    memoized lookup of ``_state_codes(states, n)``.  Raises KeyError naming
+    the first word that is not a state.
+
+    Every word is range-checked before it is coded: a word of another
+    length is not a state, and a label past the states' largest |label| m
+    would carry into the next digit of its code and could alias a state.
+    """
+    _, m, lookup = _state_codes(states, n)
+    if words.shape[1] != n:
+        raise KeyError(tuple(words[0].tolist()))
+    outside = (np.abs(words) > m).any(axis=1)
+    if outside.any():
+        raise KeyError(tuple(words[outside][0].tolist()))
+    return _state_index(lookup, (words + m) @ _powers(m, n, np.int64), m, n)
+
+
 def _merge_codes(codes: np.ndarray, sums: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
     """The distinct codes, sorted, with the sums of their coefficients,
     less the zero sums.  Every code lies in [0, limit) (word codes:

@@ -56,6 +56,7 @@ from .descent import (
     _state_codes,
     _state_index,
 )
+from .spectral import riffle_eigenvalue
 
 
 def is_lyndon(w: WordLike) -> bool:
@@ -271,24 +272,24 @@ def _bracket(u: SignedWord, base: int, memo: dict[SignedWord, Coded]) -> Coded:
 
 def _eigen_assembly(
     kbar: int, a: int, sign: str, flavor: Decoration
-) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
-    """How an eigenvector is assembled from the negating
-    bracketings q_0, ..., q_(kbar−1) (factors 0..kbar−1) and the
-    symmetrized invariant product (factor kbar): the signed orders of the
-    summands, and the sign of the eigenvalue relative to a^k.  Raises
-    OutsideBasis for negating factors under an even-a rotation operator."""
+) -> list[tuple[int, tuple[int, ...]]]:
+    """The signed orders in which an eigenvector is assembled from the
+    negating bracketings q_0, ..., q_(kbar−1) (factors 0..kbar−1) and the
+    symmetrized invariant product (factor kbar).  Its eigenvalue is
+    ``spectral.riffle_eigenvalue``.  Raises OutsideBasis for negating
+    factors under an even-a rotation operator."""
     qs = tuple(range(kbar))
     sym = kbar
     if flavor is Decoration.TBAR:
         if a % 2 == 0:
             order = (sym, *qs) if sign == "+" else (*qs, sym)
-            return [(1, order)], 1 if kbar == 0 else 0
+            return [(1, order)]
         if sign == "+":
-            return [(1, (*qs, sym))], 1
+            return [(1, (*qs, sym))]
         orders = [(1, (*qs, sym))]
         if kbar:
             orders.append((1, (sym, *reversed(qs))))
-        return orders, (-1) ** kbar
+        return orders
     if flavor is Decoration.BAR:
         if a % 2 == 0:
             if kbar:
@@ -296,11 +297,8 @@ def _eigen_assembly(
                     "the word has rotation-negating Lyndon factors; even-a rotation "
                     "operators have no eigenvector for it"
                 )
-            return [(1, (sym,))], 1
-        orders = [
-            (1, (*b1, sym, *reversed(b2))) for b1, b2 in _two_block_setcomps(kbar)
-        ]
-        return orders, 1 if sign == "+" else (-1) ** kbar
+            return [(1, (sym,))]
+        return [(1, (*b1, sym, *reversed(b2))) for b1, b2 in _two_block_setcomps(kbar)]
     raise ValueError("flavor must be BAR or TBAR")
 
 
@@ -308,22 +306,23 @@ def _eigenvector_codes(
     w: SignedWord, a: int, sign: str, flavor: Decoration, m: int, memo: dict[SignedWord, Coded]
 ) -> tuple[Coded, int]:
     """The eigenvector of the word w (labels in [-m, m]) coded in base
-    2m+1, and its eigenvalue: the bracketings of w's Lyndon factors from
-    ``memo`` (seeded by ``_letter_brackets``), assembled as
-    ``_eigen_assembly`` says.  Raises OutsideBasis before any bracketing is
-    built."""
+    2m+1, and its eigenvalue ``riffle_eigenvalue``: the bracketings of w's
+    Lyndon factors from ``memo`` (seeded by ``_letter_brackets``),
+    assembled as ``_eigen_assembly`` says.  Raises ValueError for a bad
+    sign and OutsideBasis before any bracketing is built."""
     base = 2 * m + 1
     ps, qs = [], []
     for u in lyndon_factorize(w):
         (ps if classify_primitive(u, flavor) == "invariant" else qs).append(u)
-    orders, value_sign = _eigen_assembly(len(qs), a, sign, flavor)
+    value = riffle_eigenvalue(a, sign, len(ps), len(qs))
+    orders = _eigen_assembly(len(qs), a, sign, flavor)
     if ps:
         perms = ((1, p) for p in itertools.permutations(range(len(ps))))
         sym = _combine([_bracket(u, base, memo) for u in ps], perms, math.factorial(len(ps)), base)
     else:
         sym = memo[SignedWord._trusted(())]
     coded = _combine([_bracket(u, base, memo) for u in qs] + [sym], orders, len(orders), base)
-    return coded, value_sign * a ** len(ps)
+    return coded, value
 
 
 def eigenvector_matrix(

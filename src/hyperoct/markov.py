@@ -49,7 +49,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .words import SignedWord, WordLike, as_word, signed_permutations
-from .descent import Decoration, _label_programs, image_table, operator_matrix, riffle_operator
+from .descent import Decoration, _label_programs, _word_index, image_table, operator_matrix, riffle_operator
 from . import algebra as alg
 from . import exactla
 from .spectral import shuffle_multiplicities
@@ -114,14 +114,12 @@ class TransitionMatrix:
     def size(self) -> int:
         return len(self.states)
 
-    @functools.cached_property
-    def _index(self) -> dict[SignedWord, int]:
-        return {w: i for i, w in enumerate(self.states)}
-
     def index(self, w: WordLike) -> int:
+        """The index of the state w.  Raises ValueError for a word that is
+        not a state."""
         w = as_word(w)
         try:
-            return self._index[w]
+            return int(_word_index(self.states, self.spec.n, np.array([w], dtype=np.int64))[0])
         except KeyError:
             raise ValueError(f"{w} is not a state of the chain") from None
 
@@ -443,11 +441,6 @@ def _family_vectors(fams: Sequence[tuple[str, tuple]], S: np.ndarray) -> list[np
                     lookup[(u + m) * (2 * m + 1) + (v + m)] = mark
         out.append(value[lookup[pairs].max(axis=1, initial=0)])
     return out
-
-
-def _family_vector(kind: str, indices: tuple, S: np.ndarray) -> np.ndarray:
-    """eigenfunction_value(kind, w, *indices) for every row w of S."""
-    return _family_vectors([(kind, indices)], S)[0]
 
 
 def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None) -> dict:

@@ -3,8 +3,16 @@
 Eigenvalues are indexed by double-partitions (λ, λ̄) of n and given by signed
 counts of compatible set-compositions; multiplicities come from a product of
 multiset-coefficient factors in the primitive dimension counts b_i, b̄_i.
-The riffle-operator spectra and the signed-permutation chain multiplicities
-(with their hyperoctahedral Stirling numbers) get closed forms.
+
+The eigenvectors are indexed by PBW monomials, multisets of Lyndon
+brackets (Reutenauer, Free Lie Algebras, 1993).  The riffle operator's
+eigenvalue on a monomial depends only on its numbers k of invariant and k̄
+of negating factors, by the one rule ``riffle_eigenvalue``.  So
+``riffle_spectrum`` counts monomials by (k, k̄) in plain integers: t[l][d],
+the multisets of l primitives of total degree d, is built one degree at a
+time from multiset coefficients, once for b and once for b̄.  The
+signed-permutation chain multiplicities (Table 1, with the hyperoctahedral
+Stirling numbers) get closed forms.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from .errors import NotIntegral, SizeMismatch
+from .errors import BadCount, SizeMismatch
 from .descent import DecoratedComposition, Decoration, DescentOperator
 
 
@@ -150,127 +158,55 @@ def multiplicity_genfun(
     return out
 
 
-# -- truncated series helpers (univariate in y, with an x-degree slot) ------
+def riffle_eigenvalue(a: int, sign: str, k: int, kbar: int) -> int:
+    """Eigenvalue of the unscaled a-handed riffle operator, of either
+    flavor, on a PBW monomial with k invariant and k̄ negating factors:
+    a^k for odd a and sign '+', (−1)^k̄·a^k for odd a and sign '-', and for
+    even a, a^k when k̄ = 0 and 0 when k̄ > 0.  Raises ValueError for a sign
+    other than '+' or '-'."""
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if a % 2 == 0:
+        return 0 if kbar else a**k
+    return -(a**k) if sign == "-" and kbar % 2 else a**k
 
 
-def _series_mul(f: list[list[Fraction]], g: list[list[Fraction]], n: int) -> list[list[Fraction]]:
-    """Multiply bivariate series truncated at y-degree n; f[l][d] = coeff of x^l y^d."""
-    lmax = len(f) + len(g) - 2
-    out = [[Fraction(0)] * (n + 1) for _ in range(lmax + 1)]
-    for l1, row1 in enumerate(f):
-        for d1, c1 in enumerate(row1):
-            if not c1:
-                continue
-            for l2, row2 in enumerate(g):
-                for d2, c2 in enumerate(row2):
-                    if not c2 or d1 + d2 > n:
-                        continue
-                    out[l1 + l2][d1 + d2] += c1 * c2
-    return out
-
-
-def _series_one(n: int) -> list[list[Fraction]]:
-    row = [Fraction(0)] * (n + 1)
-    row[0] = Fraction(1)
-    return [row]
-
-
-def _geometric_factor(x_power: int, y_power: int, b: int, n: int) -> list[list[Fraction]]:
-    """(1 − x^{x_power} y^{y_power})^{−b}, truncated at y-degree n."""
-    out = _series_one(n)
-    if b == 0 or y_power > n:
-        return out
-    kmax = n // y_power
-    lmax = kmax * x_power
-    f = [[Fraction(0)] * (n + 1) for _ in range(lmax + 1)]
-    for k in range(kmax + 1):
-        f[k * x_power][k * y_power] = Fraction(multichoose(b, k))
-    return f
-
-
-def _signed_geometric_factor(y_power: int, b: int, n: int, plus: bool) -> list[list[Fraction]]:
-    """(1 ± y^{y_power})^{−b} truncated at y-degree n (x-degree 0)."""
-    row = [Fraction(0)] * (n + 1)
-    for k in range(0, n // y_power + 1):
-        c = multichoose(b, k)
-        if plus and k % 2 == 1:
-            c = -c
-        row[k * y_power] = Fraction(c)
-    return [row]
+def _multiset_counts(b: Sequence[int], n: int) -> list[list[int]]:
+    """t[l][d]: the multisets of l primitives with total degree d <= n,
+    from b[i−1] primitives of each degree i, one degree at a time."""
+    t = [[0] * (n + 1) for _ in range(n + 1)]
+    t[0][0] = 1
+    for i in range(1, min(n, len(b)) + 1):
+        new = [row[:] for row in t]
+        for j in range(1, n // i + 1):
+            c = multichoose(b[i - 1], j)
+            for l in range(n + 1 - j):
+                for d in range(n + 1 - i * j):
+                    if t[l][d]:
+                        new[l + j][d + i * j] += c * t[l][d]
+        t = new
+    return t
 
 
 def riffle_spectrum(
-    a: int,
-    sign: str,
-    flavor: Decoration,
-    b: Sequence[int],
-    b_bar: Sequence[int],
-    n: int,
+    a: int, sign: str, b: Sequence[int], b_bar: Sequence[int], n: int
 ) -> list[tuple[int, int]]:
     """Spectrum of the (unscaled) riffle operator on a degree-n component with
     primitive counts b, b̄: list of (eigenvalue, multiplicity), sorted by
-    descending eigenvalue.  For even a, the component's dimension, the PBW
-    count derived from b and b̄, fixes the multiplicity of the eigenvalue 0.
+    descending eigenvalue.  The monomials with l invariant factors of total
+    degree d and l̄ negating ones of degree n − d number
+    t_b[l][d]·t_b̄[l̄][n − d], and each has ``riffle_eigenvalue(a, sign, l, l̄)``.
     """
-
-    def get(seq, i):
-        return seq[i - 1] if 1 <= i <= len(seq) else 0
-
-    base = _series_one(n)
-    for i in range(1, n + 1):
-        base = _series_mul(base, _geometric_factor(1, i, get(b, i), n), n)
-
-    def coeff(series, l: int) -> int:
-        val = series[l][n] if l < len(series) else Fraction(0)
-        if val.denominator != 1:
-            raise NotIntegral(f"multiplicity {val} at power {l}")
-        return int(val)
-
-    out: list[tuple[int, int]] = []
-    if a % 2 == 0:
-        total = 0
-        for l in range(n + 1):
-            m = coeff(base, l)
-            if m:
-                out.append((a**l, m))
-                total += m
-        full = _series_one(n)
-        for i in range(1, n + 1):
-            full = _series_mul(full, _geometric_factor(0, i, get(b, i) + get(b_bar, i), n), n)
-        dim = coeff(full, 0)
-        if dim - total:
-            out.append((0, dim - total))
-    elif sign == "+":
-        series = base
-        for i in range(1, n + 1):
-            series = _series_mul(series, _geometric_factor(0, i, get(b_bar, i), n), n)
-        for l in range(n + 1):
-            m = coeff(series, l)
-            if m:
-                out.append((a**l, m))
-    else:
-        plusf = _series_one(n)
-        minusf = _series_one(n)
-        for i in range(1, n + 1):
-            plusf = _series_mul(plusf, _signed_geometric_factor(i, get(b_bar, i), n, True), n)
-            minusf = _series_mul(minusf, _signed_geometric_factor(i, get(b_bar, i), n, False), n)
-        for l in range(n + 1):
-            pos = Fraction(0)
-            neg = Fraction(0)
-            for d in range(n + 1):
-                if l < len(base) and base[l][d]:
-                    pd = n - d
-                    pc = plusf[0][pd]
-                    mc = minusf[0][pd]
-                    pos += base[l][d] * (pc + mc) / 2
-                    neg += base[l][d] * (mc - pc) / 2
-            if pos.denominator != 1 or neg.denominator != 1:
-                raise NotIntegral(f"multiplicities {pos}, {neg} at power {l}")
-            if pos:
-                out.append((a**l, int(pos)))
-            if neg:
-                out.append((-(a**l), int(neg)))
-    return _merge_spectrum(out)
+    t, t_bar = _multiset_counts(b, n), _multiset_counts(b_bar, n)
+    pairs = (
+        (riffle_eigenvalue(a, sign, l, lbar), c * row[n - d])
+        for l, counts in enumerate(t)
+        for d, c in enumerate(counts)
+        if c
+        for lbar, row in enumerate(t_bar)
+        if row[n - d]
+    )
+    return _merge_spectrum(pairs)
 
 
 def _merge_spectrum(pairs):
@@ -333,8 +269,16 @@ def shuffle_multiplicities(
     even a: a^{k-n} with [x^k] x(x+2)...(x+2n−2), plus 0 with the complement
     to 2^n n!.  odd a, sign '+': [x^k](x+1)(x+3)...(x+2n−1).  odd a, sign '-':
     a^{k-n} with [x^k](x+n−1)(x+1)...(x+2n−3) and −a^{k-n} with
-    [x^k] n(x+1)...(x+2n−3).
+    [x^k] n(x+1)...(x+2n−3).  The empty deck, n = 0, has the one eigenvalue
+    1.  Raises BadCount for a < 1 or n < 0, and ValueError for a sign other
+    than '+' or '-'.
     """
+    if a < 1 or n < 0:
+        raise BadCount(f"need a >= 1 and n >= 0, got a={a}, n={n}")
+    if sign not in ("+", "-"):
+        raise ValueError("sign must be '+' or '-'")
+    if n == 0:
+        return [(Fraction(1), 1)]
     out: list[tuple[Fraction, int]] = []
     if a % 2 == 0:
         poly = poly_mul([0, 1], rising_product(range(2, 2 * n, 2)))

@@ -43,7 +43,7 @@ from hyperoct import (
 from hyperoct import exactla, markov
 from hyperoct.descent import image_table
 from hyperoct.errors import BadCount
-from hyperoct.markov import _family_vector, _reaches_all
+from hyperoct.markov import _family_vectors, _reaches_all
 from hyperoct.verify import chain_spectrum_certificate
 from conftest import W
 
@@ -466,9 +466,9 @@ def test_family_vectors_match_scalar():
                     kinds += ["f_plus", "f_minus"]
                 for kind in kinds:
                     want = [eigenfunction_value(kind, w, i, j) for w in states]
-                    assert _family_vector(kind, (i, j), S).tolist() == want, (kind, i, j)
+                    assert _family_vectors([(kind, (i, j))], S)[0].tolist() == want, (kind, i, j)
             want = [g_fn(i, w) for w in states]
-            assert _family_vector("g", (i,), S).tolist() == want
+            assert _family_vectors([("g", (i,))], S)[0].tolist() == want
 
 
 def test_subdominant_refuses_a1():
@@ -483,8 +483,10 @@ def test_index_lookup(tm_cache):
     for i, w in enumerate(tm.states):
         assert tm.index(w) == i
         assert tm.index(list(w)) == i
-    with pytest.raises(ValueError):
-        tm.index(W("1 1 2"))
+    # not a state, too short, and a label past 3 that would code as -3 -2 1
+    for w in ("1 1 2", "1 2", "4 -3 1"):
+        with pytest.raises(ValueError):
+            tm.index(W(w))
 
 
 def test_expectation_past_int64(tm_cache):

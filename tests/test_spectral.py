@@ -9,6 +9,7 @@ from hyperoct import (
     DecoratedComposition,
     Decoration,
     DescentOperator,
+    BadCount,
     SizeMismatch,
     beta,
     compatible_set_compositions,
@@ -20,6 +21,7 @@ from hyperoct import (
     operator_eigenvalues,
     partitions,
     primitive_dimensions,
+    riffle_eigenvalue,
     riffle_operator,
     riffle_spectrum,
     shuffle_multiplicities,
@@ -116,23 +118,38 @@ def test_multiplicity_genfun_basics():
 
 
 def test_riffle_spectrum_against_aggregation():
-    N, n = 2, 3
+    N = 2
     for flavor in (Decoration.BAR, Decoration.TBAR):
-        b, bb = primitive_dimensions(N, n, flavor)
-        for a in (1, 2, 3):
+        b, bb = primitive_dimensions(N, 5, flavor)
+        for n in range(1, 6):
+            mg = multiplicity_genfun(b, bb, n)
+            for a in (1, 2, 3, 4):
+                for sign in ("+", "-"):
+                    spd = dict(riffle_spectrum(a, sign, b, bb, n))
+                    ev = operator_eigenvalues(riffle_operator(a, sign, flavor, n))
+                    agg = Counter()
+                    for dp, v in ev.items():
+                        agg[int(v)] += mg[dp]
+                    assert {k: v for k, v in agg.items() if v} == spd, (flavor, n, a, sign)
+
+
+def test_riffle_spectrum_is_the_genfun_aggregated_by_the_rule():
+    b = [2**i for i in range(1, 13)]
+    bb = [3**i for i in range(1, 13)]
+    for n in range(13):
+        mg = multiplicity_genfun(b, bb, n)
+        for a in (1, 2, 3, 4):
             for sign in ("+", "-"):
-                spd = dict(riffle_spectrum(a, sign, flavor, b, bb, n))
-                ev = operator_eigenvalues(riffle_operator(a, sign, flavor, n))
-                mg = multiplicity_genfun(b, bb, n)
                 agg = Counter()
-                for dp, v in ev.items():
-                    agg[int(v)] += mg[dp]
-                assert {k: v for k, v in agg.items() if v} == spd, (flavor, a, sign)
+                for (lam, lbar), m in mg.items():
+                    agg[riffle_eigenvalue(a, sign, len(lam), len(lbar))] += m
+                want = sorted(((e, m) for e, m in agg.items() if m), key=lambda t: -t[0])
+                assert riffle_spectrum(a, sign, b, bb, n) == want, (n, a, sign)
 
 
 def test_riffle_spectrum_a1():
     b, bb = primitive_dimensions(1, 3, Decoration.BAR)
-    spd = riffle_spectrum(1, "+", Decoration.BAR, b, bb, 3)
+    spd = riffle_spectrum(1, "+", b, bb, 3)
     assert spd == [(1, 8)]
 
 
@@ -244,3 +261,31 @@ def test_table_totals(n):
     for a, sign in ((2, "+"), (2, "-"), (3, "+"), (3, "-")):
         total = sum(m for _, m in shuffle_multiplicities(a, sign, Decoration.BAR, n))
         assert total == 2**n * math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_shuffle_multiplicities_are_the_rule_over_the_stirling_census(n):
+    # Table 1's polynomials against the one eigenvalue rule, summed over the
+    # (k, k̄) census of the signed permutations
+    for a in range(1, 6):
+        for sign in "+-":
+            agg = Counter()
+            for k in range(n + 1):
+                for kbar in range(n + 1 - k):
+                    e = Fraction(riffle_eigenvalue(a, sign, k, kbar), a**n)
+                    agg[e] += hyperoct_stirling(n, k, kbar)
+            want = sorted(((e, m) for e, m in agg.items() if m), key=lambda t: -t[0])
+            for flavor in (Decoration.BAR, Decoration.TBAR):
+                assert shuffle_multiplicities(a, sign, flavor, n) == want, (a, sign)
+
+
+def test_spectra_refuse_bad_counts_and_signs():
+    with pytest.raises(BadCount):
+        shuffle_multiplicities(0, "+", Decoration.TBAR, 3)
+    with pytest.raises(BadCount):
+        shuffle_multiplicities(2, "+", Decoration.TBAR, -1)
+    for a in (2, 3):
+        with pytest.raises(ValueError, match="sign"):
+            shuffle_multiplicities(a, "x", Decoration.TBAR, 3)
+        with pytest.raises(ValueError, match="sign"):
+            riffle_spectrum(a, "x", [2, 1], [2, 1], 2)
