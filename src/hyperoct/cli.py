@@ -73,7 +73,7 @@ def cmd_spectrum(args) -> int:
     spec = ShuffleSpec(args.n, args.a, _SIGNS[args.sign], args.flavor)
     rows = [
         {"eigenvalue": str(v), "multiplicity": m}
-        for v, m in shuffle_multiplicities(args.a, spec.sign, spec.decoration, args.n)
+        for v, m in shuffle_multiplicities(args.a, spec.sign, args.n)
     ]
     _dump(
         {
@@ -192,8 +192,8 @@ def cmd_compose(args) -> int:
 
 def cmd_stationary(args) -> int:
     spec = ShuffleSpec(args.n, args.a, _SIGNS[args.sign], args.flavor)
+    tm = transition_matrix(spec)  # refuses n > 5 before the law lists its 2^n·n! entries
     pi = stationary_distribution(spec)
-    tm = transition_matrix(spec)
     unique = stationary_is_unique(tm)
     fixed = tm.col_sums_exact()
     _dump(

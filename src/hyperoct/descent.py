@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -121,16 +121,7 @@ class DecoratedComposition:
 
 def compositions(n: int, num_parts: int) -> Iterator[tuple[int, ...]]:
     """All weak-compositions of n into num_parts parts, lexicographically."""
-    if num_parts == 0:
-        if n == 0:
-            yield ()
-        return
-    if num_parts == 1:
-        yield (n,)
-        return
-    for first in range(n + 1):
-        for rest in compositions(n - first, num_parts - 1):
-            yield (first,) + rest
+    return _rows_with_caps(n, (n,) * num_parts)
 
 
 def strict_compositions(n: int) -> Iterator[tuple[int, ...]]:
@@ -316,96 +307,94 @@ def _powers(m: int, n: int, dtype) -> np.ndarray:
 _DIRECT_CODES = 1 << 23
 
 
-@functools.lru_cache(maxsize=4)
-def _state_codes(states: tuple[SignedWord, ...], n: int) -> tuple[np.ndarray, int, object]:
-    """(W, m, lookup) for a basis of length-n words, as read-only arrays.
-    Memoized by the tuple of states, so that every operator matrix, chain
-    and eigenvector matrix on one basis reads one coding and one lookup.
+class StateBasis(tuple):
+    """The tuple of a basis of distinct length-n words, coded once: it
+    carries the W, m and lookup that image tables, eigenvector matrices and
+    chains read, and ``StateBasis(basis, n)`` is the basis itself.
 
-    W is the N×n int64 array of the states and m their largest |label|.
-    A word y (labels in [-m, m]) codes as Σ_k (y_k + m)·(2m+1)^k, little
-    endian, in [0, (2m+1)^n).  When (2m+1)^n ≤ ``_DIRECT_CODES``, ``lookup``
-    is the direct-address int32 array of length (2m+1)^n that holds, at
-    each code, the index of its state, or -1 for a word that is not a state
-    (0.6 MiB for the n = 5 signed permutations).  Past that bound it is the
-    pair (order, sorted_codes): ``order`` sorts the state codes and
-    ``sorted_codes`` holds them in that order, for a binary search.
-    Raises SizeMismatch for a state of another length, CodeOverflow when
-    (2m+1)^n does not fit in int64, and ValueError for a repeated state.
+    W is the read-only N×n int64 array of the states and m their largest
+    |label|.  A word y (labels in [-m, m]) codes as Σ_k (y_k + m)·(2m+1)^k,
+    little endian, in [0, (2m+1)^n).  When (2m+1)^n ≤ ``_DIRECT_CODES``,
+    ``lookup`` is the direct-address int32 array of length (2m+1)^n that
+    holds, at each code, the index of its state, or -1 for a word that is
+    not a state (0.6 MiB for the n = 5 signed permutations).  Past that
+    bound it is the pair (order, sorted_codes): ``order`` sorts the state
+    codes and ``sorted_codes`` holds them in that order, for a binary
+    search.  Raises SizeMismatch for a state of another length,
+    CodeOverflow when (2m+1)^n does not fit in int64, and ValueError for a
+    repeated state.
     """
-    if any(len(w) != n for w in states):
-        raise SizeMismatch(f"degree-{n} words expected, states have other lengths")
-    W = np.array([tuple(w) for w in states], dtype=np.int64).reshape(len(states), n)
-    m = int(np.abs(W).max(initial=0))
-    if _code_dtype(m, n) is object:
-        raise CodeOverflow(f"words of length {n} with labels up to {m}")
-    codes = (W + m) @ _powers(m, n, np.int64)
-    if (2 * m + 1) ** n <= _DIRECT_CODES:
-        index = np.arange(len(codes), dtype=np.int32)
-        lookup = np.full((2 * m + 1) ** n, -1, dtype=np.int32)
-        lookup[codes] = index
-        repeated = (lookup[codes] != index).any()  # a later copy overwrote
-        arrays = (W, lookup)
-    else:
-        order = np.argsort(codes)
-        sorted_codes = codes[order]
-        repeated = (sorted_codes[1:] == sorted_codes[:-1]).any()
-        lookup = (order, sorted_codes)
-        arrays = (W, order, sorted_codes)
-    if repeated:
-        raise ValueError("states repeat a word")
-    for a in arrays:
-        a.setflags(write=False)
-    return W, m, lookup
 
-
-def _state_index(lookup, codes: np.ndarray, m: int, n: int) -> np.ndarray:
-    """The state index of each int64 word code in ``codes`` (any shape),
-    through the ``lookup`` of ``_state_codes``.  Raises KeyError naming the
-    first word that is not a state.
-
-    The direct array is read by one gather.  Image codes of programs lie in
-    its range by construction, as programs only move letters and add bars,
-    but codes from elsewhere need not, and numpy would wrap a negative
-    index: so every code is first checked to lie in [0, (2m+1)^n).  One max
-    checks both ends, as a negative code read as uint64 lies past 2^63.
-    """
-    if isinstance(lookup, np.ndarray):
-        if codes.view(np.uint64).max(initial=0) < len(lookup):
-            index = lookup[codes]
-            if index.min(initial=0) >= 0:
-                return index
-            hit = index >= 0
+    def __new__(cls, states: Sequence[SignedWord], n: int) -> "StateBasis":
+        if isinstance(states, cls) and states.n == n:
+            return states
+        self = super().__new__(cls, states)
+        if any(len(w) != n for w in self):
+            raise SizeMismatch(f"degree-{n} words expected, states have other lengths")
+        W = np.array(self, dtype=np.int64).reshape(len(self), n)
+        m = int(np.abs(W).max(initial=0))
+        if _code_dtype(m, n) is object:
+            raise CodeOverflow(f"words of length {n} with labels up to {m}")
+        codes = (W + m) @ _powers(m, n, np.int64)
+        if len(np.unique(codes)) != len(codes):
+            raise ValueError("states repeat a word")
+        if (2 * m + 1) ** n <= _DIRECT_CODES:
+            lookup = np.full((2 * m + 1) ** n, -1, dtype=np.int32)
+            lookup[codes] = np.arange(len(codes), dtype=np.int32)
         else:
-            hit = (codes >= 0) & (codes < len(lookup))
-            hit[hit] = lookup[codes[hit]] >= 0
-    else:
-        order, sorted_codes = lookup
-        pos = np.searchsorted(sorted_codes, codes)
-        hit = pos < len(sorted_codes)
-        hit[hit] = sorted_codes[pos[hit]] == codes[hit]
-        if hit.all():
-            return order[pos]
-    code = int(codes[~hit].flat[0])
-    raise KeyError(tuple(code // (2 * m + 1) ** k % (2 * m + 1) - m for k in range(n)))
+            order = np.argsort(codes)
+            lookup = (order, codes[order])
+        for a in (W, *lookup) if isinstance(lookup, tuple) else (W, lookup):
+            a.setflags(write=False)
+        self.W, self.m, self.n, self.lookup = W, m, n, lookup
+        return self
 
+    def index_codes(self, codes: np.ndarray) -> np.ndarray:
+        """The state index of each int64 word code in ``codes`` (any shape).
+        Raises KeyError naming the first word that is not a state.
 
-def _word_index(states: tuple[SignedWord, ...], n: int, words: np.ndarray) -> np.ndarray:
-    """The state index of each row of the int64 array ``words``, through the
-    memoized lookup of ``_state_codes(states, n)``.  Raises KeyError naming
-    the first word that is not a state.
+        The direct array is read by one gather.  Image codes of programs lie
+        in its range by construction, as programs only move letters and add
+        bars, but codes from elsewhere need not, and numpy would wrap a
+        negative index: so every code is first checked to lie in
+        [0, (2m+1)^n).  One max checks both ends, as a negative code read as
+        uint64 lies past 2^63.
+        """
+        lookup, m, n = self.lookup, self.m, self.n
+        if isinstance(lookup, np.ndarray):
+            if codes.view(np.uint64).max(initial=0) < len(lookup):
+                index = lookup[codes]
+                if index.min(initial=0) >= 0:
+                    return index
+                hit = index >= 0
+            else:
+                hit = (codes >= 0) & (codes < len(lookup))
+                hit[hit] = lookup[codes[hit]] >= 0
+        else:
+            order, sorted_codes = lookup
+            pos = np.searchsorted(sorted_codes, codes)
+            hit = pos < len(sorted_codes)
+            hit[hit] = sorted_codes[pos[hit]] == codes[hit]
+            if hit.all():
+                return order[pos]
+        code = int(codes[~hit].flat[0])
+        raise KeyError(tuple(code // (2 * m + 1) ** k % (2 * m + 1) - m for k in range(n)))
 
-    Every word is range-checked before it is coded: a word of another
-    length is not a state, and a label past the states' largest |label| m
-    would carry into the next digit of its code and could alias a state.
-    """
-    _, m, lookup = _state_codes(states, n)
-    if words.shape[1] != n:
-        raise KeyError(tuple(words[0].tolist()))
-    outside = (np.abs(words) > m).any(axis=1)
-    if outside.any():
-        raise KeyError(tuple(words[outside][0].tolist()))
-    return _state_index(lookup, (words + m) @ _powers(m, n, np.int64), m, n)
+    def index_words(self, words: np.ndarray) -> np.ndarray:
+        """The state index of each row of the int64 array ``words``.  Raises
+        KeyError naming the first word that is not a state.
+
+        Every word is range-checked before it is coded: a word of another
+        length is not a state, and a label past the states' largest |label|
+        m would carry into the next digit of its code and could alias a
+        state.
+        """
+        if words.shape[1] != self.n:
+            raise KeyError(tuple(words[0].tolist()))
+        outside = (np.abs(words) > self.m).any(axis=1)
+        if outside.any():
+            raise KeyError(tuple(words[outside][0].tolist()))
+        return self.index_codes((words + self.m) @ _powers(self.m, self.n, np.int64))
 
 
 def _merge_codes(codes: np.ndarray, sums: np.ndarray, limit: int) -> tuple[np.ndarray, np.ndarray]:
@@ -456,6 +445,15 @@ def _image_codes(W: np.ndarray, m: int, src: np.ndarray, sign: np.ndarray) -> np
     return codes
 
 
+def _operator_programs(T: DescentOperator, algebra: str) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """(src, sign, sizes): the programs of T's terms, stacked in term order, and their counts."""
+    tables = [_programs(_piles(D), algebra) for D in T.terms]
+    empty = np.empty((0, T.degree), dtype=np.intp)  # for an operator with no term
+    src = np.concatenate([empty] + [s for s, _ in tables])
+    sign = np.concatenate([empty] + [g for _, g in tables])
+    return src, sign, [len(s) for s, _ in tables]
+
+
 def _label_ranks(words: Iterable[Sequence[int]]) -> tuple[list[int], dict[int, int]]:
     """The sorted |labels| of the words, and the rank ±r of each letter
     ±labels[r − 1]: the letters that ``_decode_words`` decodes."""
@@ -502,17 +500,15 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     if not T.terms:
         return AlgebraElement.zero()
     words, coeffs = zip(*x)
-    tables = [_programs(_piles(D), algebra) for D in T.terms]
-    src = np.concatenate([s for s, _ in tables])
-    sign = np.concatenate([g for _, g in tables])
+    src, sign, sizes = _operator_programs(T, algebra)
 
     scale_x = math.lcm(*(c.denominator for c in coeffs))
     scale_T = math.lcm(*(c.denominator for c in T.terms.values()))
     cw = [c.numerator * (scale_x // c.denominator) for c in coeffs]
     cD = [c.numerator * (scale_T // c.denominator) for c in T.terms.values()]
-    bound = sum(abs(c) * len(s) for c, (s, _) in zip(cD, tables)) * sum(map(abs, cw))
+    bound = sum(abs(c) * k for c, k in zip(cD, sizes)) * sum(map(abs, cw))
     sum_dtype = np.int64 if bound <= _INT64_MAX else object
-    per_program = np.repeat(np.array(cD, dtype=sum_dtype), [len(s) for s, _ in tables])
+    per_program = np.repeat(np.array(cD, dtype=sum_dtype), sizes)
     sums = np.multiply.outer(np.array(cw, dtype=sum_dtype), per_program).ravel()
 
     labels, rank = _label_ranks(words)
@@ -688,6 +684,10 @@ def compose_law(
 # matrices of operators on a word basis
 
 
+# Image codes per slice of ``image_table``: 512 KiB of int64, small beside a dense matrix.
+_TABLE_CODES = 1 << 16
+
+
 def image_table(
     T: DescentOperator, states: Sequence[SignedWord], algebra: str
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -699,48 +699,38 @@ def image_table(
     T(states[i]) = Σ_k coeffs[k]·states[images[i, k]].  ``images`` is int32
     and column-major, so that each column is contiguous.
 
-    Words are coded in base 2m+1 (m the largest |label|) and looked up
-    through ``_state_codes``: by one gather from a direct-address array,
-    or past its bound by a binary search among the sorted state codes.
+    The states are read as a ``StateBasis`` (a plain sequence of words is
+    coded once per call), whose lookup finds every image: by one gather
+    from a direct-address array, or by a binary search past its bound.
     Raises CodeOverflow when (2m+1)^n does not fit in int64, KeyError when
     an image leaves the basis, ValueError for fractional coefficients or
     repeated states, and SizeMismatch for a state whose length is not T's
     degree.
     """
-    n = T.degree
     if any(c.denominator != 1 for c in T.terms.values()):
         raise ValueError("operator_matrix needs integer coefficients")
-    W, m, lookup = _state_codes(tuple(states), n)
-    tables = [_programs(_piles(D), algebra) for D in T.terms]
-    images = np.empty((sum(len(src) for src, _ in tables), len(states)), dtype=np.int32)
-    coeffs = np.empty(len(images), dtype=np.int64)
-    k = 0
-    for c, (src, sign) in zip(T.terms.values(), tables):
-        img = _image_codes(W, m, src, sign)
-        images[k : k + len(src)] = _state_index(lookup, img, m, n).T
-        coeffs[k : k + len(src)] = int(c)
-        k += len(src)
+    basis = StateBasis(states, T.degree)
+    src, sign, sizes = _operator_programs(T, algebra)
+    coeffs = np.repeat(np.array([int(c) for c in T.terms.values()], dtype=np.int64), sizes)
+    images = np.empty((len(src), len(basis)), dtype=np.int32)
+    step = max(1, _TABLE_CODES // max(1, len(basis)))
+    for k in range(0, len(src), step):
+        codes = _image_codes(basis.W, basis.m, src[k : k + step], sign[k : k + step])
+        images[k : k + step] = basis.index_codes(codes).T
     return images.T, coeffs
 
 
-def operator_matrix(
-    T: DescentOperator,
-    states: Sequence[SignedWord],
-    algebra: str,
-    table: Optional[tuple[np.ndarray, np.ndarray]] = None,
-) -> np.ndarray:
+def operator_matrix(T: DescentOperator, states: Sequence[SignedWord], algebra: str) -> np.ndarray:
     """Integer matrix M with M[i, j] = coefficient of states[j] in T(states[i]).
 
-    Built from ``image_table(T, states, algebra)``, or from ``table`` when
-    the caller already holds it, and so subject to its limits: words must
-    code in int64, i.e. (2m+1)^n < 2^63 for m the largest |label| (else
-    CodeOverflow); T needs integer coefficients (else ValueError); and the
-    span of the states must be closed under T (true for distinct-letter
-    bases; else KeyError names an image word outside the basis).
+    Built from ``image_table(T, states, algebra)``, and so subject to its
+    limits: words must code in int64, i.e. (2m+1)^n < 2^63 for m the
+    largest |label| (else CodeOverflow); T needs integer coefficients (else
+    ValueError); and the span of the states must be closed under T (true
+    for distinct-letter bases; else KeyError names an image word outside
+    the basis).
     """
-    images, coeffs = table if table is not None else image_table(T, states, algebra)
-    M = np.zeros((len(states), len(states)), dtype=np.int64)
-    rows = np.arange(len(states))
-    for col, c in zip(images.T, coeffs.tolist()):
-        M[rows, col] += c  # one image per row, so no index repeats
+    images, coeffs = image_table(T, states, algebra)
+    M = np.zeros((len(images), len(images)), dtype=np.int64)
+    np.add.at(M, (np.arange(len(images))[:, None], images), coeffs)  # row by row: the writes stay local
     return M

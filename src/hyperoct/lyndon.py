@@ -18,7 +18,7 @@ assembly it replaced is kept in the tests as the reference.  It is exact
 by this argument:
 
 - A word y with labels in [-m, m] is coded as the integer
-  Σ_k (y_k + m)·(2m+1)^k (``descent._state_codes``, the coding of
+  Σ_k (y_k + m)·(2m+1)^k (``descent.StateBasis``, the coding of
   ``descent.image_table``).  Every code of a word of length at most n is
   below (2m+1)^n.  For states, their coding proves that this fits in
   int64; ``build_eigenvector`` codes in Python integers when it does not.
@@ -49,12 +49,11 @@ from .algebra import lie_bracket
 from .descent import (
     _INT64_MAX,
     Decoration,
+    StateBasis,
     _code_dtype,
     _decode_words,
     _label_ranks,
     _merge_codes,
-    _state_codes,
-    _state_index,
 )
 from .spectral import riffle_eigenvalue
 
@@ -338,24 +337,25 @@ def eigenvector_matrix(
     mu[r] is its eigenvalue, so V and mu equal the ``eigenbasis`` vectors
     written over the states.  Each bracketing is built once per Lyndon
     word, and coefficients are int64 under the bounds of the module
-    docstring, past which CodeOverflow is raised.  Raises KeyError naming
-    a word of an eigenvector that is not a state, BadCount for a < 1, and
-    the errors of ``descent._state_codes`` for the states.
+    docstring, past which CodeOverflow is raised.  The states are read as
+    a ``descent.StateBasis``, coded once per call unless they are one.
+    Raises KeyError naming a word of an eigenvector that is not a state,
+    BadCount for a < 1, and the errors of ``StateBasis`` for the states.
     """
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
     n = len(states[0]) if len(states) else 0
     if n == 0 and len(states):
         raise EmptyWord("no eigenvector for the empty word")
-    W, m, lookup = _state_codes(tuple(states), n)
-    memo = _letter_brackets(np.unique(np.abs(W)).tolist(), m, np.int64, np.int64)
+    basis = StateBasis(states, n)
+    memo = _letter_brackets(np.unique(np.abs(basis.W)).tolist(), basis.m, np.int64, np.int64)
     rows, mus, words = [], [], []
-    for w in states:
+    for w in basis:
         try:
-            (codes, coeffs, _), mu = _eigenvector_codes(w, a, sign, flavor, m, memo)
+            (codes, coeffs, _), mu = _eigenvector_codes(w, a, sign, flavor, basis.m, memo)
         except OutsideBasis:
             continue
-        rows.append((_state_index(lookup, codes, m, n), coeffs))
+        rows.append((basis.index_codes(codes), coeffs))
         mus.append(mu)
         words.append(w)
     V = np.zeros((len(rows), len(states)), dtype=np.int64)

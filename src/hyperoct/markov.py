@@ -45,11 +45,12 @@ from .errors import (
     FlavorUnsupported,
     HypothesesNotMet,
     NotAState,
+    NotIntegral,
     SizeMismatch,
     StateSpaceTooLarge,
 )
 from .words import SignedWord, WordLike, as_word, signed_permutations
-from .descent import Decoration, _label_programs, _word_index, image_table, operator_matrix, riffle_operator
+from .descent import Decoration, StateBasis, _label_programs, image_table, operator_matrix, riffle_operator
 from . import algebra as alg
 from . import exactla
 from .spectral import shuffle_multiplicities
@@ -98,11 +99,11 @@ class TransitionMatrix:
     ``images`` is the image table, one column per program of the riffle
     operator, each with coefficient 1.  ``push``, ``pull``, ``entry``,
     ``row`` and the row and column sums read it; ``to_json`` and ``to_csv``
-    read the dense ``counts``.
+    read the dense ``counts``.  ``index`` reads the coded basis ``states``.
     """
 
     spec: ShuffleSpec
-    states: tuple[SignedWord, ...]
+    states: StateBasis
     counts: np.ndarray  # int64, counts[i, j] = a^n * K(state_i, state_j)
     images: np.ndarray  # int32, images[i, k] = index of the k-th image of state i
 
@@ -119,7 +120,7 @@ class TransitionMatrix:
         not a state."""
         w = as_word(w)
         try:
-            return int(_word_index(self.states, self.spec.n, np.array([w], dtype=np.int64))[0])
+            return int(self.states.index_words(np.array([w], dtype=np.int64))[0])
         except KeyError:
             raise ValueError(f"{w} is not a state of the chain") from None
 
@@ -180,10 +181,10 @@ class TransitionMatrix:
 
 
 @functools.lru_cache(maxsize=None)
-def _states(n: int) -> tuple[SignedWord, ...]:
-    """The 2^n n! signed permutations in canonical order, built once per n
+def _states(n: int) -> StateBasis:
+    """The 2^n n! signed permutations in canonical order, coded once per n
     and shared by every chain of degree n."""
-    return tuple(signed_permutations(n))
+    return StateBasis(signed_permutations(n), n)
 
 
 # The largest deck size of `transition_matrix`: the dense `counts` of
@@ -200,10 +201,11 @@ def transition_matrix(spec: ShuffleSpec) -> TransitionMatrix:
         )
     states = _states(spec.n)
     T = spec.operator()
-    images, coeffs = table = image_table(T, states, alg.SHUFFLE)
+    counts = operator_matrix(T, states, alg.SHUFFLE)  # first: its own table is freed before ours is built
+    images, coeffs = image_table(T, states, alg.SHUFFLE)
     if not (coeffs == 1).all():
         raise ValueError(f"the riffle operator of {spec} has a coefficient other than 1")
-    return TransitionMatrix(spec, states, operator_matrix(T, states, alg.SHUFFLE, table), images)
+    return TransitionMatrix(spec, states, counts, images)
 
 
 # ---------------------------------------------------------------------------
@@ -455,8 +457,8 @@ def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None)
         raise HypothesesNotMet("a >= 2 is required for subdominant eigenvalues 1/a")
     if tm is None:
         tm = transition_matrix(spec)
-    S = np.array(tm.states, dtype=np.int64)
-    mult = dict(shuffle_multiplicities(spec.a, spec.sign, spec.decoration, spec.n))
+    S = tm.states.W
+    mult = dict(shuffle_multiplicities(spec.a, spec.sign, spec.n))
     report = {"spec": spec, "eigenvalues": [], "ok": True}
     for value, fams in subdominant_families(spec):
         mu = int(value * tm.scale)  # ±a^(n−1): exact, since a divides a^n
@@ -538,20 +540,25 @@ def exact_stat_expectation(
 
     The mass after t steps is a^(nt) in all, so every partial sum is at most
     a^(nt)·max|stat|; past int64 the same products run on Python integers.
-    Raises BadCount for t < 0 and SizeMismatch unless there is one stat
-    value per state.
+    Raises BadCount for t < 0, SizeMismatch unless there is one stat value
+    per state, and NotIntegral for a stat value that is not an integer.
     """
     if t < 0:
         raise BadCount(f"need t >= 0, got t={t}")
     if len(stat_values) != tm.size:
         raise SizeMismatch(f"{len(stat_values)} stat values for {tm.size} states")
-    bound = tm.scale**t * max(1, max(map(abs, stat_values), default=0))
+    stat = np.array(stat_values)
+    if stat.dtype.kind not in "biu":  # not integers, or past int64, where 2^63 reads as a float
+        stat = np.array(stat_values, dtype=object)
+        if not all(isinstance(x, (int, np.integer)) for x in stat):
+            raise NotIntegral("stat values must be integers")
+    bound = tm.scale**t * max(1, int(stat.max()), -int(stat.min()))
     dtype = np.int64 if bound <= np.iinfo(np.int64).max else object
     v = np.zeros(tm.size, dtype=dtype)
     v[tm.index(w0)] = 1
     for _ in range(t):
         v = tm.push(v)
-    total = int(np.dot(v, np.array(stat_values, dtype=dtype)))
+    total = int(np.dot(v, stat.astype(dtype)))
     return Fraction(total, tm.scale**t)
 
 

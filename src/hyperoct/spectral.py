@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterator, Sequence
 
 from .errors import BadCount, SizeMismatch
-from .descent import DecoratedComposition, Decoration, DescentOperator
+from .descent import DecoratedComposition, DescentOperator
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +258,12 @@ def hyperoct_stirling(n: int, k: int, kbar: int) -> int:
     return 2 ** (n - j) * stirling_c(n, j) * math.comb(j, k)
 
 
-def shuffle_multiplicities(
-    a: int, sign: str, flavor: Decoration, n: int
-) -> list[tuple[Fraction, int]]:
+def shuffle_multiplicities(a: int, sign: str, n: int) -> list[tuple[Fraction, int]]:
     """Eigenvalues (scaled by a^{-n}) and algebraic multiplicities of the
-    2^n n!-state riffle shuffle transition matrix, sorted descending.  Each
-    eigenvalue appears on exactly one row: at a = 1 every power a^{k-n}
-    collapses to ±1, and the rows of equal eigenvalues are merged.
+    2^n n!-state riffle shuffle transition matrix, sorted descending, for
+    the rotation and the flip chains alike.  Each eigenvalue appears on
+    exactly one row: at a = 1 every power a^{k-n} collapses to ±1, and the
+    rows of equal eigenvalues are merged.
 
     even a: a^{k-n} with [x^k] x(x+2)...(x+2n−2), plus 0 with the complement
     to 2^n n!.  odd a, sign '+': [x^k](x+1)(x+3)...(x+2n−1).  odd a, sign '-':

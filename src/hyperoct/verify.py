@@ -35,7 +35,6 @@ from .algebra import (
 from .errors import CodeOverflow, NotIntegral
 from .descent import (
     _INT64_MAX,
-    _word_index,
     DecoratedComposition,
     Decoration,
     DescentOperator,
@@ -597,7 +596,7 @@ def check_table1_totals(n_max: int, seed: int = 0) -> list[CheckResult]:
     ok = True
     for n in range(1, 9):
         for a, sign in ((2, "+"), (2, "-"), (3, "+"), (3, "-")):
-            total = sum(m for _, m in shuffle_multiplicities(a, sign, Decoration.BAR, n))
+            total = sum(m for _, m in shuffle_multiplicities(a, sign, n))
             if total != 2**n * math.factorial(n):
                 ok = False
     return [_result("spectral.table1_totals", ok, "n <= 8")]
@@ -733,7 +732,7 @@ def chain_spectrum_certificate(
     A, size = tm.counts, tm.size
     predicted = {
         int(v * tm.scale): m
-        for v, m in shuffle_multiplicities(spec.a, spec.sign, spec.decoration, spec.n)
+        for v, m in shuffle_multiplicities(spec.a, spec.sign, spec.n)
     }
     nonzero_pred = {lam: m for lam, m in predicted.items() if lam != 0}
     V, mu, _ = eigenvector_matrix(tm.states, spec.a, spec.sign, spec.decoration)
@@ -1068,7 +1067,7 @@ def check_sampler_agreement(n_max: int, seed: int = 11) -> list[CheckResult]:
         else:
             decks = batch_step(spec, np.tile(np.array(w0, dtype=np.int64), (trials, 1)), rng)
         total = len(decks)
-        index = _word_index(tm.states, spec.n, decks)
+        index = tm.states.index_words(decks)
         counts = np.bincount(index, minlength=tm.size)
         support = probs > 0
         if counts[~support].any():

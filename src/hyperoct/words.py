@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -26,7 +27,10 @@ class SignedWord(tuple):
     __slots__ = ()
 
     def __new__(cls, letters: Iterable[int] = ()):
-        codes = tuple(int(c) for c in letters)
+        try:
+            codes = tuple(map(operator.index, letters))
+        except (TypeError, ValueError) as exc:  # a float, a string, or a token ``parse`` cannot read
+            raise NotInAlphabet(f"letters must be integers: {exc}") from None
         if any(c == 0 for c in codes):
             raise NotInAlphabet(f"0 is not a signed letter: {codes}")
         return super().__new__(cls, codes)

@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+from hyperoct import cli
 from hyperoct.cli import main
 
 
@@ -319,9 +320,23 @@ def test_simulate_refusals(extra, message, capsys):
         ["stationary", "--n", "2", "--a", "0", "--flavor", "flip"],
         ["eigenvector", "--word", "2 1", "--a", "0", "--flavor", "flip"],
         ["eigenbasis", "--n", "2", "--a", "0", "--flavor", "flip"],
+        ["eigenvector", "--word", "1.5 2", "--a", "2", "--flavor", "flip"],
+        ["simulate", "--n", "3", "--a", "2", "--flavor", "flip", "--start", "1 x 3", "--seed", "1"],
     ],
 )
 def test_typed_refusals(args, capsys):
     code, out, err = run_cli(args, capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_stationary_refuses_a_large_deck_before_listing_the_law(monkeypatch, capsys):
+    # the law of n = 6 would list 46,080 entries; transition_matrix refuses
+    # n > 5 first, so the law is never built
+    def listed(spec):
+        raise AssertionError("stationary_distribution was called")
+
+    monkeypatch.setattr(cli, "stationary_distribution", listed)
+    code, out, err = run_cli(["stationary", "--n", "6", "--a", "2", "--flavor", "flip"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "n <= 5" in err

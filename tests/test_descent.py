@@ -245,7 +245,7 @@ def test_operator_matrix_matches_literal_loop():
     assert cases == 2 * (2 * (2 + 6 + 18) + 12)
 
 
-def test_image_table_layout_and_coefficients():
+def test_image_table_layout_and_coefficients(monkeypatch):
     T = DescentOperator({DC.parse("1b,1"): 3, DC.parse("2"): -2}, 2)
     states = signed_permutations(2)
     images, coeffs = image_table(T, states, SHUFFLE)
@@ -257,6 +257,16 @@ def test_image_table_layout_and_coefficients():
         )
         assert got == apply_operator(T, w, SHUFFLE)
     assert (operator_matrix(T, states, SHUFFLE) == _literal_operator_matrix(T, states, SHUFFLE)).all()
+    zero = image_table(DescentOperator({}, 2), states, SHUFFLE)
+    assert zero[0].shape == (8, 0) and len(zero[1]) == 0
+    assert not operator_matrix(DescentOperator({}, 2), states, SHUFFLE).any()
+    # slices of one and of two programs give the same table
+    T4 = riffle_operator(3, "-", Decoration.TBAR, 4)
+    want = image_table(T4, signed_permutations(4), CONCAT)
+    for codes in (384, 768):
+        monkeypatch.setattr(descent, "_TABLE_CODES", codes)
+        got = image_table(T4, signed_permutations(4), CONCAT)
+        assert got[0].flags.f_contiguous and np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
 def test_image_table_refusals():
@@ -285,17 +295,14 @@ LOOKUP_SPECS = [
 
 
 def _both_lookups(monkeypatch, fn):
-    """fn() with the direct-address lookup of ``_state_codes``, then with
+    """fn() with the direct-address lookup of ``StateBasis``, then with
     the binary search, which the bound forces for every basis."""
-    descent._state_codes.cache_clear()
     try:
         direct = fn()
         monkeypatch.setattr(descent, "_DIRECT_CODES", 0)
-        descent._state_codes.cache_clear()
         return direct, fn()
     finally:
         monkeypatch.undo()
-        descent._state_codes.cache_clear()
 
 
 def _raised(fn):
@@ -308,7 +315,7 @@ def test_direct_lookup_matches_search_image_tables(monkeypatch):
     bases = [signed_permutations(n) for n in (1, 2, 3, 4)] + [all_words(3, 2)]
     for states in bases:
         n = len(states[0])
-        lookups = _both_lookups(monkeypatch, lambda: descent._state_codes(tuple(states), n)[2])
+        lookups = _both_lookups(monkeypatch, lambda: descent.StateBasis(states, n).lookup)
         assert isinstance(lookups[0], np.ndarray) and isinstance(lookups[1], tuple)
         for a, sign, dec in LOOKUP_SPECS:
             T = riffle_operator(a, sign, dec, n)
@@ -356,13 +363,14 @@ def test_state_index_refuses_codes_out_of_range(monkeypatch):
     assert codes[1] >= 7**3 and codes[2] < 0
 
     def refusals():
-        _, _, lookup = descent._state_codes(states, n)
-        assert descent._state_index(lookup, codes[:1], m, n).tolist() == [states.index(W("1 2 3"))]
-        return [_raised(lambda: descent._state_index(lookup, codes[k:k + 1], m, n)) for k in (1, 2)] + [
+        basis = descent.StateBasis(states, n)
+        assert (basis.m, basis.n) == (m, n)
+        assert basis.index_codes(codes[:1]).tolist() == [states.index(W("1 2 3"))]
+        return [_raised(lambda: basis.index_codes(codes[k:k + 1])) for k in (1, 2)] + [
             # the first word that is not a state is named, in flat order:
             # here the in-range non-state 1 1 1 before the code below 0
-            _raised(lambda: descent._state_index(lookup, np.array([[codes[0], 4 * 57], [codes[2], 0]]), m, n)),
-            _raised(lambda: descent._state_index(lookup, np.array([-1]), m, n)),
+            _raised(lambda: basis.index_codes(np.array([[codes[0], 4 * 57], [codes[2], 0]]))),
+            _raised(lambda: basis.index_codes(np.array([-1]))),
         ]
 
     direct, search = _both_lookups(monkeypatch, refusals)
@@ -377,9 +385,8 @@ def test_direct_lookup_size_bound(monkeypatch):
     want = image_table(T, states, SHUFFLE)
     try:
         for bound, direct in ((25, True), (24, False)):
-            descent._state_codes.cache_clear()
             monkeypatch.setattr(descent, "_DIRECT_CODES", bound)
-            lookup = descent._state_codes(states, 2)[2]
+            lookup = descent.StateBasis(states, 2).lookup
             assert isinstance(lookup, np.ndarray) is direct
             if direct:
                 assert lookup.dtype == np.int32 and len(lookup) == 25 and not lookup.flags.writeable
@@ -387,10 +394,9 @@ def test_direct_lookup_size_bound(monkeypatch):
             got = image_table(T, states, SHUFFLE)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             with pytest.raises(ValueError):  # a repeated state, on both sides
-                descent._state_codes(states + states[:1], 2)
+                descent.StateBasis(states + states[:1], 2)
     finally:
         monkeypatch.undo()
-        descent._state_codes.cache_clear()
 
 
 def test_apply_operator_keeps_integral_coefficients_int():

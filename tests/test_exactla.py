@@ -271,7 +271,7 @@ def test_charpoly_matches_every_small_chain(tm_cache, a):
                 spec = ShuffleSpec(n, a, sign, flavor)
                 table = {
                     int(v * tm.scale): m
-                    for v, m in shuffle_multiplicities(a, sign, spec.decoration, n)
+                    for v, m in shuffle_multiplicities(a, sign, n)
                 }
                 assert exactla.charpoly_matches(tm.counts, table), (n, a, sign, flavor)
                 top = max(table)
@@ -288,7 +288,7 @@ def test_trace_moduli_cover_the_bound(tm_cache):
     moduli = exactla.trace_moduli(A, {27: 1, -27: 1})
     assert moduli == exactla.TRACE_PRIMES[:1] and 2 * 27**2 + 2 * 27**2 < moduli[0]
     tm = tm_cache(3, 3, "-", "flip")
-    table = {int(v * tm.scale): m for v, m in shuffle_multiplicities(3, "-", ShuffleSpec(3, 3, "-", "flip").decoration, 3)}
+    table = {int(v * tm.scale): m for v, m in shuffle_multiplicities(3, "-", 3)}
     # rows of K sum to a^n = 27, so |tr(K^k)| <= 48·27^k
     bound = 48 * 27**48 + sum(m * abs(lam) ** 48 for lam, m in table.items())
     moduli = exactla.trace_moduli(tm.counts, table)

@@ -38,6 +38,7 @@ from hyperoct import (
     tau,
     tau_tilde,
 )
+from hyperoct import lyndon
 from hyperoct.lyndon import _combine
 from hyperoct.verify import ALL_SPECS, _int_vector
 from conftest import W
@@ -397,6 +398,27 @@ def test_combine_past_the_int64_coefficient_bound():
     want = {c: k for c, k in want.items() if k}
     assert dict(zip(got[0].tolist(), got[1].tolist())) == want and got[2] == 2
     assert got[1].dtype == object
+
+
+def test_build_eigenvector_retries_past_a_lowered_int64_bound(monkeypatch):
+    # with the L1 bound lowered to 1 every int64 assembly is refused, as
+    # eigenvector_matrix (which has no retry) shows; build_eigenvector must
+    # rebuild the same vector in Python integers
+    cases = [(w, a, sign, flavor) for w in (W("2 -1 3"), W("-3 1 -2 1")) for a, sign, flavor in ALL_SPECS]
+    want = {}
+    for w, a, sign, flavor in cases:
+        try:
+            want[w, a, sign, flavor] = build_eigenvector(w, a, sign, FLAVOR[flavor])
+        except OutsideBasis:
+            pass
+    assert len(want) > len(cases) // 2
+    monkeypatch.setattr(lyndon, "_INT64_MAX", 1)
+    with pytest.raises(CodeOverflow):
+        eigenvector_matrix(signed_permutations(2), 3, "+", Decoration.TBAR)
+    for (w, a, sign, flavor), (vec, mu) in want.items():
+        got = build_eigenvector(w, a, sign, FLAVOR[flavor])
+        assert got == (vec, mu), (w, a, sign, flavor)
+        assert all(type(c) is int for _, c in got[0])
 
 
 def test_primitive_dimensions_identity():

@@ -15,6 +15,7 @@ from hyperoct import (
     FlavorUnsupported,
     HypothesesNotMet,
     NotAState,
+    NotIntegral,
     ShuffleSpec,
     SignedWord,
     SizeMismatch,
@@ -509,6 +510,20 @@ def test_expectation_refuses_a_stat_of_the_wrong_length(tm_cache):
     tm = tm_cache(2, 2, "+", FLIP)
     with pytest.raises(SizeMismatch, match="7 stat values for 8 states"):
         exact_stat_expectation(tm, W("2 1"), 1, [des(s) for s in tm.states][:-1])
+
+
+def test_expectation_refuses_stat_values_that_are_not_integers(tm_cache):
+    # int() would truncate 1/2 and 0.5 to 0; integers past int64, which
+    # numpy reads as floats from 2^63 on, stay exact
+    tm = tm_cache(2, 2, "+", FLIP)
+    for half in (Fraction(1, 2), 0.5):
+        with pytest.raises(NotIntegral):
+            exact_stat_expectation(tm, W("2 1"), 1, [half] * tm.size)
+    with pytest.raises(NotIntegral):
+        exact_stat_expectation(tm, W("2 1"), 1, [1] * (tm.size - 1) + [1.5])
+    for big in (2**63, 2**70, -(2**64)):
+        assert exact_stat_expectation(tm, W("2 1"), 3, [big] * tm.size) == big
+    assert exact_stat_expectation(tm, W("2 1"), 0, [s == W("2 1") for s in tm.states]) == 1
 
 
 def test_expectation_exact_under_optimize():

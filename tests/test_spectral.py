@@ -214,21 +214,21 @@ def test_hyperoct_stirling_census(n):
 
 
 def test_shuffle_multiplicities_n3():
-    even = dict(shuffle_multiplicities(2, "+", Decoration.TBAR, 3))
+    even = dict(shuffle_multiplicities(2, "+", 3))
     assert even == {
         Fraction(1): 1,
         Fraction(1, 2): 6,
         Fraction(1, 4): 8,
         Fraction(0): 33,
     }
-    odd_plus = dict(shuffle_multiplicities(3, "+", Decoration.BAR, 3))
+    odd_plus = dict(shuffle_multiplicities(3, "+", 3))
     assert odd_plus == {
         Fraction(1): 1,
         Fraction(1, 3): 9,
         Fraction(1, 9): 23,
         Fraction(1, 27): 15,
     }
-    odd_minus = dict(shuffle_multiplicities(3, "-", Decoration.BAR, 3))
+    odd_minus = dict(shuffle_multiplicities(3, "-", 3))
     assert odd_minus == {
         Fraction(1): 1,
         Fraction(1, 3): 6,
@@ -245,21 +245,20 @@ def test_shuffle_multiplicities_a1_merged(n):
     # at a = 1 every power a^(k-n) is ±1; Table 1's polynomials at x = 1
     # give the merged multiplicities
     half = 2 ** (n - 1) * math.factorial(n)
-    for flavor in (Decoration.BAR, Decoration.TBAR):
-        plus = shuffle_multiplicities(1, "+", flavor, n)
-        assert plus == [(Fraction(1), 2 * half)]
-        minus = shuffle_multiplicities(1, "-", flavor, n)
-        assert minus == [(Fraction(1), half), (Fraction(-1), half)]
-        for a in (2, 3):
-            for sign in "+-":
-                values = [v for v, _ in shuffle_multiplicities(a, sign, flavor, n)]
-                assert len(set(values)) == len(values)
+    plus = shuffle_multiplicities(1, "+", n)
+    assert plus == [(Fraction(1), 2 * half)]
+    minus = shuffle_multiplicities(1, "-", n)
+    assert minus == [(Fraction(1), half), (Fraction(-1), half)]
+    for a in (2, 3):
+        for sign in "+-":
+            values = [v for v, _ in shuffle_multiplicities(a, sign, n)]
+            assert len(set(values)) == len(values)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_table_totals(n):
     for a, sign in ((2, "+"), (2, "-"), (3, "+"), (3, "-")):
-        total = sum(m for _, m in shuffle_multiplicities(a, sign, Decoration.BAR, n))
+        total = sum(m for _, m in shuffle_multiplicities(a, sign, n))
         assert total == 2**n * math.factorial(n)
 
 
@@ -275,17 +274,16 @@ def test_shuffle_multiplicities_are_the_rule_over_the_stirling_census(n):
                     e = Fraction(riffle_eigenvalue(a, sign, k, kbar), a**n)
                     agg[e] += hyperoct_stirling(n, k, kbar)
             want = sorted(((e, m) for e, m in agg.items() if m), key=lambda t: -t[0])
-            for flavor in (Decoration.BAR, Decoration.TBAR):
-                assert shuffle_multiplicities(a, sign, flavor, n) == want, (a, sign)
+            assert shuffle_multiplicities(a, sign, n) == want, (a, sign)
 
 
 def test_spectra_refuse_bad_counts_and_signs():
     with pytest.raises(BadCount):
-        shuffle_multiplicities(0, "+", Decoration.TBAR, 3)
+        shuffle_multiplicities(0, "+", 3)
     with pytest.raises(BadCount):
-        shuffle_multiplicities(2, "+", Decoration.TBAR, -1)
+        shuffle_multiplicities(2, "+", -1)
     for a in (2, 3):
         with pytest.raises(ValueError, match="sign"):
-            shuffle_multiplicities(a, "x", Decoration.TBAR, 3)
+            shuffle_multiplicities(a, "x", 3)
         with pytest.raises(ValueError, match="sign"):
             riffle_spectrum(a, "x", [2, 1], [2, 1], 2)

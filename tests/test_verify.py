@@ -157,8 +157,8 @@ def test_rotation_route_refuses_a_short_zero_rank(monkeypatch):
 def test_rotation_route_refuses_a_wrong_zero_multiplicity(monkeypatch):
     real = verify.shuffle_multiplicities
 
-    def wrong(a, sign, decoration, n):
-        return [(v, m + (v == 0)) for v, m in real(a, sign, decoration, n)]
+    def wrong(a, sign, n):
+        return [(v, m + (v == 0)) for v, m in real(a, sign, n)]
 
     monkeypatch.setattr(verify, "shuffle_multiplicities", wrong)
     rep = verify.chain_spectrum_certificate(ROTATION_SPEC)

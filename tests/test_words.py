@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -36,6 +37,18 @@ def test_word_parse_format():
     assert w.degree == 7
     with pytest.raises(NotInAlphabet):
         SignedWord((1, 0, 2))
+    # numpy integers are read as ints; floats and strings are refused, not
+    # truncated, by the constructor, by parse and by from_json
+    w = SignedWord(np.array([3, -1], dtype=np.int64))
+    assert w == SignedWord((3, -1)) and {type(c) for c in w} == {int}
+    for bad in ([1.7, -2.2], [2.0], ["1"]):
+        with pytest.raises(NotInAlphabet):
+            SignedWord(bad)
+    for text in ("1.5 2", "1 x 3"):
+        with pytest.raises(NotInAlphabet):
+            SignedWord.parse(text)
+    with pytest.raises(NotInAlphabet):
+        AlgebraElement.from_json([{"coeff": "1", "word": [1.9, 2]}])
 
 
 @given(words)
