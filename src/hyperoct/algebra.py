@@ -12,7 +12,7 @@ import itertools
 from fractions import Fraction
 from typing import Sequence, Union
 
-from .errors import NotHomogeneous, SizeMismatch
+from .errors import SizeMismatch
 from .words import AlgebraElement, SignedWord, WordLike, as_word
 
 SHUFFLE = "shuffle"
@@ -87,8 +87,8 @@ def shuffle_product(factors: Sequence[Element]) -> AlgebraElement:
 def deconcatenate(w: WordLike, parts: Sequence[int]) -> tuple[SignedWord, ...]:
     """Split w into consecutive segments with the given lengths."""
     w = as_word(w)
-    if sum(parts) != len(w):
-        raise SizeMismatch(f"parts {tuple(parts)} do not sum to degree {len(w)}")
+    if any(p < 0 for p in parts) or sum(parts) != len(w):
+        raise SizeMismatch(f"parts {tuple(parts)} are not a weak composition of {len(w)}")
     out = []
     i = 0
     for p in parts:
@@ -139,8 +139,8 @@ def deshuffle(w: WordLike, parts: Sequence[int]) -> list[tuple[SignedWord, ...]]
     prescribed sizes, each keeping the original left-to-right order.
     """
     w = as_word(w)
-    if sum(parts) != len(w):
-        raise SizeMismatch(f"parts {tuple(parts)} do not sum to degree {len(w)}")
+    if any(p < 0 for p in parts) or sum(parts) != len(w):
+        raise SizeMismatch(f"parts {tuple(parts)} are not a weak composition of {len(w)}")
     out = []
     for split in _position_splits(len(w), parts):
         out.append(tuple(SignedWord(w[p] for p in chosen) for chosen in split))
@@ -183,34 +183,3 @@ def lie_bracket(x: Element, y: Element) -> AlgebraElement:
     """[x, y] = xy − yx in the concatenation algebra."""
     x, y = _as_element(x), _as_element(y)
     return concat_elements(x, y) - concat_elements(y, x)
-
-
-# ---------------------------------------------------------------------------
-# primitivity
-
-
-def coproduct_component(x: AlgebraElement, i: int, algebra: str) -> dict:
-    """The (i, n−i) component of the coproduct, as {(u, v): coeff}."""
-    n = x.degree()
-    acc: dict[tuple, Fraction] = {}
-    for w, c in x:
-        if algebra == SHUFFLE:
-            pair = (SignedWord(w[:i]), SignedWord(w[i:]))
-            acc[pair] = acc.get(pair, 0) + c
-        elif algebra == CONCAT:
-            for u, v in deshuffle(w, (i, n - i)):
-                acc[(u, v)] = acc.get((u, v), 0) + c
-        else:
-            raise ValueError(f"unknown algebra {algebra!r}")
-    return {k: v for k, v in acc.items() if v}
-
-
-def is_primitive(x: Element, algebra: str) -> bool:
-    """True iff every proper coproduct component of x vanishes."""
-    x = _as_element(x)
-    if not x:
-        return True
-    n = x.degree()
-    if n < 1:
-        raise NotHomogeneous("primitivity needs degree >= 1")
-    return all(not coproduct_component(x, i, algebra) for i in range(1, n))

@@ -527,11 +527,41 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     return AlgebraElement._trusted(terms)
 
 
+def is_primitive(x, algebra: str) -> bool:
+    """Whether every proper coproduct component Δ_(i, n−i)(x), 0 < i < n, of
+    the homogeneous element or word x vanishes.
+
+    Concat algebra: concatenation is a bijection from the pairs of words of
+    lengths (i, n−i) onto the words of length n, so the component at i
+    vanishes iff m∘Δ_(i, n−i)(x), the elementary operator (i, n−i), does.
+    Shuffle algebra: the deconcatenation component at i is x read through
+    the injective w ↦ (w[:i], w[i:]), so a nonzero x is primitive iff its
+    degree is 1: the letters span the primitives.  Raises ValueError for an
+    unknown algebra, and NotHomogeneous for degree 0 or mixed degrees.
+    """
+    if algebra not in (alg.SHUFFLE, alg.CONCAT):
+        raise ValueError(f"unknown algebra {algebra!r}")
+    x = alg._as_element(x)
+    if not x:
+        return True
+    n = x.degree()
+    if n < 1:
+        raise NotHomogeneous("primitivity needs degree >= 1")
+    if algebra == alg.SHUFFLE:
+        return n == 1
+    return not any(
+        apply_operator(DescentOperator.elementary(DecoratedComposition.of(i, n - i)), x, algebra)
+        for i in range(1, n)
+    )
+
+
 def riffle_operator(a: int, sign: str, flavor: Decoration, n: int) -> DescentOperator:
     """The a-handed riffle operator: all a-part compositions of n, decorating
     even-indexed parts (sign '+') or odd-indexed parts (sign '-'), 1-based."""
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
+    if n < 0:
+        raise BadCount(f"need n >= 0, got n={n}")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if flavor not in (Decoration.BAR, Decoration.TBAR):

@@ -563,7 +563,9 @@ def exact_stat_expectation(
 
 
 def expected_descents(spec: ShuffleSpec, w0: WordLike, t: int) -> Fraction:
-    """(1 − a^{−t})(n−1)/2 + a^{−t}·des(w0), for flip shuffles."""
+    """(1 − a^{−t})(n−1)/2 + a^{−t}·des(w0), for flip shuffles and t ≥ 0."""
+    if t < 0:
+        raise BadCount(f"need t >= 0, got t={t}")
     if spec.flavor != FLIP:
         raise FlavorUnsupported(
             "the descent expectation formula is only stated for flip shuffles"
@@ -579,5 +581,7 @@ def expectation_via_eigenfunction(
     w0: WordLike,
     t: int,
 ) -> Fraction:
-    """β^t · f(w0): the expected value of a verified eigenfunction."""
+    """β^t · f(w0), t ≥ 0: the expected value of a verified eigenfunction."""
+    if t < 0:
+        raise BadCount(f"need t >= 0, got t={t}")
     return Fraction(beta) ** t * Fraction(f(as_word(w0)))

@@ -25,10 +25,8 @@ from .algebra import (
     concat_elements,
     deconcatenate,
     deshuffle,
-    is_primitive,
     lie_bracket,
     project_invariant,
-    shuffle_product,
     tau,
     tau_tilde,
 )
@@ -41,6 +39,7 @@ from .descent import (
     apply_operator,
     compose_law,
     decorated_compositions,
+    is_primitive,
     operator_matrix,
     riffle_operator,
 )
@@ -74,6 +73,7 @@ from .spectral import (
     double_partitions,
     hyperoct_stirling,
     multiplicity_genfun,
+    operator_eigenvalues,
     riffle_spectrum,
     shuffle_multiplicities,
     stirling_c,
@@ -172,51 +172,46 @@ def check_involutions(n_max: int, seed: int = 0) -> list[CheckResult]:
 
 
 def check_morphisms(n_max: int, seed: int = 0) -> list[CheckResult]:
+    """τ is a Hopf morphism, and τ̃ a Hopf ambimorphism, of both algebras.
+
+    (De)concatenation is checked on the words over {±1, ±2} of degree ≤ 3.
+    With σ = m∘Δ_(n̄) = τ or m∘Δ_(ñ) = τ̃, for n ≤ 4 and 0 ≤ i ≤ n, the
+    shuffle product's σ(u ⧢ v) = σu ⧢ σv is (i σ, n−i σ) = σ∘(i, n−i) on
+    the shuffle algebra, and deshuffling's Δ_(i, n−i)∘σ = (σ ⊗ σ)∘Δ_(i, n−i)
+    is (i σ, n−i σ) = (i, n−i)∘σ on the concat algebra, where concatenation
+    is a bijection from pairs of words of lengths (i, n−i) onto words of
+    length n.  ``_composes_to`` proves each for every word of degree n.
+    """
     out = []
     words = [w for n in range(0, 4) for w in all_words(n, 2)]
     pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 4]
-    tau_alg = tau_coalg = True
-    tt_alg_sh = tt_alg_co = tt_decon = tt_coalg_co = True
+    BAR, TBAR = Decoration.BAR, Decoration.TBAR
+    ok = {BAR: True, TBAR: True}  # τ, τ̃
     for u, v in pairs:
-        sh = shuffle_product([u, v])
-        if tau(sh) != shuffle_product([tau(u), tau(v)]):
-            tau_alg = False
-        if tau_tilde(sh) != shuffle_product([tau_tilde(u), tau_tilde(v)]):
-            tt_alg_sh = False
         uv = SignedWord(tuple(u) + tuple(v))
-        if tau(uv) != SignedWord(tuple(tau(u)) + tuple(tau(v))):
-            tau_alg = False
-        if tau_tilde(uv) != SignedWord(tuple(tau_tilde(v)) + tuple(tau_tilde(u))):
-            tt_alg_co = False
-    for w in [w for w in words if w]:
+        ok[BAR] &= tau(uv) == SignedWord(tuple(tau(u)) + tuple(tau(v)))
+        ok[TBAR] &= tau_tilde(uv) == SignedWord(tuple(tau_tilde(v)) + tuple(tau_tilde(u)))
+    for w in words:
         n = len(w)
         for i in range(n + 1):
-            # tau: coalgebra morphism for both coproducts
-            a1, a2 = deconcatenate(tau(w), (i, n - i))
+            # deconcatenation: τ slot-wise, τ̃ with the slots reversed
             b1, b2 = deconcatenate(w, (i, n - i))
-            if (a1, a2) != (tau(b1), tau(b2)):
-                tau_coalg = False
-            # tau_tilde on deconcatenation: anti-compatible (reversed slots)
-            c1, c2 = deconcatenate(tau_tilde(w), (i, n - i))
+            ok[BAR] &= deconcatenate(tau(w), (i, n - i)) == (tau(b1), tau(b2))
             d1, d2 = deconcatenate(w, (n - i, i))
-            if (c1, c2) != (tau_tilde(d2), tau_tilde(d1)):
-                tt_decon = False
-            # coproducts of the concat algebra: tau slot-wise, tau_tilde slot-wise
-            left = sorted(
-                (tau(x), tau(y)) for x, y in deshuffle(w, (i, n - i))
-            )
-            if left != sorted(deshuffle(tau(w), (i, n - i))):
-                tau_coalg = False
-            left2 = sorted(
-                (tau_tilde(x), tau_tilde(y)) for x, y in deshuffle(w, (i, n - i))
-            )
-            if left2 != sorted(deshuffle(tau_tilde(w), (i, n - i))):
-                tt_coalg_co = False
-    out.append(_result("algebra.tau_hopf_morphism", tau_alg and tau_coalg))
+            ok[TBAR] &= deconcatenate(tau_tilde(w), (i, n - i)) == (tau_tilde(d2), tau_tilde(d1))
+    for n in range(0, 5):
+        for i in range(n + 1):
+            split = DescentOperator.elementary(DecoratedComposition.of(i, n - i))
+            for flavor in (BAR, TBAR):
+                sigma = DescentOperator.elementary(DecoratedComposition.of((n, flavor)))
+                halves = DescentOperator.elementary(DecoratedComposition.of((i, flavor), (n - i, flavor)))
+                ok[flavor] &= _composes_to(halves, [sigma, split], SHUFFLE)
+                ok[flavor] &= _composes_to(halves, [split, sigma], CONCAT)
+    out.append(_result("algebra.tau_hopf_morphism", ok[BAR]))
     out.append(
         _result(
             "algebra.tau_tilde_ambimorphism",
-            tt_alg_sh and tt_alg_co and tt_decon and tt_coalg_co,
+            ok[TBAR],
             "algebra morphism + coalgebra antimorphism on shuffle; antimorphism + coalgebra morphism on concat",
         )
     )
@@ -272,6 +267,8 @@ def check_projections(n_max: int, seed: int = 0) -> list[CheckResult]:
 
 
 def check_prim_preservation(n_max: int, seed: int = 0) -> list[CheckResult]:
+    """τ and τ̃ keep the degree ≤ 4 Lyndon brackets over two letters
+    primitive in the concat algebra, read by ``is_primitive``'s kernel."""
     ok = True
     for d in range(1, 5):
         for u in lyndon_words(2, d):
@@ -669,10 +666,6 @@ def check_multiplicity_identities(n_max: int, seed: int = 0) -> list[CheckResult
 
 
 def check_spectrum_aggregation(n_max: int, seed: int = 0) -> list[CheckResult]:
-    from collections import Counter
-
-    from .spectral import operator_eigenvalues
-
     ok = True
     N, n = 2, 3
     for flavor in BOTH_FLAVORS:

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,14 +9,17 @@ from hyperoct import (
     CONCAT,
     SHUFFLE,
     AlgebraElement,
+    NotHomogeneous,
     SignedWord,
     SizeMismatch,
     all_words,
+    concat_elements,
     concat_product,
     deconcatenate,
     deshuffle,
     is_primitive,
     lie_bracket,
+    lyndon_words,
     project_invariant,
     shuffle_product,
     stdbrac,
@@ -72,6 +76,8 @@ def test_deconcatenate():
     assert deconcatenate(w, (0, 3, 0)) == (SignedWord(), w, SignedWord())
     with pytest.raises(SizeMismatch):
         deconcatenate(w, (1, 1))
+    with pytest.raises(SizeMismatch):  # sums to the degree, with a negative part
+        deconcatenate(w, (-1, 4))
 
 
 def test_concat_product():
@@ -91,6 +97,9 @@ def test_deshuffle_paper_example():
     assert len(deshuffle(W("3 -1 6"), (1, 1, 1))) == 6
     with pytest.raises(SizeMismatch):
         deshuffle(W("3 -1 6"), (1, 1))
+    for parts in ((-1, 4), (4, -1)):
+        with pytest.raises(SizeMismatch):
+            deshuffle(W("3 -1 6"), parts)
 
 
 @given(st.lists(st.integers(-3, 3).filter(bool), min_size=1, max_size=5), st.data())
@@ -146,6 +155,81 @@ def test_is_primitive():
     assert is_primitive(stdbrac(W("-1 6 -7 -2")), CONCAT)
     # the word 12 is not primitive in the concat algebra
     assert not is_primitive(AlgebraElement.from_word(W("1 2")), CONCAT)
+    # the algebra is checked first, whatever the degree
+    for x in (AlgebraElement.from_word(W("1")), AlgebraElement.zero(), W("1 2"), AlgebraElement.unit()):
+        with pytest.raises(ValueError, match="bogus"):
+            is_primitive(x, "bogus")
+
+
+def component_nonzero(x, i, algebra):
+    """Whether the (i, n−i) coproduct component of x is nonzero, computed
+    pair by pair: deconcatenation on the shuffle algebra, and deshuffling
+    on the concat algebra through the positions-first oracle."""
+    acc = {}
+    for w, c in x:
+        pairs = [(w[:i], w[i:])] if algebra == SHUFFLE else brute_deshuffle_pairs(w, i)
+        for u, v in pairs:
+            acc[tuple(u), tuple(v)] = acc.get((tuple(u), tuple(v)), 0) + c
+    return any(acc.values())
+
+
+def reference_is_primitive(x, algebra):
+    """The component-wise definition: every proper component vanishes."""
+    if not x:
+        return True
+    n = x.degree()
+    if n < 1:
+        raise NotHomogeneous("primitivity needs degree >= 1")
+    return not any(component_nonzero(x, i, algebra) for i in range(1, n))
+
+
+def test_is_primitive_matches_the_component_wise_definition():
+    # the 180 images of the primitive-preservation check
+    xs = [sigma(stdbrac(u)) for d in range(1, 5) for u in lyndon_words(2, d) for sigma in (tau, tau_tilde)]
+    assert len(xs) == 180
+    # products of two brackets: nonzero components at the split i and its
+    # mirror n − i only, for each 0 < i < n
+    for n in range(2, 6):
+        for i in range(1, n):
+            u = SignedWord(range(1, i + 1))
+            v = SignedWord(range(i + 1, n + 1))
+            x = concat_elements(stdbrac(u), stdbrac(v))
+            assert [k for k in range(1, n) if component_nonzero(x, k, CONCAT)] == sorted({i, n - i})
+            xs.append(x)
+    # repeated letters, labels past int64, Fraction coefficients, the zero
+    # element, sums of primitive and non-primitive parts
+    big = 2**70
+    xs += [
+        AlgebraElement.from_word(W("1 1")),
+        AlgebraElement([(W("1 -1"), 1), (W("-1 1"), -1)]),
+        stdbrac(W("1 1 2")),
+        concat_elements(W("2"), W("2")) - AlgebraElement([(W("2 2"), 1)]),
+        stdbrac(SignedWord((big, -big - 1))),
+        stdbrac(SignedWord((big, big, big + 1))) * Fraction(3, 7),
+        stdbrac(W("1 2")) * Fraction(1, 3) + AlgebraElement([(W("2 1"), Fraction(1, 3))]),
+        AlgebraElement([(SignedWord((big,)), Fraction(5, 2)), (SignedWord((-big,)), -1)]),
+        AlgebraElement.zero(),
+    ]
+    rng = random.Random(5)
+    for _ in range(60):
+        n = rng.randint(1, 4)
+        x = AlgebraElement(
+            (SignedWord(rng.choice((-2, -1, 1, 2)) for _ in range(n)), rng.randint(-2, 2))
+            for _ in range(3)
+        )
+        xs += [x, x + stdbrac(rng.choice(list(lyndon_words(2, n))))]
+    verdicts = {True: 0, False: 0}
+    for x in xs:
+        for algebra in (SHUFFLE, CONCAT):
+            got = is_primitive(x, algebra)
+            assert got == reference_is_primitive(x, algebra), (x, algebra)
+            verdicts[got] += 1
+    assert min(verdicts.values()) > 100  # both verdicts well exercised
+    for algebra in (SHUFFLE, CONCAT):
+        with pytest.raises(NotHomogeneous):
+            is_primitive(AlgebraElement.unit(), algebra)
+        with pytest.raises(NotHomogeneous):
+            reference_is_primitive(AlgebraElement.unit(), algebra)
 
 
 def test_tau_is_hopf_morphism_small():

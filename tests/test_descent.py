@@ -9,6 +9,7 @@ from hyperoct import (
     CONCAT,
     SHUFFLE,
     AlgebraElement,
+    BadCount,
     CodeOverflow,
     CompatibleMatrix,
     DecoratedComposition,
@@ -101,6 +102,11 @@ def test_riffle_operator_structure():
     states = signed_permutations(3)
     M = operator_matrix(riffle_operator(2, "+", Decoration.BAR, 3), states, SHUFFLE)
     assert (M.sum(axis=1) == 2**3).all()
+    with pytest.raises(BadCount, match="n=-1"):
+        riffle_operator(2, "+", Decoration.BAR, -1)
+    # degree 0 keeps its one all-empty composition
+    T = riffle_operator(2, "+", Decoration.BAR, 0)
+    assert T.degree == 0 and T.terms == {DC.parse("0,0b"): 1}
 
 
 PAPER_FIVE_MATRICES = [

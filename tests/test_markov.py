@@ -197,6 +197,8 @@ def test_expected_descents_formula(tm_cache):
         assert exact_stat_expectation(tm, w0, t, desvec) == expected_descents(spec, w0, t)
     with pytest.raises(FlavorUnsupported):
         expected_descents(ShuffleSpec(3, 2, "+", ROTATION), w0, 1)
+    with pytest.raises(BadCount, match="t=-1"):
+        expected_descents(spec, w0, -1)
 
 
 def test_expectation_via_eigenfunction(tm_cache):
@@ -210,6 +212,9 @@ def test_expectation_via_eigenfunction(tm_cache):
         assert expectation_via_eigenfunction(f, beta, w0, t) == exact_stat_expectation(
             tm, w0, t, fvec
         )
+    for b in (beta, 0):
+        with pytest.raises(BadCount, match="t=-2"):
+            expectation_via_eigenfunction(f, b, w0, -2)
 
 
 def test_sample_step_deterministic_cases():

@@ -13,6 +13,7 @@ from hyperoct import (
     AlgebraElement,
     CodeOverflow,
     DecoratedComposition,
+    Decoration,
     DescentOperator,
     NotIntegral,
     ShuffleSpec,
@@ -90,6 +91,35 @@ def test_triangularity_fails_on_a_wrong_beta(monkeypatch):
     real = verify.beta
     monkeypatch.setattr(verify, "beta", lambda lam, lbar, D: real(lam, lbar, D) + 1)
     assert verify.check_triangularity(3)[0].status == "fail"
+
+
+def test_primitive_preservation_fails_on_plain_words(monkeypatch):
+    assert verify.check_prim_preservation(4)[0].status == "pass"
+    monkeypatch.setattr(verify, "stdbrac", AlgebraElement.from_word)
+    assert verify.check_prim_preservation(4)[0].status == "fail"
+
+
+def test_tau_tilde_ambimorphism_fails_on_swapped_slots(monkeypatch):
+    """Fed the τ̃ sandwich (n−i t, i t) in place of (i t, n−i t), the row fails."""
+    def statuses():
+        return {r.name: r.status for r in verify.check_morphisms(4)}
+
+    assert set(statuses().values()) == {"pass"}
+    real = verify._composes_to
+    swapped = []
+
+    def composes_to(T, factors, algebra):
+        (D,) = T.terms
+        if D.length == 2 and D.flavor is Decoration.TBAR and D.parts[0] != D.parts[1]:
+            swapped.append(D)
+            T = DescentOperator.elementary(DecoratedComposition(D.parts[::-1]))
+        return real(T, factors, algebra)
+
+    monkeypatch.setattr(verify, "_composes_to", composes_to)
+    got = statuses()
+    assert swapped
+    assert got["algebra.tau_tilde_ambimorphism"] == "fail"
+    assert got["algebra.tau_hopf_morphism"] == "pass"
 
 
 def test_eigen_rows_read_the_certificate(monkeypatch):
