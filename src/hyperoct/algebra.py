@@ -170,6 +170,8 @@ INVOLUTIONS = {"tau": tau, "tau_tilde": tau_tilde}
 
 def project_invariant(x: Element, which: str = "tau", sign: str = "+") -> AlgebraElement:
     """(x + σ(x))/2 or (x − σ(x))/2 for the chosen involution σ."""
+    if which not in INVOLUTIONS:
+        raise ValueError(f"which must be 'tau' or 'tau_tilde', got {which!r}")
     x = _as_element(x)
     sx = INVOLUTIONS[which](x)
     if sign == "+":

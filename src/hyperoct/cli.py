@@ -16,7 +16,7 @@ from .descent import (
     compose_law,
     riffle_operator,
 )
-from .errors import HyperoctError, OutsideBasis
+from .errors import HyperoctError
 from .lyndon import build_eigenvector, eigenbasis, lyndon_factorize
 from .markov import (
     _FLAVOR_DECORATION as _FLAVORS,
@@ -94,16 +94,7 @@ def cmd_eigenvector(args) -> int:
     if args.permutation and sorted(abs(c) for c in w) != list(range(1, len(w) + 1)):
         raise HyperoctError("--permutation requires each label 1..n exactly once")
     flavor = _FLAVORS[args.flavor]
-    try:
-        vec, value = build_eigenvector(w, args.a, _SIGNS[args.sign], flavor)
-    except OutsideBasis as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            "hint: even-a rotation operators only assign eigenvectors to words "
-            "whose Lyndon factors all have an even number of barred letters",
-            file=sys.stderr,
-        )
-        return 2
+    vec, value = build_eigenvector(w, args.a, _SIGNS[args.sign], flavor)
     payload = {
         "word": list(w),
         "lyndon_factors": [list(u) for u in lyndon_factorize(w)],

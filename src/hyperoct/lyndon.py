@@ -8,20 +8,21 @@ standard-bracketing lifts a Lyndon word to a primitive element: single
 letters map to i+ī (plain) or i−ī (barred), longer words bracket their
 standard factorization recursively.
 
-There is one eigenvector assembly, on coded words: ``_eigen_assembly``
-names the signed orders in which the factors are concatenated, and
-``_combine`` concatenates and merges coded factors.  ``eigenvector_matrix``
-runs it on a basis of states and writes the rows of one int64 matrix;
-``build_eigenvector`` (and so ``eigenbasis``) runs it on one word, its
-labels ranked, and decodes one AlgebraElement.  The AlgebraElement
-assembly it replaced is kept in the tests as the reference.  It is exact
-by this argument:
+There is one assembly, on coded words: ``_bracket`` builds bracketings,
+``_eigen_assembly`` names the signed orders in which the factors of an
+eigenvector are concatenated, and ``_combine`` concatenates and merges
+coded factors.  ``eigenvector_matrix`` runs it on a basis of states and
+writes the rows of one int64 matrix; ``_ranked_assembly`` runs it on one
+word, its labels ranked, and decodes one AlgebraElement for ``stdbrac``
+and ``build_eigenvector`` (and so ``eigenbasis``).  The AlgebraElement
+assemblies it replaced are kept in the tests as the reference.  It is
+exact by this argument:
 
 - A word y with labels in [-m, m] is coded as the integer
   Σ_k (y_k + m)·(2m+1)^k (``descent.StateBasis``, the coding of
   ``descent.image_table``).  Every code of a word of length at most n is
   below (2m+1)^n.  For states, their coding proves that this fits in
-  int64; ``build_eigenvector`` codes in Python integers when it does not.
+  int64; ``_ranked_assembly`` codes in Python integers when it does not.
   The code of a concatenation xy is code(x) + code(y)·(2m+1)^|x|, so the
   codes of a product never leave that range.
 - Each eigenvector, and each bracketing inside it, is a signed sum of
@@ -31,7 +32,7 @@ by this argument:
   count·Π‖f_i‖₁.  That bound is computed in Python integers from the exact
   L1 norms of the factors, and CodeOverflow is raised before any int64
   arithmetic when it exceeds 2^63 − 1.  Integers never wrap:
-  ``eigenvector_matrix`` refuses there, and ``build_eigenvector`` runs the
+  ``eigenvector_matrix`` refuses there, and ``_ranked_assembly`` runs the
   same assembly on Python-integer coefficients.
 """
 
@@ -39,13 +40,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
 from .errors import BadCount, CodeOverflow, EmptyWord, NotLyndon, OutsideBasis, SingleLetter
-from .words import AlgebraElement, SignedWord, WordLike, as_word, word_lex_key
-from .algebra import lie_bracket
+from .words import AlgebraElement, SignedWord, WordLike, all_words, as_word, distinct_letter_words, word_lex_key
 from .descent import (
     _INT64_MAX,
     Decoration,
@@ -104,17 +104,12 @@ def standard_factorization(u: WordLike) -> tuple[SignedWord, SignedWord]:
 def stdbrac(u: WordLike) -> AlgebraElement:
     """Signed standard-bracketing of a Lyndon word (primitive in the
     concatenation algebra): i ↦ i+ī, ī ↦ i−ī, else the Lie bracket of the
-    bracketings of the standard factorization."""
+    bracketings of the standard factorization, built by ``_bracket`` on u
+    with its labels ranked."""
     u = as_word(u)
     if not is_lyndon(u):
         raise NotLyndon(f"{u} is not Lyndon")
-    if len(u) == 1:
-        c = u[0]
-        if c > 0:
-            return AlgebraElement([((c,), 1), ((-c,), 1)])
-        return AlgebraElement([((-c,), 1), ((c,), -1)])
-    left, right = standard_factorization(u)
-    return lie_bracket(stdbrac(left), stdbrac(right))
+    return _ranked_assembly(u, lambda v, m, memo: (_bracket(v, 2 * m + 1, memo), None))[0]
 
 
 def classify_primitive(u: WordLike, flavor: Decoration) -> str:
@@ -148,31 +143,15 @@ def build_eigenvector(w: WordLike, a: int, sign: str, flavor: Decoration) -> tup
     """Eigenvector of the chosen riffle operator on the concatenation algebra
     associated with the word w, together with its exact eigenvalue.
 
-    Runs the coded assembly of ``eigenvector_matrix`` on w with each |label|
-    replaced by its rank among the labels of w, and decodes the result once.
-    Ranking is exact: it keeps the alphabet order and the bars, so the
-    Lyndon factorization and its classification do not change.  Codes and
-    coefficients are int64 under the bounds of the module docstring, and
-    Python integers past them.  Raises BadCount for a < 1.
+    Runs the coded assembly of ``eigenvector_matrix`` on w through
+    ``_ranked_assembly``.  Raises BadCount for a < 1.
     """
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
     w = as_word(w)
     if not w:
         raise EmptyWord("no eigenvector for the empty word")
-    labels, rank = _label_ranks([w])
-    ranked = SignedWord._trusted(tuple(rank[c] for c in w))
-    R, n = len(labels), len(w)
-
-    def assemble(dtype) -> tuple[Coded, int]:
-        letters = _letter_brackets(range(1, R + 1), R, _code_dtype(R, n), dtype)
-        return _eigenvector_codes(ranked, a, sign, flavor, R, letters)
-
-    try:
-        (codes, coeffs, _), value = assemble(np.int64)
-    except CodeOverflow:  # past the int64 bound: the same assembly in Python integers
-        (codes, coeffs, _), value = assemble(object)
-    return AlgebraElement._trusted(dict(zip(_decode_words(codes, labels, n), coeffs.tolist()))), value
+    return _ranked_assembly(w, lambda v, m, memo: _eigenvector_codes(v, a, sign, flavor, m, memo))
 
 
 def eigenbasis(
@@ -190,8 +169,6 @@ def eigenbasis(
     skipped (they index the generalized 0-eigenspace, which has no eigenvector
     formula); the emitted set still spans a complement of it.
     """
-    from .words import all_words, distinct_letter_words
-
     words = all_words(n, N) if include_repeats else distinct_letter_words(n, N)
     out = []
     for w in words:
@@ -258,6 +235,32 @@ def _letter_brackets(labels: Iterable[int], m: int, code_dtype, dtype) -> dict[S
     return memo
 
 
+T = TypeVar("T")
+
+
+def _ranked_assembly(
+    w: SignedWord, assemble: Callable[[SignedWord, int, dict[SignedWord, Coded]], tuple[Coded, T]]
+) -> tuple[AlgebraElement, T]:
+    """(the decoded element, the rest) of ``assemble(ranked, R, memo)``,
+    with w's |labels| replaced by their ranks 1..R and the memo seeded by
+    ``_letter_brackets``.  Ranking keeps the alphabet order and the bars,
+    so every factorization and classification is kept.  Coefficients are
+    int64 under the bounds of the module docstring, and Python integers
+    past them."""
+    labels, rank = _label_ranks([w])
+    ranked = SignedWord._trusted(tuple(rank[c] for c in w))
+    R, n = len(labels), len(w)
+
+    def run(dtype) -> tuple[Coded, T]:
+        return assemble(ranked, R, _letter_brackets(range(1, R + 1), R, _code_dtype(R, n), dtype))
+
+    try:
+        (codes, coeffs, _), rest = run(np.int64)
+    except CodeOverflow:  # past the int64 bound: the same assembly in Python integers
+        (codes, coeffs, _), rest = run(object)
+    return AlgebraElement._trusted(dict(zip(_decode_words(codes, labels, n), coeffs.tolist()))), rest
+
+
 def _bracket(u: SignedWord, base: int, memo: dict[SignedWord, Coded]) -> Coded:
     """The signed standard bracketing of the Lyndon word u, coded in
     ``base``: [bracket(left), bracket(right)] for u's standard
@@ -293,8 +296,8 @@ def _eigen_assembly(
         if a % 2 == 0:
             if kbar:
                 raise OutsideBasis(
-                    "the word has rotation-negating Lyndon factors; even-a rotation "
-                    "operators have no eigenvector for it"
+                    "the word has rotation-negating Lyndon factors; even-a rotation operators only assign "
+                    "eigenvectors to words whose Lyndon factors all have an even number of barred letters"
                 )
             return [(1, (sym,))]
         return [(1, (*b1, sym, *reversed(b2))) for b1, b2 in _two_block_setcomps(kbar)]
@@ -370,8 +373,6 @@ def eigenvector_matrix(
 
 def lyndon_words(max_label: int, degree: int) -> list[SignedWord]:
     """All Lyndon words of the given degree over labels <= max_label."""
-    from .words import all_words
-
     return [w for w in all_words(degree, max_label) if is_lyndon(w)]
 
 

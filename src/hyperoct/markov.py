@@ -116,13 +116,13 @@ class TransitionMatrix:
         return len(self.states)
 
     def index(self, w: WordLike) -> int:
-        """The index of the state w.  Raises ValueError for a word that is
-        not a state."""
+        """The index of the state w.  Raises NotAState for a word that is
+        not a state, and so do ``entry`` and ``row``."""
         w = as_word(w)
         try:
             return int(self.states.index_words(np.array([w], dtype=np.int64))[0])
         except KeyError:
-            raise ValueError(f"{w} is not a state of the chain") from None
+            raise NotAState(f"{w} is not a state of the chain") from None
 
     def push(self, v: np.ndarray) -> np.ndarray:
         """v·counts: the mass v[i] spread over the images of each state i."""
@@ -356,9 +356,10 @@ def g_fn(i: int, w: WordLike) -> int:
     if i < 1:
         raise BadIndices("g needs i >= 1")
     w = as_word(w)
-    if w[0] == i or w[-1] == i:
+    ends = w[:1] + w[-1:]  # none for the empty word
+    if i in ends:
         return 1
-    if w[0] == -i or w[-1] == -i:
+    if -i in ends:
         return -1
     return 0
 
@@ -541,7 +542,8 @@ def exact_stat_expectation(
     The mass after t steps is a^(nt) in all, so every partial sum is at most
     a^(nt)·max|stat|; past int64 the same products run on Python integers.
     Raises BadCount for t < 0, SizeMismatch unless there is one stat value
-    per state, and NotIntegral for a stat value that is not an integer.
+    per state, NotIntegral for a stat value that is not an integer, and
+    NotAState when w0 is not a state.
     """
     if t < 0:
         raise BadCount(f"need t >= 0, got t={t}")

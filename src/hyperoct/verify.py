@@ -36,6 +36,7 @@ from .descent import (
     DecoratedComposition,
     Decoration,
     DescentOperator,
+    StateBasis,
     apply_operator,
     compose_law,
     decorated_compositions,
@@ -532,61 +533,64 @@ def _pbw_data(N: int, n: int, flavor: Decoration):
     return prims, monomials
 
 
-def check_triangularity(n_max: int, seed: int = 0) -> list[CheckResult]:
-    """Triangularity of every elementary descent operator on the PBW basis,
-    with the leading coefficient equal to the predicted eigenvalue β.
+def _pbw_triangular(n: int, flavor: Decoration) -> bool:
+    """Whether every elementary descent operator of the flavor is
+    triangular on the degree-n PBW basis over N = 2 labels, with β on the
+    diagonal.
 
-    Column j of the int64 matrix V is the j-th PBW monomial over the words,
-    and B = Mᵀ·V holds the images of the monomials under each D, for all
-    elementary D side by side.  The bracket letters are i ± ī, so V is the
-    letter change [[1, 1], [1, −1]] in every slot times an integer matrix
-    unitriangular by factor count, and Y = 2^n·V⁻¹·B is integral.  Y comes
-    from a rounded float64 solve and is accepted only when V·Y = 2^n·B
-    holds exactly and V is certified nonsingular; so the coordinates Y/2^n
-    are exact whether or not that argument holds.
+    Column j of the int64 matrix V is the j-th PBW monomial over the
+    words.  The bracket letters are i ± ī, so V is the letter change
+    [[1, 1], [1, −1]] in every slot times an integer matrix unitriangular
+    by factor count, and X = 2^n·V⁻¹ is integral.  X is rounded from a
+    float64 inverse and accepted only when V·X = 2^n·I holds exactly, which
+    proves V nonsingular and X exact; any failure of that argument is a
+    fail, never a wrong pass.  Then, one D at a time, Y = X·(Mᵀ·V) holds
+    2^n times the PBW coordinates of the images of the monomials.
     """
     N = 2
-    ok = True
-    for n in range(1, min(n_max, 3) + 1):
-        words = all_words(n, N)
-        widx = {w: i for i, w in enumerate(words)}
-        for flavor in BOTH_FLAVORS:
-            prims, monomials = _pbw_data(N, n, flavor)
-            V = np.stack(
-                [
-                    _int_vector(concat_elements(*(prims[i][4] for i in mono)), widx.__getitem__, len(words))
-                    for mono in monomials
-                ],
-                axis=1,
-            )
-            if V.shape[0] != V.shape[1] or not exactla.independent_certificate(V):
-                ok = False
-                continue
-            Ds = list(decorated_compositions(n, flavor))
-            B = np.hstack(
-                [_exact_product(operator_matrix(DescentOperator.elementary(D), words, CONCAT).T, V) for D in Ds]
-            )
-            Y = np.rint(2**n * np.linalg.solve(V, B)).astype(np.int64)
-            if not (_exact_product(V, Y) == 2**n * B).all():
-                ok = False
-                continue
-            # (λ, λ̄): the degrees of the invariant and the negating factors
-            shapes = [
-                tuple(
-                    tuple(sorted((prims[i][1] for i in mono if prims[i][0] == kind), reverse=True))
-                    for kind in (0, 1)
-                )
-                for mono in monomials
-            ]
-            length = np.array([len(mono) for mono in monomials])
-            # coordinate j of the image of monomial k must vanish when j has
-            # at least as many factors as k, save the diagonal
-            below = (length[:, None] >= length[None, :]) & ~np.eye(len(monomials), dtype=bool)
-            for D, Yd in zip(Ds, np.hsplit(Y, len(Ds))):
-                betas = {shape: beta(*shape, D) for shape in set(shapes)}
-                if (np.diag(Yd) != [2**n * betas[s] for s in shapes]).any() or Yd[below].any():
-                    ok = False
-    return [_result("spectral.pbw_triangularity", ok, f"N = {N}, degrees <= {min(n_max, 3)}")]
+    words = StateBasis(all_words(n, N), n)  # coded once for every operator_matrix
+    widx = {w: i for i, w in enumerate(words)}
+    prims, monomials = _pbw_data(N, n, flavor)
+    V = np.stack(
+        [
+            _int_vector(concat_elements(*(prims[i][4] for i in mono)), widx.__getitem__, len(words))
+            for mono in monomials
+        ],
+        axis=1,
+    )
+    if V.shape[0] != V.shape[1]:
+        return False
+    try:
+        X = np.rint(2**n * np.linalg.inv(V))
+    except np.linalg.LinAlgError:  # singular
+        return False
+    # NaN, inf, or past the int64 bound under which _exact_product forms V·X
+    if not (np.abs(X) <= _INT64_MAX // (len(V) * int(np.abs(V).max()))).all():
+        return False
+    X = X.astype(np.int64)
+    if not (_exact_product(V, X) == 2**n * np.eye(len(V), dtype=np.int64)).all():
+        return False
+    # (λ, λ̄): the degrees of the invariant and the negating factors
+    shapes = [
+        tuple(tuple(sorted((prims[i][1] for i in mono if prims[i][0] == kind), reverse=True)) for kind in (0, 1))
+        for mono in monomials
+    ]
+    length = np.array([len(mono) for mono in monomials])
+    # coordinate j of the image of monomial k must vanish when j has at
+    # least as many factors as k, save the diagonal
+    below = (length[:, None] >= length[None, :]) & ~np.eye(len(monomials), dtype=bool)
+    for D in decorated_compositions(n, flavor):
+        Y = _exact_product(X, _exact_product(operator_matrix(DescentOperator.elementary(D), words, CONCAT).T, V))
+        betas = {shape: beta(*shape, D) for shape in set(shapes)}
+        if (np.diag(Y) != [2**n * betas[s] for s in shapes]).any() or Y[below].any():
+            return False
+    return True
+
+
+def check_triangularity(n_max: int, seed: int = 0) -> list[CheckResult]:
+    """``_pbw_triangular`` over N = 2 labels, both flavors, degrees <= 3."""
+    ok = all(_pbw_triangular(n, flavor) for n in range(1, min(n_max, 3) + 1) for flavor in BOTH_FLAVORS)
+    return [_result("spectral.pbw_triangularity", ok, f"N = 2, degrees <= {min(n_max, 3)}")]
 
 
 def check_table1_totals(n_max: int, seed: int = 0) -> list[CheckResult]:

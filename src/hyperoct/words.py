@@ -13,7 +13,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
-from .errors import NotInAlphabet
+from .errors import NotHomogeneous, NotInAlphabet
 
 
 def letter_key(code: int) -> tuple[int, int]:
@@ -204,8 +204,6 @@ class AlgebraElement:
         """Common degree of a homogeneous non-zero element."""
         degs = {len(w) for w in self._terms}
         if len(degs) != 1:
-            from .errors import NotHomogeneous
-
             raise NotHomogeneous(f"degrees present: {sorted(degs)}")
         return degs.pop()
 

@@ -133,6 +133,12 @@ def test_project_invariant():
         assert project_invariant(y, which, "+") + project_invariant(y, which, "-") == y
 
 
+def test_project_invariant_refuses_an_unknown_involution():
+    for which, sign in (("bogus", "+"), ("tau", "*")):
+        with pytest.raises(ValueError, match=which if sign == "+" else "sign"):
+            project_invariant(W("1"), which, sign)
+
+
 def test_lie_bracket_paper_example():
     x = AlgebraElement([(W("6"), 1), (W("-6"), 1)])
     y = AlgebraElement([(W("7"), 1), (W("-7"), -1)])

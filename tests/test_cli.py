@@ -91,6 +91,8 @@ def test_eigenvector_outside_basis(capsys):
     )
     assert code == 2
     assert "even" in err
+    assert "even number of barred letters" in err
+    assert out == ""
 
 
 def test_eigenbasis(capsys):

@@ -27,6 +27,7 @@ from hyperoct import (
     is_lyndon,
     is_primitive,
     letter_key,
+    lie_bracket,
     lyndon_factorize,
     lyndon_words,
     primitive_dimensions,
@@ -109,6 +110,54 @@ def test_standard_factorization():
         standard_factorization(W("-5 3"))
 
 
+@functools.cache
+def reference_stdbrac(u):
+    """The signed standard bracketing by the AlgebraElement recursion:
+    i ↦ i+ī, ī ↦ i−ī, else [left, right] by ``lie_bracket``."""
+    if len(u) == 1:
+        c = abs(u[0])
+        return AlgebraElement([((c,), 1), ((-c,), 1 if u[0] > 0 else -1)])
+    left, right = standard_factorization(u)
+    return lie_bracket(reference_stdbrac(left), reference_stdbrac(right))
+
+
+STDBRAC_WORDS = [u for d in range(1, 5) for u in lyndon_words(3, d)] + [
+    SignedWord((2**70,)),
+    SignedWord((-(2**70),)),
+    SignedWord((2**70, -(2**70) - 1)),
+    SignedWord((-(2**70), 2**70, 2**70 + 5, -(2**70) - 1)),
+]
+
+
+def test_stdbrac_matches_the_reference_recursion():
+    assert len(STDBRAC_WORDS) > 100
+    for u in STDBRAC_WORDS:
+        assert stdbrac(u) == reference_stdbrac(u), u
+
+
+def test_stdbrac_on_python_integer_codes_and_coefficients(monkeypatch):
+    # an increasing word of 17 labels codes past int64, but its bracketing
+    # has 2^33 terms; forcing Python-integer codes runs the same path on
+    # short words, and a lowered L1 bound forces Python-integer coefficients
+    cases = [u for u in STDBRAC_WORDS[::5] if len(u) > 1] + [W("1 2 3 4 5")]
+    real = lyndon._letter_brackets
+    for name, value in (("_code_dtype", lambda m, n: object), ("_INT64_MAX", 1)):
+        seeds = []  # (code dtype, coefficient dtype) of each assembly run
+        monkeypatch.setattr(lyndon, "_letter_brackets", lambda *args: seeds.append(args[2:]) or real(*args))
+        monkeypatch.setattr(lyndon, name, value)
+        for u in cases:
+            assert stdbrac(u) == reference_stdbrac(u), u
+            assert seeds[-1] == ((object, np.int64) if name == "_code_dtype" else (np.int64, object)), u
+        monkeypatch.undo()
+
+
+def test_stdbrac_refusals():
+    with pytest.raises(EmptyWord):
+        stdbrac(SignedWord())
+    with pytest.raises(NotLyndon):
+        stdbrac(W("2 1"))
+
+
 def test_stdbrac_base_cases():
     assert stdbrac(W("-1")) == AlgebraElement([(W("1"), 1), (W("-1"), -1)])
     assert stdbrac(W("1")) == AlgebraElement([(W("1"), 1), (W("-1"), 1)])
@@ -188,9 +237,6 @@ def _product(elts):
     return concat_elements(*elts) if elts else AlgebraElement.unit()
 
 
-_stdbrac = functools.cache(stdbrac)  # the reference builds each bracketing once
-
-
 def reference_eigenvector(w, a, sign, flavor, tilde_plus_format="left"):
     """The eigenvector of w and its eigenvalue, assembled from the
     bracketings of its Lyndon factors as AlgebraElements.  For the flip
@@ -200,7 +246,7 @@ def reference_eigenvector(w, a, sign, flavor, tilde_plus_format="left"):
         raise EmptyWord("no eigenvector for the empty word")
     ps, qs = [], []
     for u in lyndon_factorize(w):
-        (ps if classify_primitive(u, flavor) == "invariant" else qs).append(_stdbrac(u))
+        (ps if classify_primitive(u, flavor) == "invariant" else qs).append(reference_stdbrac(u))
     k, kbar = len(ps), len(qs)
     sym = symmetrized_product(ps)
     even = a % 2 == 0
@@ -251,9 +297,9 @@ def test_build_eigenvector_rotation_paper_example():
     w = W("-4 3 5 -1 6 -7 -2")
     vec, value = build_eigenvector(w, 3, "+", Decoration.BAR)
     assert value == 3
-    p1 = stdbrac(W("3 5"))
-    q1 = stdbrac(W("-4"))
-    q2 = stdbrac(W("-1 6 -7 -2"))
+    p1 = reference_stdbrac(W("3 5"))
+    q1 = reference_stdbrac(W("-4"))
+    q2 = reference_stdbrac(W("-1 6 -7 -2"))
     want = (
         concat_elements(q1, q2, p1)
         + concat_elements(q1, p1, q2)

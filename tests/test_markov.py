@@ -126,6 +126,15 @@ def test_eigenfunction_values():
         f_tilde(3, 3, w)
 
 
+def test_eigenfunctions_vanish_on_the_empty_word():
+    # the empty word has no adjacent pair and no end letter
+    e = SignedWord()
+    assert f_plus(1, 2, e) == f_minus(1, 2, e) == f_tilde(1, 2, e) == g_fn(1, e) == 0
+    for kind, j in (("f_plus", 2), ("f_minus", 2), ("f_tilde", 2), ("g", None)):
+        assert eigenfunction_value(kind, e, 1, j) == 0
+    assert g_fn(1, W("-1")) == -1 and g_fn(2, W("2")) == 1 and g_fn(1, W("2")) == 0
+
+
 def test_f_minus_sign_convention():
     # f-: +1 on (ibar j) and (i jbar); -1 on (j ibar) and (jbar i), i < j
     assert f_minus(1, 2, W("-1 2 3")) == 1
@@ -491,8 +500,17 @@ def test_index_lookup(tm_cache):
         assert tm.index(list(w)) == i
     # not a state, too short, and a label past 3 that would code as -3 -2 1
     for w in ("1 1 2", "1 2", "4 -3 1"):
-        with pytest.raises(ValueError):
+        with pytest.raises(NotAState):
             tm.index(W(w))
+    state = tm.states[0]
+    for read in (
+        lambda w: tm.entry(w, state),
+        lambda w: tm.entry(state, w),
+        tm.row,
+        lambda w: exact_stat_expectation(tm, w, 1, [0] * tm.size),
+    ):
+        with pytest.raises(NotAState):
+            read(W("1 1 2"))
 
 
 def test_expectation_past_int64(tm_cache):

@@ -93,6 +93,28 @@ def test_triangularity_fails_on_a_wrong_beta(monkeypatch):
     assert verify.check_triangularity(3)[0].status == "fail"
 
 
+def test_triangularity_fails_on_a_singular_pbw_matrix(monkeypatch):
+    """A monomial listed twice makes V square and singular: the row fails,
+    and nothing is raised."""
+    real = verify._pbw_data
+
+    def repeated(N, n, flavor):
+        prims, monomials = real(N, n, flavor)
+        return prims, [monomials[0]] + monomials[:-1]
+
+    monkeypatch.setattr(verify, "_pbw_data", repeated)
+    assert verify.check_triangularity(3)[0].status == "fail"
+
+
+def test_triangularity_fails_on_a_non_finite_inverse(monkeypatch):
+    monkeypatch.setattr(np.linalg, "inv", lambda V: np.full(V.shape, np.inf))
+    assert verify.check_triangularity(3)[0].status == "fail"
+
+
+def test_triangularity_holds_at_degree_4():
+    assert verify._pbw_triangular(4, Decoration.TBAR)
+
+
 def test_primitive_preservation_fails_on_plain_words(monkeypatch):
     assert verify.check_prim_preservation(4)[0].status == "pass"
     monkeypatch.setattr(verify, "stdbrac", AlgebraElement.from_word)
