@@ -32,7 +32,7 @@ from .spectral import (
     operator_eigenvalues,
     shuffle_multiplicities,
 )
-from .verify import _composes_to, run_checks
+from .verify import _composes_to, chain_spectrum_certificate, run_checks
 from .words import SignedWord
 
 
@@ -52,7 +52,23 @@ def _add_chain_flags(p: argparse.ArgumentParser, sign_default="plus") -> None:
     p.add_argument("--flavor", choices=["rotation", "flip"], required=True)
 
 
+def _certificate_json(rep: dict, scale: int) -> dict:
+    """The facts of a chain certificate, eigenvalues as fractions of the
+    chain: no arrays, no timings."""
+    out = {k: rep[k] for k in ("method", "ok", "size", "annihilation_power", "zero_rank") if k in rep}
+    out["blocks"] = [
+        {
+            **{k: b[k] for k in ("k", "weight", "rows", "route", "annihilation_power", "zero_rank") if k in b},
+            "multiplicities": {str(Fraction(lam, scale)): m for lam, m in b["multiplicities"].items()},
+        }
+        for b in rep["blocks"]
+    ]
+    return out
+
+
 def cmd_spectrum(args) -> int:
+    if args.certify and args.op:
+        raise HyperoctError("--certify proves the spectrum of a chain (--n, --a), not of --op")
     if args.op:
         D = DecoratedComposition.parse(args.op)
         n = D.total
@@ -75,18 +91,18 @@ def cmd_spectrum(args) -> int:
         {"eigenvalue": str(v), "multiplicity": m}
         for v, m in shuffle_multiplicities(args.a, spec.sign, args.n)
     ]
-    _dump(
-        {
-            "n": args.n,
-            "a": args.a,
-            "sign": spec.sign,
-            "flavor": args.flavor,
-            "total_states": sum(r["multiplicity"] for r in rows),
-            "spectrum": rows,
-        },
-        args.out,
-    )
-    return 0
+    payload = {
+        "n": args.n,
+        "a": args.a,
+        "sign": spec.sign,
+        "flavor": args.flavor,
+        "total_states": sum(r["multiplicity"] for r in rows),
+        "spectrum": rows,
+    }
+    if args.certify:
+        payload["certificate"] = _certificate_json(chain_spectrum_certificate(spec), spec.scale)
+    _dump(payload, args.out)
+    return 0 if not args.certify or payload["certificate"]["ok"] else 1
 
 
 def cmd_eigenvector(args) -> int:
@@ -231,6 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--sign", choices=["plus", "minus"], default="plus")
     sp.add_argument("--flavor", choices=["rotation", "flip"], default="flip")
     sp.add_argument("--op", help="decorated composition, e.g. '1b,2' or '2t,5'")
+    sp.add_argument(
+        "--certify", action="store_true", help="prove the chain's spectrum exactly, on its sign-character blocks"
+    )
     sp.add_argument("--out")
     sp.set_defaults(fn=cmd_spectrum)
 

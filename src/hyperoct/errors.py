@@ -46,7 +46,8 @@ class BadCount(HyperoctError):
 
 
 class StateSpaceTooLarge(HyperoctError):
-    """2^n * n! states are too many for a dense transition matrix."""
+    """2^n * n! states are too many for a dense transition matrix, or n! * n!
+    entries for one sign-character block of the chain certificate."""
 
 
 class HypothesesNotMet(HyperoctError):

@@ -20,9 +20,11 @@ Everything here returns certified exact facts, never probabilistic ones:
   in absolute value (`trace_moduli`), so vanishing modulo pairwise coprime
   primes whose product exceeds the bound proves it is 0.  No certificate
   of the package calls it: `verify.chain_spectrum_certificate` proves
-  every deck size by its eigenvectors.  It stays because it shares no
-  code with that route: the tests check the Table-1 spectra against it,
-  and the benchmark's tracer still times it by name.
+  every deck size by the eigenvectors of the chain's n + 1 sign-character
+  blocks (n!×n!), with `annihilation_power` on the blocks that lack some.
+  It stays because it shares no code with that route: the tests check the
+  Table-1 spectra against it, and the benchmark's tracer still times it by
+  name.
 
 Every matrix product runs through BLAS in float64 and is exact: a partial
 sum of integer products is computed exactly whenever every such partial

@@ -11,12 +11,17 @@ standard factorization recursively.
 There is one assembly, on coded words: ``_bracket`` builds bracketings,
 ``_eigen_assembly`` names the signed orders in which the factors of an
 eigenvector are concatenated, and ``_combine`` concatenates and merges
-coded factors.  ``eigenvector_matrix`` runs it on a basis of states and
-writes the rows of one int64 matrix; ``_ranked_assembly`` runs it on one
-word, its labels ranked, and decodes one AlgebraElement for ``stdbrac``
-and ``build_eigenvector`` (and so ``eigenbasis``).  The AlgebraElement
-assemblies it replaced are kept in the tests as the reference.  It is
-exact by this argument:
+coded factors.  ``_ranked_assembly`` runs it on one word, its labels
+ranked, from the signed seed i ↦ i + ī, ī ↦ i − ī, and decodes one
+AlgebraElement for ``stdbrac`` and ``build_eigenvector`` (and so
+``eigenbasis``).  ``eigenvector_matrix`` runs it from the plain-letter
+seed, i ↦ i and ī ↦ i, on the words that bar the labels <= k of a basis
+of plain states, and writes the rows of one int64 matrix over those
+states: for distinct letters the signed eigenvector is the plain one
+times a sign character, so the n! rows of one k stand for the 2^n·n!
+signed rows of the chain certificate.  The AlgebraElement assemblies it
+replaced, and the signed rows over all states, are kept in the tests as
+the reference.  It is exact by this argument:
 
 - A word y with labels in [-m, m] is coded as the integer
   Σ_k (y_k + m)·(2m+1)^k (``descent.StateBasis``, the coding of
@@ -235,6 +240,17 @@ def _letter_brackets(labels: Iterable[int], m: int, code_dtype, dtype) -> dict[S
     return memo
 
 
+def _plain_letters(labels: Iterable[int], m: int) -> dict[SignedWord, Coded]:
+    """Both i and ī ↦ i for the given labels (at most m), and the unit,
+    coded in base 2m+1 in int64: the plain-letter seed of the block rows
+    of ``eigenvector_matrix``."""
+    memo = {SignedWord._trusted(()): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 0)}
+    for i in labels:
+        letter = (np.array([m + i], dtype=np.int64), np.ones(1, dtype=np.int64), 1)
+        memo[SignedWord._trusted((i,))] = memo[SignedWord._trusted((-i,))] = letter
+    return memo
+
+
 T = TypeVar("T")
 
 
@@ -328,22 +344,27 @@ def _eigenvector_codes(
 
 
 def eigenvector_matrix(
-    states: Sequence[SignedWord], a: int, sign: str, flavor: Decoration
+    states: Sequence[SignedWord], k: int, a: int, sign: str, flavor: Decoration
 ) -> tuple[np.ndarray, np.ndarray, tuple[SignedWord, ...]]:
-    """The eigenvectors of the words of ``states`` as the rows of one int64
-    matrix over the state basis.
+    """The block rows U_k: the eigenvectors of the words that bar the
+    labels <= k of the plain ``states``, each read on the plain states.
 
-    Returns (V, mu, words).  words are the states, in order, that have an
-    eigenvector: all of them, except the words with a negating factor under
-    an even-a rotation operator.  Row r of V holds the coefficients of
-    ``build_eigenvector(words[r], a, sign, flavor)`` on ``states``, and
-    mu[r] is its eigenvalue, so V and mu equal the ``eigenbasis`` vectors
-    written over the states.  Each bracketing is built once per Lyndon
-    word, and coefficients are int64 under the bounds of the module
-    docstring, past which CodeOverflow is raised.  The states are read as
-    a ``descent.StateBasis``, coded once per call unless they are one.
-    Raises KeyError naming a word of an eigenvector that is not a state,
-    BadCount for a < 1, and the errors of ``StateBasis`` for the states.
+    The letters map as i ↦ i + ī and ī ↦ i − ī, so the eigenvector of a
+    word w with distinct letters is Σ_y C_w(|y|)·χ_bar(w)(y) y, over the
+    words y with the letters of w up to bars: C_w is the same assembly
+    with both i and ī seeded as the plain letter i, and χ_S(y) is −1 to
+    the number of labels of S that y bars.  Returns (U, mu, words).  words
+    are the barred words, in the order of their plain states, that have an
+    eigenvector: all of them, except the words with a negating factor
+    under an even-a rotation operator.  Row r of U holds C_w for
+    w = words[r] on ``states``, and mu[r] is its eigenvalue.  Each
+    bracketing is built once per Lyndon word, and coefficients are int64
+    under the bounds of the module docstring, past which CodeOverflow is
+    raised.  The states are read as a ``descent.StateBasis``, coded once
+    per call unless they are one.  Raises ValueError unless the states are
+    plain words with distinct letters, KeyError naming a word of some C_w
+    that is not a state, BadCount for a < 1, and the errors of
+    ``StateBasis`` for the states.
     """
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
@@ -351,9 +372,13 @@ def eigenvector_matrix(
     if n == 0 and len(states):
         raise EmptyWord("no eigenvector for the empty word")
     basis = StateBasis(states, n)
-    memo = _letter_brackets(np.unique(np.abs(basis.W)).tolist(), basis.m, np.int64, np.int64)
+    ordered = np.sort(basis.W, axis=1)
+    if (ordered[:, :1] <= 0).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
+        raise ValueError("the states must be plain words with distinct letters")
+    memo = _plain_letters(np.unique(basis.W).tolist(), basis.m)
     rows, mus, words = [], [], []
-    for w in basis:
+    for pi in basis:
+        w = SignedWord._trusted(tuple(-c if c <= k else c for c in pi))
         try:
             (codes, coeffs, _), mu = _eigenvector_codes(w, a, sign, flavor, basis.m, memo)
         except OutsideBasis:
@@ -361,10 +386,10 @@ def eigenvector_matrix(
         rows.append((basis.index_codes(codes), coeffs))
         mus.append(mu)
         words.append(w)
-    V = np.zeros((len(rows), len(states)), dtype=np.int64)
+    U = np.zeros((len(rows), len(states)), dtype=np.int64)
     for r, (cols, coeffs) in enumerate(rows):
-        V[r, cols] = coeffs
-    return V, np.array(mus, dtype=np.int64), tuple(words)
+        U[r, cols] = coeffs
+    return U, np.array(mus, dtype=np.int64), tuple(words)
 
 
 # ---------------------------------------------------------------------------

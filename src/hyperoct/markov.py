@@ -19,7 +19,10 @@ state i, so a^n·K(x, y) counts the programs that send x to y.  The exact
 products run on that table: v·K scatters v over the images of each state,
 and K·f sums f over them.  So do the row and column sums, ``entry``, ``row``
 and unique stationarity.  The dense ``counts`` is kept for output
-(``to_json``, ``to_csv``) and for the certificates of ``exactla``.
+(``to_json``, ``to_csv``) and for the mod-p fixed-space bound of
+``stationary_is_unique`` at n <= 2.  No certificate reads it:
+``verify.chain_spectrum_certificate`` proves the spectrum on the chain's
+n!×n! sign-character blocks, and checks a given chain by its image table.
 
 K is doubly stochastic (its columns sum to 1 as well as its rows), so the
 uniform law is stationary and, as it charges every state, every state is
@@ -98,8 +101,10 @@ class TransitionMatrix:
 
     ``images`` is the image table, one column per program of the riffle
     operator, each with coefficient 1.  ``push``, ``pull``, ``entry``,
-    ``row`` and the row and column sums read it; ``to_json`` and ``to_csv``
-    read the dense ``counts``.  ``index`` reads the coded basis ``states``.
+    ``row`` and the row and column sums read it, and so does the chain
+    certificate, to prove that the table is the spec's chain.  ``to_json``
+    and ``to_csv`` read the dense ``counts``, which no certificate reads.
+    ``index`` reads the coded basis ``states``.
     """
 
     spec: ShuffleSpec

@@ -14,7 +14,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -30,16 +30,19 @@ from .algebra import (
     tau,
     tau_tilde,
 )
-from .errors import CodeOverflow, NotIntegral
+from .errors import CodeOverflow, NotIntegral, StateSpaceTooLarge
 from .descent import (
     _INT64_MAX,
     DecoratedComposition,
     Decoration,
     DescentOperator,
     StateBasis,
+    _image_codes,
+    _operator_programs,
     apply_operator,
     compose_law,
     decorated_compositions,
+    image_table,
     is_primitive,
     operator_matrix,
     riffle_operator,
@@ -691,73 +694,168 @@ def check_spectrum_aggregation(n_max: int, seed: int = 0) -> list[CheckResult]:
 # the chain spectrum certificate (Table 1 at full scale)
 
 
+# The largest n!×n! int64 sign-character block the chain certificate
+# builds: n = 7 (203 MB) fits, n = 8 (13 GB) does not.
+_BLOCK_BYTES = 1 << 30
+
+
+@functools.lru_cache(maxsize=None)
+def _plain_states(n: int) -> StateBasis:
+    """The n! plain permutations of 1..n, coded once per n: the states of
+    every sign-character block of degree n."""
+    return StateBasis([SignedWord._trusted(p) for p in itertools.permutations(range(1, n + 1))], n)
+
+
+def _sign_blocks(spec: ShuffleSpec, basis: StateBasis) -> Iterator[np.ndarray]:
+    """The blocks B_0, ..., B_n of the chain, one at a time, as n!×n! int64
+    matrices over the plain ``basis``: B_k[π, σ] = Σ χ_{S_k}(p(π)) over
+    the programs p of the riffle operator with |p(π)| = σ, for
+    S_k = {1..k}.  χ_{S_k}(p(π)) is −1 to the number of labels <= k that
+    p bars, read off one bitmask per (π, p) of the labels it bars."""
+    src, sign, _ = _operator_programs(spec.operator(), SHUFFLE)
+    F, n = len(basis), basis.n
+    sigma = basis.index_codes(_image_codes(basis.W, basis.m, src, np.ones_like(sign)))
+    bars = np.zeros(src.shape, dtype=np.int64)  # bars[p, i]: p bars input position i
+    np.put_along_axis(bars, src, sign < 0, axis=1)
+    masks = (1 << (basis.W - 1)) @ bars.T  # the labels that p bars in π, as bits
+    cells = (np.arange(F)[:, None] * F + sigma).ravel()
+    del src, sign, sigma, bars
+    chi = np.ones(masks.shape)  # χ_{S_k}(p(π))
+    for k in range(n + 1):
+        if k:  # S_k adds the label k: the sign flips where p bars it
+            chi[((masks >> (k - 1)) & 1).astype(bool)] *= -1
+        # the float64 sums are exact: |B_k[π, σ]| is at most the number of programs
+        yield np.bincount(cells, weights=chi.ravel(), minlength=F * F).astype(np.int64).reshape(F, F)
+
+
 def chain_spectrum_certificate(
     spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None
 ) -> dict:
-    """Certify that the characteristic polynomial of the exact transition
-    matrix A factors exactly as the multiplicity table predicts, at every n,
-    by one route.
+    """Certify that the characteristic polynomial of the chain's exact
+    transition matrix A (a^n·K) factors exactly as the multiplicity table
+    predicts, at every n, on the n + 1 sign-character blocks of A.
 
-    The eigenvectors come as the rows of one int64 matrix V from
-    `lyndon.eigenvector_matrix`: the Lyndon eigenvectors of the riffle
-    operator on the concatenation algebra, which is dual to the shuffle
-    algebra that A acts on, so they are A's right eigenvectors.  That is
-    proved on A itself, by the one exact product A·Vᵀ = Vᵀ·diag(μ)
-    (`report["eigen_equations"]`), and the rows are certified linearly
-    independent (`report["independent"]`).  So each eigenvalue's
-    multiplicity is at least its count among the rows.
+    A[x, y] counts the programs p of the riffle operator with p(x) = y,
+    and p(x)[j] = ±x[src[j]].  For S ⊆ {1..n} let χ_S(x) be −1 to the
+    number of labels of S that x bars, and |x| the plain permutation of x.
+    Three facts split A:
 
-    - When V has a row for every state ("full-eigenbasis"), the counts sum
-      to N and are the multiplicities, which pins the charpoly:
-      `report["counts_match"]` compares them with the table.
+    1. p bars a label of p(x) when exactly one of x and p(|x|) bars it, so
+       χ_S(p(x)) = χ_S(x)·χ_S(p(|x|)) and |p(x)| = |p(|x|)|.  Hence for g
+       on the n! plain permutations, A(g·χ_S) = (B_S·g)·χ_S, with
+       B_S[π, σ] = Σ χ_S(p(π)) over the p with |p(π)| = σ.  The 2^n
+       characters are orthogonal (T·Tᵀ = 2^n·I for their ±1 table T), so
+       the functions g·χ_S span all functions on the states, A is
+       block-diagonal on them, and spec A = ⊎_S spec B_S with algebraic
+       multiplicities.
+    2. Programs move positions and bar them, whatever the labels, so they
+       commute with every relabeling g of 1..n: p(g·x) = g·p(x).  Hence
+       B_{g(S)} = Π_g·B_S·Π_gᵀ, and the C(n, k) blocks with |S| = k share
+       the spectrum of B_k = B_{S_k}, S_k = {1..k} (``_sign_blocks``).
+    3. The eigenvector of a word w with distinct letters is the function
+       y ↦ C_w(|y|)·χ_bar(w)(y) (``lyndon.eigenvector_matrix``).  By 1, it
+       is A's right eigenvector for μ exactly when C_w is B_bar(w)'s.
+
+    So for each k the rows U_k of the words that bar exactly S_k are
+    proved eigenvectors, U_k·B_kᵀ = diag(μ)·U_k (``report["eigen_equations"]``),
+    and certified linearly independent (``report["independent"]``).  The
+    certificate proves the eigen-equations of these (n + 1)·n! block
+    eigenvectors, not of the 2^n·n! eigenvectors of A; at n <= 4 the tests
+    prove the rest against the dense reference.  Each multiplicity of B_k
+    is at least its count among the rows, and the counts, weighted by
+    C(n, k), are ``report["eigenvector_counts"]``.
+
+    - When every block has n! rows ("full-eigenbasis"), the weighted
+      counts sum to 2^n·n! and are the multiplicities, which pins the
+      charpoly: ``report["counts_match"]`` compares them with the table.
     - Even-a rotation has no eigenvector for the words with a negating
-      factor ("partial-eigenbasis+annihilation"), and the r rows must count
-      the table's nonzero eigenvalues, so alg(λ) >= m_λ for each λ ≠ 0.
-      `exactla.annihilation_power` builds P = Π(A − λ) over those λ
-      exactly and finds the least s <= 8 with A^s·P = 0
-      (`report["annihilation_power"]`).  Then im P lies in ker A^s, so
-      alg(0) >= rank P >= rank_p P (`report["zero_rank"]`, from one prime,
-      or a second when the first falls short).  Once rank_p P = N − r the
-      bounds sum to N, so each is an equality and no other eigenvalue
-      exists; N − r must then be the table's multiplicity of 0.
+      factor ("partial-eigenbasis+annihilation"), and the rows must count
+      the table's nonzero eigenvalues.  Each block B_k with r_k < n! rows
+      gets P_k = Π(B_k − λ) over those λ and the least s_k <= 8 with
+      B_k^{s_k}·P_k = 0 (``exactla.annihilation_power``), so alg_k(0) >=
+      rank P_k >= rank_p P_k (from one prime, or a second when the first
+      falls short of n! − r_k).  Once Σ_k C(n, k)·rank_p P_k = 2^n·n! − Σ_k
+      C(n, k)·r_k, every bound is an equality and no other eigenvalue
+      exists; that count must be the table's multiplicity of 0.  The
+      report gives A's annihilation power, max_k s_k, and rank P =
+      Σ_k C(n, k)·rank P_k (``report["zero_rank"]``).
 
-    Every fact above is recorded whatever the others give, and the report
-    holds no arrays, so `verify`'s eigenvector and duality rows read it too.
+    ``report["blocks"]`` holds one entry per k: its weight C(n, k), rows,
+    route, multiplicities and, on the annihilation route, s_k and rank.
+    When ``tm`` is given, ``report["table_matches"]`` proves that it is this
+    chain, by its image table, and ``ok`` requires it.  No transition matrix
+    is built, so the deck size is bounded only by the block size:
+    StateSpaceTooLarge is raised before any allocation when one n!×n!
+    int64 block would pass ``_BLOCK_BYTES``.  Every fact is recorded
+    whatever the others give, and the report holds no arrays, so
+    ``verify``'s eigenvector and duality rows read it too.
     """
-    if tm is None:
-        tm = transition_matrix(spec)
-    A, size = tm.counts, tm.size
+    n = spec.n
+    F = math.factorial(n)
+    if 8 * F * F > _BLOCK_BYTES:
+        raise StateSpaceTooLarge(
+            f"a sign-character block of {n}! × {n}! int64 entries passes {_BLOCK_BYTES} bytes"
+        )
+    size = 2**n * F
     predicted = {
-        int(v * tm.scale): m
-        for v, m in shuffle_multiplicities(spec.a, spec.sign, spec.n)
+        int(v * spec.scale): m
+        for v, m in shuffle_multiplicities(spec.a, spec.sign, n)
     }
-    nonzero_pred = {lam: m for lam, m in predicted.items() if lam != 0}
-    V, mu, _ = eigenvector_matrix(tm.states, spec.a, spec.sign, spec.decoration)
-    counts = dict(Counter(mu.tolist()))
-    full = len(V) == size
+    nonzero = sorted(lam for lam in predicted if lam)
+    basis = _plain_states(n)
+    counts: Counter = Counter()
+    blocks = []
+    equations = independent = annihilated = True
+    power = zero_rank = 0
+    for k, B in enumerate(_sign_blocks(spec, basis)):
+        U, mu, _ = eigenvector_matrix(basis, k, spec.a, spec.sign, spec.decoration)
+        weight = math.comb(n, k)
+        multiplicities = dict(Counter(mu.tolist()))
+        for lam, m in multiplicities.items():
+            counts[lam] += weight * m
+        equations = _eigen_equations_hold(U, mu, B.T) and equations
+        independent = exactla.independent_certificate(U) and independent
+        block = {"k": k, "weight": weight, "rows": len(U), "multiplicities": multiplicities}
+        blocks.append(block)
+        if len(U) == F:
+            block["route"] = "full-eigenbasis"
+            continue
+        block["route"] = "partial-eigenbasis+annihilation"
+        del U
+        s, P = exactla.annihilation_power(B, nonzero, 8)
+        rank = exactla.rank_mod(P, exactla.PRIMES[0])
+        if rank < F - block["rows"]:
+            rank = max(rank, exactla.rank_mod(P, exactla.PRIMES[1]))
+        block["annihilation_power"], block["zero_rank"] = s, rank
+        annihilated = annihilated and s is not None
+        power = max(power, s or 0)
+        zero_rank += weight * rank
+    counts = dict(counts)
+    full = all(b["route"] == "full-eigenbasis" for b in blocks)
     report = {
         "spec": spec,
         "predicted": predicted,
         "size": size,
         "method": "full-eigenbasis" if full else "partial-eigenbasis+annihilation",
-        "eigen_equations": _eigen_equations_hold(V, mu, A.T),
-        "independent": exactla.independent_certificate(V),
+        "eigen_equations": equations,
+        "independent": independent,
         "eigenvector_counts": counts,
-        "counts_match": counts == (predicted if full else nonzero_pred),
+        "counts_match": counts == (predicted if full else {lam: predicted[lam] for lam in nonzero}),
+        "blocks": blocks,
     }
-    report["ok"] = all(report[k] for k in ("eigen_equations", "independent", "counts_match"))
-    if full or not report["ok"]:
-        return report
-    zero_mult = size - len(V)
-    del V  # the N×N products below need the room
-    power, P = exactla.annihilation_power(A, sorted(nonzero_pred), 8)
-    zero_rank = exactla.rank_mod(P, exactla.PRIMES[0])
-    if zero_rank < zero_mult:
-        zero_rank = max(zero_rank, exactla.rank_mod(P, exactla.PRIMES[1]))
-    report["annihilation_power"] = power
-    report["annihilated"] = power is not None
-    report["zero_rank"] = zero_rank
-    report["ok"] = power is not None and zero_rank == zero_mult == predicted.get(0, 0)
+    checks = ["eigen_equations", "independent", "counts_match"]
+    if tm is not None:
+        report["table_matches"] = len(tm.states) == size and np.array_equal(
+            tm.images, image_table(spec.operator(), tm.states, SHUFFLE)[0]
+        )
+        checks.append("table_matches")
+    report["ok"] = all(report[c] for c in checks)
+    if not full:
+        report["annihilation_power"] = power if annihilated else None
+        report["annihilated"] = annihilated
+        report["zero_rank"] = zero_rank
+        zero_mult = size - sum(counts.values())
+        report["ok"] = report["ok"] and annihilated and zero_rank == zero_mult == predicted.get(0, 0)
     return report
 
 
@@ -833,7 +931,11 @@ def check_duval_brute(n_max: int, seed: int = 0) -> list[CheckResult]:
 
 def check_eigen_equations(n_max: int, seed: int = 0) -> list[CheckResult]:
     """The eigenvector rows of each n, read from the certificates of its 8
-    chains (`chain_spectrum_certificate`)."""
+    chains (`chain_spectrum_certificate`): for each k = 0..n, the n! block
+    rows C_w of the words w that bar exactly the labels <= k, proved
+    eigenvectors of the block B_k and independent.  The signed eigenvector
+    of w is C_w times the sign character of its bars, so these rows prove
+    the eigenvectors of those (n + 1)·n! words on the chain itself."""
     out = []
     for n in range(1, min(n_max, 4) + 1):
         reports = _chain_reports(n)
@@ -973,8 +1075,10 @@ def check_subdominant(n_max: int, seed: int = 0) -> list[CheckResult]:
 
 def check_chain_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
     """The concat-algebra eigenvectors are right eigenfunctions of the chain,
-    K·Vᵀ = Vᵀ·diag(μ/a^n): the certificates' `eigen_equations`, proved on
-    the chain's own matrix."""
+    K·v = (μ/a^n)·v: the certificates' `eigen_equations`.  They read the
+    eigenvectors of the words that bar exactly the labels <= k, each as its
+    block row C_w on the block B_k of the chain, since K·(g·χ_S) =
+    (B_S·g)·χ_S / a^n for the sign character χ_S."""
     ok = all(r["eigen_equations"] for n in range(1, min(n_max, 3) + 1) for r in _chain_reports(n))
     return [
         _result(

@@ -50,6 +50,47 @@ def test_spectrum_op_beta_table(capsys):
     assert table[((), (1, 1, 1))] == "-3"
 
 
+SPECTRUM_N3 = ["spectrum", "--n", "3", "--a", "2"]
+
+
+@pytest.mark.parametrize("flags", [["--flavor", "flip", "--sign", "minus"], ["--flavor", "rotation"]])
+def test_spectrum_certify(flags, capsys):
+    code, plain, _ = run_cli(SPECTRUM_N3 + flags, capsys)
+    code, out, _ = run_cli(SPECTRUM_N3 + flags + ["--certify"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    cert = data.pop("certificate")
+    assert data == json.loads(plain)  # the spectrum itself is unchanged
+    assert cert["ok"] is True and cert["size"] == 48
+    assert [b["k"] for b in cert["blocks"]] == [0, 1, 2, 3] and [b["weight"] for b in cert["blocks"]] == [1, 3, 3, 1]
+    counts = Counter()
+    for b in cert["blocks"]:
+        for value, m in b["multiplicities"].items():
+            counts[value] += b["weight"] * m
+    table = {r["eigenvalue"]: r["multiplicity"] for r in data["spectrum"]}
+    if flags[1] == "flip":
+        assert cert["method"] == "full-eigenbasis" and counts == table
+        assert "annihilation_power" not in cert and "zero_rank" not in cert
+    else:
+        assert cert["method"] == "partial-eigenbasis+annihilation"
+        assert cert["annihilation_power"] == 3 and cert["zero_rank"] == table.pop("0") == 33
+        assert counts == table
+        assert [b.get("zero_rank") for b in cert["blocks"]] == [None, 6, 3, 6]
+    assert not any(isinstance(v, list) for b in cert["blocks"] for v in b.values())
+
+
+def test_spectrum_certify_exits_1_when_not_ok(monkeypatch, capsys):
+    real = cli.chain_spectrum_certificate
+    monkeypatch.setattr(cli, "chain_spectrum_certificate", lambda spec: {**real(spec), "ok": False})
+    code, out, _ = run_cli(SPECTRUM_N3 + ["--flavor", "flip", "--certify"], capsys)
+    assert code == 1 and json.loads(out)["certificate"]["ok"] is False
+
+
+def test_spectrum_certify_refuses_an_operator(capsys):
+    code, out, err = run_cli(["spectrum", "--op", "1b,2", "--certify"], capsys)
+    assert code == 2 and out == "" and "--certify" in err
+
+
 def test_eigenvector_paper_example(capsys):
     code, out, _ = run_cli(
         [

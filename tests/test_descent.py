@@ -1,3 +1,4 @@
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -43,7 +44,7 @@ from hyperoct import (
 from hyperoct import descent
 from hyperoct.algebra import _position_splits
 from hyperoct.descent import _label_programs, _piles, _programs, elementary_action, image_table
-from conftest import W
+from conftest import W, signed_eigenvector_matrix
 
 DC = DecoratedComposition
 
@@ -333,14 +334,17 @@ def test_direct_lookup_matches_search_image_tables(monkeypatch):
 
 
 def test_direct_lookup_matches_search_eigenvector_matrices(monkeypatch):
-    bases = [signed_permutations(n) for n in (1, 2, 3, 4)] + [all_words(3, 2)]
-    for states in bases:
-        for a, sign, dec in LOOKUP_SPECS:
-            direct, search = _both_lookups(
-                monkeypatch, lambda: eigenvector_matrix(states, a, sign, dec)
-            )
-            assert np.array_equal(direct[0], search[0]) and direct[0].dtype == search[0].dtype
-            assert np.array_equal(direct[1], search[1]) and direct[2] == search[2]
+    builds = []
+    for a, sign, dec in LOOKUP_SPECS:
+        for states in [signed_permutations(n) for n in (1, 2, 3, 4)] + [all_words(3, 2)]:
+            builds.append(functools.partial(signed_eigenvector_matrix, states, a, sign, dec))
+        for n in (1, 2, 3, 4):
+            plain = [SignedWord(p) for p in itertools.permutations(range(1, n + 1))]
+            builds += [functools.partial(eigenvector_matrix, plain, k, a, sign, dec) for k in range(n + 1)]
+    for build in builds:
+        direct, search = _both_lookups(monkeypatch, build)
+        assert np.array_equal(direct[0], search[0]) and direct[0].dtype == search[0].dtype
+        assert np.array_equal(direct[1], search[1]) and direct[2] == search[2]
 
 
 def test_direct_lookup_refusals_match_search(monkeypatch):
@@ -353,7 +357,7 @@ def test_direct_lookup_refusals_match_search(monkeypatch):
     # an eigenvector leaving the basis: that of 1 2 1 has other words
     basis = [W("1 2 1")]
     direct, search = _both_lookups(
-        monkeypatch, lambda: _raised(lambda: eigenvector_matrix(basis, 2, "+", Decoration.TBAR))
+        monkeypatch, lambda: _raised(lambda: signed_eigenvector_matrix(basis, 2, "+", Decoration.TBAR))
     )
     assert direct == search and len(direct[0]) == 3 and direct[0] not in basis
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from hyperoct import (
     CONCAT,
     AlgebraElement,
+    BadCount,
     CodeOverflow,
     Decoration,
     EmptyWord,
@@ -39,10 +40,10 @@ from hyperoct import (
     tau,
     tau_tilde,
 )
-from hyperoct import lyndon
+from hyperoct import descent, lyndon
 from hyperoct.lyndon import _combine
 from hyperoct.verify import ALL_SPECS, _int_vector
-from conftest import W
+from conftest import W, signed_eigenvector_matrix
 
 letters = st.integers(min_value=-3, max_value=3).filter(bool)
 words = st.lists(letters, min_size=1, max_size=8).map(SignedWord)
@@ -460,7 +461,7 @@ def test_build_eigenvector_retries_past_a_lowered_int64_bound(monkeypatch):
     assert len(want) > len(cases) // 2
     monkeypatch.setattr(lyndon, "_INT64_MAX", 1)
     with pytest.raises(CodeOverflow):
-        eigenvector_matrix(signed_permutations(2), 3, "+", Decoration.TBAR)
+        eigenvector_matrix([W("1 2"), W("2 1")], 1, 3, "+", Decoration.TBAR)
     for (w, a, sign, flavor), (vec, mu) in want.items():
         got = build_eigenvector(w, a, sign, FLAVOR[flavor])
         assert got == (vec, mu), (w, a, sign, flavor)
@@ -476,7 +477,8 @@ def test_primitive_dimensions_identity():
 
 
 # ---------------------------------------------------------------------------
-# eigenvector_matrix against the eigenbasis reference
+# the signed eigenvector rows against the eigenbasis reference, and the
+# block rows of eigenvector_matrix against the signed rows
 
 FLAVOR = {"rotation": Decoration.BAR, "flip": Decoration.TBAR}
 
@@ -496,13 +498,17 @@ def _reference_matrix(states, n, N, a, sign, flavor, include_repeats=False):
 
 
 def _assert_matches_reference(states, n, N, a, sign, flavor, include_repeats=False):
-    V, mu, words = eigenvector_matrix(states, a, sign, flavor)
+    V, mu, words = signed_eigenvector_matrix(states, a, sign, flavor)
     want_V, want_mu, want_words = _reference_matrix(states, n, N, a, sign, flavor, include_repeats)
     assert V.dtype == np.int64 and mu.dtype == np.int64
     assert words == want_words  # the same refused words
     assert mu.tolist() == want_mu
     assert (V == want_V).all()
     return V, mu, words
+
+
+def plain_permutations(n):
+    return [SignedWord(p) for p in itertools.permutations(range(1, n + 1))]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -519,11 +525,41 @@ def test_eigenvector_matrix_matches_eigenbasis_n4(a, sign, flavor):
     _assert_matches_reference(signed_permutations(4), 4, 4, a, sign, FLAVOR[flavor])
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("a, sign, flavor", ALL_SPECS + ((1, "+", "flip"), (1, "-", "rotation"), (4, "-", "flip")))
+def test_block_rows_lift_to_the_signed_rows(n, a, sign, flavor):
+    """The signed row of every w is y ↦ C_w(|y|)·χ_bar(w)(y), for C_w the
+    assembly of w on the plain-letter seed and χ_S(y) = −1 to the number
+    of labels of S that y bars; the block rows are the C_w of the words
+    that bar exactly the labels <= k."""
+    states = signed_permutations(n)
+    V, mu, words = signed_eigenvector_matrix(states, a, sign, FLAVOR[flavor])
+    plain = descent.StateBasis(plain_permutations(n), n)
+    memo = lyndon._plain_letters(range(1, n + 1), n)
+    rows = {}
+    for w, row, m in zip(words, V.tolist(), mu.tolist()):
+        (codes, coeffs, _), value = lyndon._eigenvector_codes(w, a, sign, FLAVOR[flavor], n, memo)
+        C = np.zeros(len(plain), dtype=np.int64)
+        C[plain.index_codes(codes)] = coeffs
+        bars = {-c for c in w if c < 0}
+        lift = [int(C[plain.index_words(np.abs([y]))[0]]) * (-1) ** sum(-c in bars for c in y) for y in states]
+        assert row == lift and m == value, w
+        rows[w] = (C.tolist(), m)
+    for k in range(n + 1):
+        U, mu_k, words_k = eigenvector_matrix(plain, k, a, sign, FLAVOR[flavor])
+        assert set(words_k) == {w for w in words if {-c for c in w if c < 0} == set(range(1, k + 1))}
+        for w, row, m in zip(words_k, U.tolist(), mu_k.tolist()):
+            assert rows[w] == (row, m), w
+
+
 @pytest.mark.parametrize("sign", ["+", "-"])
 @pytest.mark.parametrize("flavor", [Decoration.BAR, Decoration.TBAR])
 def test_eigenvector_matrix_a1_and_repeated_letters(sign, flavor):
     V, mu, _ = _assert_matches_reference(signed_permutations(2), 2, 2, 1, sign, flavor)
     assert set(np.abs(mu).tolist()) == {1}
+    for k in range(3):
+        U, mu_k, _ = eigenvector_matrix(plain_permutations(2), k, 1, sign, flavor)
+        assert set(np.abs(mu_k).tolist()) <= {1}
     # repeated letters: equal codes from different summands merge
     for a in (2, 3):
         _assert_matches_reference(all_words(3, 1), 3, 1, a, sign, flavor, include_repeats=True)
@@ -531,40 +567,54 @@ def test_eigenvector_matrix_a1_and_repeated_letters(sign, flavor):
 
 def test_eigenvector_matrix_wide_labels():
     # label 2 moved to 2^20: an increasing relabeling keeps the rows, and
-    # only the labels that occur get a letter bracketing
+    # only the labels that occur get a letter bracketing; the block rows
+    # bar the labels <= k, so k = 2^20 bars both letters
     def relabel(w):
         return SignedWord(c if abs(c) == 1 else c // 2 * 2**20 for c in w)
 
-    states = signed_permutations(2)
+    plain, states = plain_permutations(2), signed_permutations(2)
     for a, sign, flavor in ALL_SPECS:
-        V, mu, words = eigenvector_matrix(states, a, sign, FLAVOR[flavor])
-        wide = eigenvector_matrix([relabel(w) for w in states], a, sign, FLAVOR[flavor])
+        for k, wide_k in ((0, 0), (1, 1), (2, 2**20)):
+            U, mu, words = eigenvector_matrix(plain, k, a, sign, FLAVOR[flavor])
+            wide = eigenvector_matrix([relabel(w) for w in plain], wide_k, a, sign, FLAVOR[flavor])
+            assert (wide[0] == U).all() and (wide[1] == mu).all() and wide[2] == tuple(map(relabel, words))
+        V, mu, words = signed_eigenvector_matrix(states, a, sign, FLAVOR[flavor])
+        wide = signed_eigenvector_matrix([relabel(w) for w in states], a, sign, FLAVOR[flavor])
         assert (wide[0] == V).all() and (wide[1] == mu).all() and wide[2] == tuple(map(relabel, words))
 
 
 def test_eigenvector_matrix_skips_even_rotation_rows():
-    states = signed_permutations(3)
-    V, mu, words = eigenvector_matrix(states, 2, "+", Decoration.BAR)
     kept = [
-        w for w in states
+        w for w in signed_permutations(3)
         if all(classify_primitive(u, Decoration.BAR) == "invariant" for u in lyndon_factorize(w))
     ]
-    assert words == tuple(kept) and V.shape == (15, 48) and len(mu) == 15
+    for k in range(4):
+        U, mu, words = eigenvector_matrix(plain_permutations(3), k, 2, "+", Decoration.BAR)
+        want = [w for w in kept if {-c for c in w if c < 0} == set(range(1, k + 1))]
+        assert sorted(words) == sorted(want) and U.shape == (len(want), 6) and len(mu) == len(want)
+        assert len(want) == (6, 0, 3, 0)[k]  # an odd number of bars leaves a negating factor
     # n = 1: 1̄ is negating under rotation, 1 is invariant
-    V1, mu1, words1 = eigenvector_matrix(signed_permutations(1), 2, "-", Decoration.BAR)
-    assert words1 == (W("1"),) and V1.tolist() == [[1, 1]] and mu1.tolist() == [2]
+    (U0, mu0, words0), (U1, mu1, words1) = (eigenvector_matrix([W("1")], k, 2, "-", Decoration.BAR) for k in (0, 1))
+    assert words0 == (W("1"),) and U0.tolist() == [[1]] and mu0.tolist() == [2]
+    assert words1 == () and U1.shape == (0, 1)
 
 
 def test_eigenvector_matrix_refusals():
     # (2m+1)^3 passes 2^63 - 1 at m = 2^20
     with pytest.raises(CodeOverflow):
-        eigenvector_matrix([SignedWord((2**20, 1, 2))], 3, "+", Decoration.TBAR)
+        eigenvector_matrix([SignedWord((2**20, 1, 2))], 0, 3, "+", Decoration.TBAR)
     # 20 equal invariant factors: the symmetrized product's L1 bound is
     # 20!·2^20 > 2^63, refused before its 20! orders are enumerated
     with pytest.raises(CodeOverflow):
-        eigenvector_matrix([SignedWord((1,) * 20)], 3, "+", Decoration.BAR)
-    # the eigenvector of 1 2 has words that are not states here
+        signed_eigenvector_matrix([SignedWord((1,) * 20)], 3, "+", Decoration.BAR)
+    # the block rows read plain words with distinct letters only
+    for states in ([SignedWord((1,) * 20)], [W("1 -2")], [W("2 1"), W("1 1")]):
+        with pytest.raises(ValueError, match="plain words with distinct letters"):
+            eigenvector_matrix(states, 0, 3, "+", Decoration.BAR)
+    # C_w of 1 2 has the word 2 1, which is not a state here
     with pytest.raises(KeyError):
-        eigenvector_matrix([W("1 2"), W("-1 2"), W("2 1")], 3, "+", Decoration.TBAR)
-    V, mu, words = eigenvector_matrix([], 3, "+", Decoration.TBAR)
-    assert V.shape == (0, 0) and words == ()
+        eigenvector_matrix([W("1 2")], 0, 3, "+", Decoration.TBAR)
+    with pytest.raises(BadCount):
+        eigenvector_matrix([W("1 2")], 0, 0, "+", Decoration.TBAR)
+    U, mu, words = eigenvector_matrix([], 0, 3, "+", Decoration.TBAR)
+    assert U.shape == (0, 0) and words == ()

@@ -17,6 +17,7 @@ from hyperoct import (
     DescentOperator,
     NotIntegral,
     ShuffleSpec,
+    StateSpaceTooLarge,
     compose_law,
     decorated_compositions,
     operator_matrix,
@@ -25,7 +26,7 @@ from hyperoct import (
 )
 from hyperoct import verify
 from hyperoct.verify import _eigen_equations_hold, _int_vector, check_chain_spectra, check_subdominant
-from conftest import W
+from conftest import W, dense_certificate, signed_eigenvector_matrix
 
 
 def test_int_vector_refuses_fractions_and_foreign_words():
@@ -83,7 +84,10 @@ def test_one_certificate_per_chain(fresh_reports, monkeypatch):
     assert all(r.status != "fail" for r in verify.run_checks("all", 3))
     specs = [ShuffleSpec(n, a, sign, flavor) for n in (1, 2, 3) for a, sign, flavor in verify.ALL_SPECS]
     assert calls["chain_spectrum_certificate"] == Counter(specs)
-    assert calls["eigenvector_matrix"] == Counter((s.n, s.a, s.sign, s.decoration) for s in specs)
+    # one block builder call per sign-character block: n + 1 per chain
+    assert calls["eigenvector_matrix"] == Counter(
+        (s.n, k, s.a, s.sign, s.decoration) for s in specs for k in range(s.n + 1)
+    )
 
 
 def test_triangularity_fails_on_a_wrong_beta(monkeypatch):
@@ -195,15 +199,26 @@ ROTATION_SPEC = ShuffleSpec(3, 2, "+", ROTATION)
 
 
 def test_rotation_route_refuses_a_short_zero_rank(monkeypatch):
-    tm = verify.transition_matrix(ROTATION_SPEC)
-    rep = verify.chain_spectrum_certificate(ROTATION_SPEC, tm)
-    assert rep["ok"] and rep["zero_rank"] == 33
-    real = verify.exactla.rank_mod
-    monkeypatch.setattr(
-        verify.exactla, "rank_mod", lambda M, p: real(M, p) if len(M) < tm.size else rep["zero_rank"] - 1
-    )
-    bad = verify.chain_spectrum_certificate(ROTATION_SPEC, tm)
-    assert bad["zero_rank"] == 32 and bad["annihilated"] and bad["ok"] is False
+    """The rank of the P of one block, k = n (weight 1), one short."""
+    rep = verify.chain_spectrum_certificate(ROTATION_SPEC)
+    assert rep["ok"] and rep["zero_rank"] == 33 and rep["blocks"][3]["zero_rank"] == 6
+    real_power, real_rank = verify.exactla.annihilation_power, verify.exactla.rank_mod
+    blocks = []  # the P of each block on the annihilation route
+
+    def recorded(B, eigs, smax):
+        s, P = real_power(B, eigs, smax)
+        blocks.append(P)
+        return s, P
+
+    def rank(M, p):
+        return real_rank(M, p) - (len(blocks) == 3 and M is blocks[-1])
+
+    monkeypatch.setattr(verify.exactla, "annihilation_power", recorded)
+    monkeypatch.setattr(verify.exactla, "rank_mod", rank)
+    bad = verify.chain_spectrum_certificate(ROTATION_SPEC)
+    assert len(blocks) == 3  # the blocks k = 1, 2, 3 take the annihilation route
+    assert bad["blocks"][3]["zero_rank"] == 5 and bad["zero_rank"] == 32
+    assert bad["annihilated"] and bad["ok"] is False
 
 
 def test_rotation_route_refuses_a_wrong_zero_multiplicity(monkeypatch):
@@ -215,13 +230,16 @@ def test_rotation_route_refuses_a_wrong_zero_multiplicity(monkeypatch):
     monkeypatch.setattr(verify, "shuffle_multiplicities", wrong)
     rep = verify.chain_spectrum_certificate(ROTATION_SPEC)
     assert rep["counts_match"] and rep["annihilated"] and rep["zero_rank"] == 33
+    assert [b.get("zero_rank") for b in rep["blocks"]] == [None, 6, 3, 6]
     assert rep["predicted"][0] == 34 and rep["ok"] is False
 
 
 def test_rotation_route_refuses_without_an_annihilation_power(monkeypatch):
     real = verify.exactla.annihilation_power
-    monkeypatch.setattr(verify.exactla, "annihilation_power", lambda A, eigs, smax: real(A, eigs, 1))
+    monkeypatch.setattr(verify.exactla, "annihilation_power", lambda B, eigs, smax: real(B, eigs, 1))
     rep = verify.chain_spectrum_certificate(ROTATION_SPEC)
+    # B_2 is annihilated at power 1, B_1 and B_3 need more
+    assert [b.get("annihilation_power") for b in rep["blocks"]] == [None, None, 1, None]
     assert rep["annihilation_power"] is None and rep["annihilated"] is False and rep["ok"] is False
 
 
@@ -229,38 +247,145 @@ def test_chain_certificate_links_the_proved_matrix_to_the_chain(monkeypatch):
     spec = ShuffleSpec(4, 3, "+", "flip")
     tm = verify.transition_matrix(spec)
     rep = verify.chain_spectrum_certificate(spec, tm)
-    assert rep["ok"] and rep["eigen_equations"] and rep["method"] == "full-eigenbasis"
-    assert "duality" not in rep
-    counts = tm.counts.copy()
-    counts[5, 7] += 1
-    bad = verify.chain_spectrum_certificate(spec, verify.TransitionMatrix(spec, tm.states, counts, tm.images))
-    assert bad["eigen_equations"] is False and bad["ok"] is False
-    real = verify.eigenvector_matrix
+    assert rep["ok"] and rep["eigen_equations"] and rep["table_matches"] and rep["method"] == "full-eigenbasis"
+    assert "duality" not in rep and "table_matches" not in verify.chain_spectrum_certificate(spec)
+    images = tm.images.copy()
+    images[5, 7] = (images[5, 7] + 1) % tm.size
+    bad = verify.chain_spectrum_certificate(spec, verify.TransitionMatrix(spec, tm.states, tm.counts, images))
+    assert bad["table_matches"] is False and bad["ok"] is False and bad["eigen_equations"]
+    other = verify.transition_matrix(ShuffleSpec(4, 3, "-", "flip"))
+    assert verify.chain_spectrum_certificate(spec, other)["table_matches"] is False
 
-    def corrupted(*args):
-        V, mu, words = real(*args)
-        V[5, 7] += 1
-        return V, mu, words
+    def bump(M):
+        M = M.copy()
+        M[5, 7] += 1
+        return M
 
-    monkeypatch.setattr(verify, "eigenvector_matrix", corrupted)
+    real_rows, real_blocks = verify.eigenvector_matrix, verify._sign_blocks
+
+    def rows(basis, k, *rest):  # one entry of the rows of block 1
+        U, mu, words = real_rows(basis, k, *rest)
+        return (bump(U) if k == 1 else U), mu, words
+
+    monkeypatch.setattr(verify, "eigenvector_matrix", rows)
+    bad = verify.chain_spectrum_certificate(spec, tm)
+    assert bad["eigen_equations"] is False and bad["ok"] is False and bad["table_matches"]
+    monkeypatch.undo()
+    monkeypatch.setattr(  # one entry of block 1
+        verify, "_sign_blocks", lambda spec, basis: (bump(B) if k == 1 else B for k, B in enumerate(real_blocks(spec, basis)))
+    )
     bad = verify.chain_spectrum_certificate(spec, tm)
     assert bad["eigen_equations"] is False and bad["ok"] is False
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_chain_certificate_matches_the_concat_side_route(n):
-    # the route the certificate took before it read A itself: the riffle
-    # duality A = Mcᵀ against the concat-algebra matrix Mc, then the left
-    # eigen-equations V·Mc = diag(μ)·V
+    # the route the dense certificate took before it read A itself: the
+    # riffle duality A = Mcᵀ against the concat-algebra matrix Mc, then the
+    # left eigen-equations V·Mc = diag(μ)·V of the signed rows
     for a, sign, flavor in verify.ALL_SPECS:
         spec = ShuffleSpec(n, a, sign, flavor)
         tm = verify.transition_matrix(spec)
         Mc = operator_matrix(spec.operator(), tm.states, CONCAT)
         assert (Mc == tm.counts.T).all(), spec
-        V, mu, _ = verify.eigenvector_matrix(tm.states, a, sign, spec.decoration)
+        V, mu, _ = signed_eigenvector_matrix(tm.states, a, sign, spec.decoration)
         rep = verify.chain_spectrum_certificate(spec, tm)
         assert rep["eigen_equations"] is _eigen_equations_hold(V, mu, Mc) is True, spec
         assert rep["ok"], spec
+
+
+# --- the sign-character blocks against the dense chain ----------------------
+
+REPORT_KEYS = ("ok", "method", "size", "eigenvector_counts", "annihilation_power", "zero_rank")
+DENSE_SPECS = [(n, *spec) for n in (1, 2, 3, 4) for spec in verify.ALL_SPECS] + [
+    (n, a, sign, flavor) for n in (1, 2, 3) for a in (1, 4) for sign in "+-" for flavor in ("rotation", "flip")
+]
+
+
+@pytest.mark.parametrize("n, a, sign, flavor", DENSE_SPECS)
+def test_block_certificate_matches_the_dense_reference(n, a, sign, flavor, tm_cache):
+    spec = ShuffleSpec(n, a, sign, flavor)
+    tm = tm_cache(n, a, sign, flavor)
+    rep = verify.chain_spectrum_certificate(spec, tm)
+    dense = dense_certificate(spec, tm)
+    assert {k: rep.get(k) for k in REPORT_KEYS} == {k: dense.get(k) for k in REPORT_KEYS}
+    assert rep["ok"] and rep["table_matches"]
+    assert sum(b["weight"] for b in rep["blocks"]) == 2**n
+    untied = verify.chain_spectrum_certificate(spec)  # no tm: no transition matrix is read
+    assert {k: rep.get(k) for k in REPORT_KEYS} == {k: untied.get(k) for k in REPORT_KEYS}
+
+
+def _character_blocks(tm):
+    """χ_S on the states, the lift L[y, σ] = [|y| = σ] onto the plain
+    permutations, and B_S = Lᵀ·A·diag(χ_S)·L read off the plain rows of
+    A = tm.counts, for every S ⊆ {1..n} as a frozenset."""
+    n = tm.spec.n
+    plain = verify._plain_states(n)
+    L = np.zeros((tm.size, len(plain)), dtype=np.int64)
+    L[np.arange(tm.size), plain.index_words(np.abs(tm.states.W))] = 1
+    rows = tm.states.index_words(plain.W)
+    out = {}
+    for r in range(n + 1):
+        for S in itertools.combinations(range(1, n + 1), r):
+            chi = np.prod(np.where(np.isin(-tm.states.W, S), -1, 1), axis=1)
+            out[frozenset(S)] = chi, L, tm.counts[rows] @ (chi[:, None] * L)
+    return plain, out
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("a, sign, flavor", verify.ALL_SPECS)
+def test_chain_splits_into_sign_character_blocks(n, a, sign, flavor, tm_cache):
+    """A·(g·χ_S) = (B_S·g)·χ_S for every g and S, on the dense counts, and
+    the blocks B_k of the certificate are B_{1..k}."""
+    tm = tm_cache(n, a, sign, flavor)
+    plain, blocks = _character_blocks(tm)
+    for chi, L, B in blocks.values():
+        lift = chi[:, None] * L  # column σ is g·χ_S for g the indicator of σ
+        assert (tm.counts @ lift == lift @ B).all()
+    for k, B in enumerate(verify._sign_blocks(tm.spec, plain)):
+        assert (B == blocks[frozenset(range(1, k + 1))][2]).all(), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("a, sign, flavor", verify.ALL_SPECS)
+def test_relabeling_conjugates_the_blocks(n, a, sign, flavor, tm_cache):
+    """B_{g(S)} = Π_g·B_S·Π_gᵀ for every adjacent transposition g of the
+    labels, Π_g[π, σ] = [σ = g·π]."""
+    tm = tm_cache(n, a, sign, flavor)
+    plain, blocks = _character_blocks(tm)
+    for i in range(1, n):
+        g = {i: i + 1, i + 1: i}
+        moved = np.array([[g.get(c, c) for c in w] for w in plain])
+        Pi = np.zeros((len(plain), len(plain)), dtype=np.int64)
+        Pi[np.arange(len(plain)), plain.index_words(moved)] = 1
+        for S, (_, _, B) in blocks.items():
+            gS = frozenset(g.get(c, c) for c in S)
+            assert (blocks[gS][2] == Pi @ B @ Pi.T).all(), (i, sorted(S))
+
+
+@pytest.mark.parametrize("a, sign, flavor", verify.ALL_SPECS)
+def test_chain_certificate_at_n5(a, sign, flavor):
+    rep = verify.chain_spectrum_certificate(ShuffleSpec(5, a, sign, flavor))
+    assert rep["ok"] and rep["size"] == 3840 and "table_matches" not in rep
+    assert [b["weight"] for b in rep["blocks"]] == [1, 5, 10, 10, 5, 1]
+
+
+def test_chain_certificate_reads_no_dense_matrix(monkeypatch):
+    """No transition matrix is built, and a given chain is read by its
+    image table alone, not by its dense counts."""
+    spec = ShuffleSpec(3, 2, "+", ROTATION)
+    tm = verify.transition_matrix(spec)
+    monkeypatch.setattr(verify, "transition_matrix", lambda spec: pytest.fail("a transition matrix was built"))
+    assert verify.chain_spectrum_certificate(spec)["ok"]
+    rep = verify.chain_spectrum_certificate(spec, verify.TransitionMatrix(spec, tm.states, None, tm.images))
+    assert rep["ok"] and rep["table_matches"]
+
+
+def test_chain_certificate_refuses_past_the_block_budget(monkeypatch):
+    # 8! × 8! int64 entries take 13 GB: refused before the operator is built
+    monkeypatch.setattr(ShuffleSpec, "operator", lambda self: pytest.fail("the operator was built"))
+    with pytest.raises(StateSpaceTooLarge, match="8! × 8!"):
+        verify.chain_spectrum_certificate(ShuffleSpec(8, 2, "+", ROTATION))
 
 
 def test_subdominant_rows_carry_their_sizes():
