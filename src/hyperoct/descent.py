@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -200,38 +200,55 @@ class DescentOperator:
 # once into one table, a read-only P×n pair (src, sign) with one row per
 # program.  Both algebras read the same walk over the position splits of the
 # sizes of D's nonempty parts: an empty part takes no position and deals no
-# card, so the walk never visits it.  The shuffle algebra reads a split as
-# pile labels, the inverse-shuffle view of a riffle (Bayer and Diaconis,
-# 1992): output position p is dealt from pile i, the block that holds p,
-# which is slot i of the deconcatenation, barred when part i is decorated
-# and dealt from its end for tilde-bar.  The concat algebra reads block i as
-# the input positions that deshuffling sends to slot i, in dealing order.
-# _label_programs deals for markov.batch_step too.  apply_operator and
+# card, so the walk never visits it.  A split is a riffle in the
+# inverse-shuffle view (Bayer and Diaconis, 1992): block i holds the output
+# positions that pile i deals to.  Its dealing order lists the positions in
+# the order the cards are dealt: pile by pile, ascending within a pile and
+# descending within a flipped (tilde-bar) pile, so the j-th card of the cut,
+# w[j], goes to the j-th position of the order.  The shuffle algebra deals
+# that way (_deal); the concat algebra reads the same order as src, slot i
+# reading block i in dealing order.  markov.batch_step deals random pile
+# labels by _dealing_order, one sort of keys.  apply_operator and
 # image_table run every input through these tables; elementary_action reads
 # them one row at a time and is the word-by-word reference.
 
 
-def _label_programs(
-    labels: np.ndarray, pile_sign: np.ndarray, pile_flip: Sequence[bool]
+def _dealing_order(
+    labels: np.ndarray, a: int, flipped: Optional[Callable[[np.ndarray], np.ndarray]] = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The programs (src, sign) that the R×n pile labels deal: pile i holds
-    the next (count of label i) input positions, start_i to end_i − 1, and
-    output position p, the (k+1)-th labelled i, takes start_i + k, or
-    end_i − 1 − k when pile_flip[i], with sign pile_sign[i]."""
-    src = np.zeros(labels.shape, dtype=np.intp)
-    start = np.zeros((len(labels), 1), dtype=np.intp)
-    for i, flip in enumerate(pile_flip):
-        hit = labels == i
-        rank = hit.cumsum(1)  # k + 1 at the positions of pile i
-        end = start + rank[:, -1:]
-        if flip:
-            np.subtract(end, rank, out=rank)
-        else:
-            rank += start - 1
-        rank *= hit
-        src += rank
-        start = end
-    return src, pile_sign[labels]
+    """The dealing order of R×n pile labels in [0, a): (piles, order), where
+    the j-th card dealt in row r comes from pile piles[r, j] and goes to
+    output position order[r, j].  Pile i deals to the positions labelled i,
+    after piles 0..i−1, ascending, or descending where flipped(i).
+
+    Position p sorts by the key label·n + p, or label·n + (n − 1 − p) in a
+    flipped pile.  The keys of a row are distinct, so every sort gives this
+    one order; they sort as int16 while a·n fits."""
+    n = labels.shape[1]
+    dtype = np.int16 if a * n <= np.iinfo(np.int16).max else np.int64
+    p = np.arange(n, dtype=dtype)
+    keys = labels.astype(dtype)
+    keys *= n
+    keys += p
+    if flipped is not None:
+        keys += flipped(labels) * (n - 1 - p - p)
+    keys.sort(axis=1)
+    piles = keys // n
+    order = np.subtract(keys, piles * n, out=keys)
+    if flipped is not None:
+        order += flipped(piles) * (n - 1 - order - order)
+    return piles, order
+
+
+def _deal(order: np.ndarray, cards: np.ndarray) -> np.ndarray:
+    """out[r, order[r, j]] = cards[r, j]: the j-th card dealt to its position
+    (cards broadcasts to the shape of order)."""
+    R, n = order.shape
+    flat = order.astype(np.intp)
+    flat += np.arange(R)[:, None] * n
+    out = np.empty(order.shape, dtype=cards.dtype)
+    out.ravel()[flat.ravel()] = np.broadcast_to(cards, order.shape).ravel()
+    return out
 
 
 def _piles(D: DecoratedComposition) -> DecoratedComposition:
@@ -247,20 +264,20 @@ def _programs(D: DecoratedComposition, algebra: str) -> tuple[np.ndarray, np.nda
     if algebra not in (alg.SHUFFLE, alg.CONCAT):
         raise ValueError(f"unknown algebra {algebra!r}")
     piles = [(s, d) for s, d in D.parts if s]  # an empty part deals no card
-    splits = alg._position_splits(D.total, [s for s, _ in piles])
+    sizes = [s for s, _ in piles]
+    splits = alg._position_splits(D.total, sizes)
     positions = np.array([[p for chosen in split for p in chosen] for split in splits], dtype=np.intp)
-    blocks = np.repeat(np.arange(len(piles)), [s for s, _ in piles])  # the pile of each block-major column
-    pile_sign = np.where([d is Decoration.PLAIN for _, d in piles], 1, -1)
-    pile_flip = [d is Decoration.TBAR for _, d in piles]
+    # every block of a split is ascending: reversing the flipped blocks gives the dealing order
+    cols = np.arange(D.total)
+    for start, (s, d) in zip(itertools.accumulate(sizes, initial=0), piles):
+        if d is Decoration.TBAR:
+            cols[start : start + s] = cols[start : start + s][::-1]
+    order = positions[:, cols]
+    sign = np.repeat(np.array([1 if d is Decoration.PLAIN else -1 for _, d in piles], dtype=np.int64), sizes)
     if algebra == alg.SHUFFLE:
-        labels = np.empty_like(positions)
-        labels[np.arange(len(positions))[:, None], positions] = blocks
-        src, sign = _label_programs(labels, pile_sign, pile_flip)
+        src, sign = _deal(order, np.arange(D.total, dtype=np.intp)), _deal(order, sign)
     else:
-        # slot i reads block i in pile order: the program the blocks deal
-        slot, slot_sign = _label_programs(blocks[None], pile_sign, pile_flip)
-        src = positions[:, slot[0]]
-        sign = np.repeat(slot_sign, len(src), axis=0)
+        src, sign = order, np.tile(sign, (len(order), 1))
     src.setflags(write=False)
     sign.setflags(write=False)
     return src, sign

@@ -8,9 +8,10 @@ the piles uniformly.  Monte Carlo is a statistical cross-check only.
 
 A step is also one program of the riffle operator, output[p] = ±w[src[p]],
 picked at random.  ``batch_step`` samples it in the inverse-shuffle view of
-Bayer and Diaconis (1992): every output position draws an iid pile label,
-and ``descent._label_programs``, the kernel that compiles the operator's
-programs from the same labels, turns the labels into (src, sign).
+Bayer and Diaconis (1992): every output position draws an iid pile label.
+``descent._dealing_order`` sorts the labels into the dealing order, the
+order in which the cut's cards reach their positions, and ``descent._deal``
+deals the cards along it, as it deals the operator's compiled programs.
 ``sample_step`` keeps the literal four steps as the reference.
 
 Each chain is built once as an image table: the riffle operator has a^n
@@ -53,7 +54,7 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .words import SignedWord, WordLike, as_word, signed_permutations
-from .descent import Decoration, StateBasis, _label_programs, image_table, operator_matrix, riffle_operator
+from .descent import Decoration, StateBasis, _deal, _dealing_order, image_table, operator_matrix, riffle_operator
 from . import algebra as alg
 from . import exactla
 from .spectral import shuffle_multiplicities
@@ -217,9 +218,15 @@ def transition_matrix(spec: ShuffleSpec) -> TransitionMatrix:
 # sampling
 
 
-def _decorated_pile(i: int, sign: str) -> bool:
-    """Is 0-based pile i decorated?  sign '+' decorates even 1-based piles."""
-    return i % 2 == (1 if sign == "+" else 0)
+def _decorated_pile(i, sign: str):
+    """Is 0-based pile i decorated?  sign '+' decorates even 1-based piles.
+    Also reads an integer array of piles, elementwise."""
+    return (i & 1) == (1 if sign == "+" else 0)
+
+
+def _refuse_wide_labels(spec: ShuffleSpec) -> None:
+    if spec.a > 2**31:  # the sampler draws its pile labels as int32
+        raise BadCount(f"a={spec.a} piles: sampled pile labels are int32, so a <= 2^31")
 
 
 def sample_step(spec: ShuffleSpec, x: WordLike, rng: np.random.Generator) -> SignedWord:
@@ -255,20 +262,22 @@ def sample_step(spec: ShuffleSpec, x: WordLike, rng: np.random.Generator) -> Sig
 
 
 def batch_step(spec: ShuffleSpec, decks: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vectorized shuffle step on an array of decks (rows of letter codes).
+    """Vectorized shuffle step on an array of decks (rows of letter codes),
+    returned in the decks' dtype.
 
     Samples the inverse shuffle (Bayer and Diaconis, 1992): each output
     position draws an iid uniform pile label, whose counts are the pile sizes
-    of the cut.  ``descent._label_programs``, which also compiles the riffle
-    programs, deals each label row into (src, sign); the deck becomes
-    sign·deck[src].
+    of the cut.  ``descent._dealing_order`` sorts each label row into its
+    dealing order, and the j-th card of the deck, barred when its pile is
+    decorated, is dealt to the j-th position of that order.  Raises BadCount
+    for a > 2^31 before drawing.
     """
-    decorated = [_decorated_pile(i, spec.sign) for i in range(spec.a)]
-    flipped = [d and spec.flavor == FLIP for d in decorated]
-    src, sign = _label_programs(rng.integers(0, spec.a, size=decks.shape), np.where(decorated, -1, 1), flipped)
-    out = np.take_along_axis(decks, src, axis=1)
-    out *= sign
-    return out
+    _refuse_wide_labels(spec)
+    labels = rng.integers(0, spec.a, size=decks.shape, dtype=np.int32)
+    decorated = functools.partial(_decorated_pile, sign=spec.sign)
+    piles, order = _dealing_order(labels, spec.a, decorated if spec.flavor == FLIP else None)
+    # ±1 as int8, so the cards keep the decks' dtype
+    return _deal(order, decks * (1 - 2 * decorated(piles).view(np.int8)))
 
 
 def simulate(
@@ -282,7 +291,9 @@ def simulate(
 
     Raises SizeMismatch when the start deck does not have spec.n cards,
     NotAState when it is not a signed permutation of 1..n, and BadCount for
-    steps < 0 or trials < 1.
+    steps < 0, trials < 1 or a > 2^31.  The decks are int16 while that holds
+    ±n; the means are of integer descent counts, so the dtype does not move
+    them.
     """
     start = as_word(start)
     if len(start) != spec.n:
@@ -291,8 +302,10 @@ def simulate(
         raise NotAState(f"{start} is not a signed permutation of 1..{spec.n}")
     if steps < 0 or trials < 1:
         raise BadCount(f"need steps >= 0 and trials >= 1, got steps={steps}, trials={trials}")
+    _refuse_wide_labels(spec)
     rng = np.random.default_rng(seed)
-    decks = np.tile(np.array(start, dtype=np.int64), (trials, 1))
+    dtype = np.int16 if spec.n <= np.iinfo(np.int16).max else np.int64
+    decks = np.tile(np.array(start, dtype=dtype), (trials, 1))
     means = []
     for _ in range(steps):
         decks = batch_step(spec, decks, rng)

@@ -1,9 +1,11 @@
 import hashlib
 import json
+import os
 import subprocess
 import sys
 import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -291,6 +293,16 @@ def test_console_script_entrypoint():
     json.loads(proc.stdout)
 
 
+def test_python_dash_m_hyperoct_runs_the_cli(capsys):
+    args = ["spectrum", "--n", "3", "--a", "3", "--sign", "minus", "--flavor", "flip"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "hyperoct", *args], capture_output=True, text=True, env=env)
+    code, out, _ = run_cli(args, capsys)
+    assert proc.returncode == code == 0
+    assert proc.stdout == out
+
+
 def test_bad_usage(capsys):
     code, out, err = run_cli(["spectrum", "--op", "2b,2", "--n", "3"], capsys)
     assert code == 2
@@ -328,8 +340,9 @@ def test_output_bytes_are_stable(args, digest, capsys):
     """SHA-256 of stdout as printed while coefficients were all Fractions:
     keeping integral coefficients as ints changes no byte.  The simulate
     digests pin the sampler's use of the random stream: they were taken
-    from the argsort-and-scatter sampler that the pile-label kernel
-    replaced."""
+    from the argsort-and-scatter sampler on int64 decks, and the sampler
+    that sorts each row of pile-label keys into its dealing order, on int16
+    decks, prints the same bytes."""
     code, out, _ = run_cli(args, capsys)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -342,6 +355,7 @@ def test_output_bytes_are_stable(args, digest, capsys):
         (["--n", "3", "--start", "1 1 2"], "not a signed permutation"),
         (["--n", "3", "--trials", "0"], "trials=0"),
         (["--n", "3", "--steps", "-1"], "steps=-1"),
+        (["--n", "3", "--a", str(2**31 + 1)], "a <= 2^31"),
     ],
 )
 def test_simulate_refusals(extra, message, capsys):

@@ -43,7 +43,7 @@ from hyperoct import (
 )
 from hyperoct import descent
 from hyperoct.algebra import _position_splits
-from hyperoct.descent import _label_programs, _piles, _programs, elementary_action, image_table
+from hyperoct.descent import _deal, _dealing_order, _piles, _programs, elementary_action, image_table
 from conftest import W, signed_eigenvector_matrix
 
 DC = DecoratedComposition
@@ -706,10 +706,59 @@ def test_program_tables_match_the_per_split_reference():
             assert (src == want_src).all() and (sign == want_sign).all(), (str(D), algebra)
 
 
+def _reference_label_programs(labels, pile_sign, pile_flip):
+    """The per-pile cumsum kernel that preceded the dealing order: pile i
+    holds the next (count of label i) input positions, start_i to end_i − 1,
+    and output position p, the (k+1)-th labelled i, takes start_i + k, or
+    end_i − 1 − k when pile_flip[i], with sign pile_sign[i]."""
+    src = np.zeros(labels.shape, dtype=np.intp)
+    start = np.zeros((len(labels), 1), dtype=np.intp)
+    for i, flip in enumerate(pile_flip):
+        hit = labels == i
+        rank = hit.cumsum(1)  # k + 1 at the positions of pile i
+        end = start + rank[:, -1:]
+        if flip:
+            np.subtract(end, rank, out=rank)
+        else:
+            rank += start - 1
+        rank *= hit
+        src += rank
+        start = end
+    return src, pile_sign[labels]
+
+
+def _dealt_programs(labels, pile_sign, pile_flip):
+    """(src, sign) through the dealing order: the j-th card of the cut, w[j],
+    is dealt to the j-th position of the order."""
+    pile_flip = np.array(pile_flip, dtype=bool)
+    piles, order = _dealing_order(labels, len(pile_sign), lambda p: pile_flip[p])
+    n = labels.shape[1]
+    return _deal(order, np.arange(n, dtype=np.intp)), _deal(order, pile_sign[piles])
+
+
 def test_label_programs_deal_each_pile_in_order():
     # one row: piles 0, 1, 2 of sizes 2, 1, 3 read w = 0..5 as 01 | 2 | 345;
     # pile 1 is barred, pile 2 barred and dealt from its end
     labels = np.array([[2, 0, 2, 1, 0, 2]])
-    src, sign = _label_programs(labels, np.array([1, -1, -1]), [False, False, True])
-    assert src.tolist() == [[5, 0, 4, 2, 1, 3]]
-    assert sign.tolist() == [[-1, 1, -1, -1, 1, -1]]
+    for kernel in (_dealt_programs, _reference_label_programs):
+        src, sign = kernel(labels, np.array([1, -1, -1]), [False, False, True])
+        assert src.tolist() == [[5, 0, 4, 2, 1, 3]]
+        assert sign.tolist() == [[-1, 1, -1, -1, 1, -1]]
+
+
+@pytest.mark.parametrize(
+    "a, n",
+    [(a, n) for a in (1, 2, 3, 5, 12) for n in (1, 2, 5, 52)] + [(700, 52)],  # a > n leaves piles empty
+)
+def test_dealing_order_matches_the_per_pile_cumsum_reference(a, n):
+    rng = np.random.default_rng(a * 100 + n)
+    # a·n >= 2^15 widens the keys past int16
+    assert (_dealing_order(np.zeros((1, n), dtype=np.int32), a)[1].dtype == np.int64) == (a * n >= 2**15)
+    pile_sign = rng.choice([-1, 1], size=a)
+    for R in (1, 500):
+        labels = rng.integers(0, a, size=(R, n), dtype=np.int32)
+        for pile_flip in ([False] * a, [i % 2 == 1 for i in range(a)], [True] * a):
+            src, sign = _dealt_programs(labels, pile_sign, pile_flip)
+            want_src, want_sign = _reference_label_programs(labels, pile_sign, pile_flip)
+            assert src.dtype == want_src.dtype and (src == want_src).all(), (R, pile_flip[:2])
+            assert (sign == want_sign).all()

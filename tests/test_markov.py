@@ -315,6 +315,47 @@ def test_batch_step_matches_the_reference_bit_for_bit(n):
                         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
+@pytest.mark.parametrize("n", [1, 2, 52])
+def test_int16_simulate_matches_an_int64_reference_loop(n):
+    for a in (2, 3):
+        for sign in "+-":
+            for flavor in (ROTATION, FLIP):
+                spec = ShuffleSpec(n, a, sign, flavor)
+                start = np.random.default_rng(n).permutation(n) + 1
+                start[1::2] *= -1
+                seed = 100 * n + a
+                rng = np.random.default_rng(seed)
+                decks = np.tile(start.astype(np.int64), (300, 1))
+                means = []
+                for _ in range(4):
+                    decks = _reference_batch_step(spec, decks, rng)
+                    means.append(float((decks[:, :-1] > decks[:, 1:]).sum(axis=1).mean()))
+                assert simulate(spec, start.tolist(), 4, 300, seed=seed)["means"] == means, spec
+
+
+@pytest.mark.parametrize("a", [1, 3, 2**31 - 1, 2**31])
+def test_int32_label_draws_are_the_int64_stream(a):
+    wide, narrow = np.random.default_rng(a), np.random.default_rng(a)
+    for shape in ((1, 1), (500, 52), (7, 3)):
+        want = wide.integers(0, a, size=shape)
+        got = narrow.integers(0, a, size=shape, dtype=np.int32)
+        assert (got == want).all()
+        assert wide.bit_generator.state == narrow.bit_generator.state
+
+
+def test_sampling_refuses_labels_past_int32_before_drawing():
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    decks = np.tile(np.arange(1, 4), (5, 1))
+    with pytest.raises(BadCount):
+        batch_step(ShuffleSpec(3, 2**31 + 1), decks, rng)
+    assert rng.bit_generator.state == state
+    with pytest.raises(BadCount):
+        simulate(ShuffleSpec(3, 2**31 + 1), (1, 2, 3), 0, 1, seed=0)
+    out = batch_step(ShuffleSpec(3, 2**31, "-"), decks, rng)  # the widest a that int32 labels hold
+    assert (np.sort(np.abs(out), axis=1) == np.arange(1, 4)).all()
+
+
 def test_simulate_refuses_inputs_outside_its_chain():
     spec = ShuffleSpec(3, 2, "+", FLIP)
     with pytest.raises(SizeMismatch):
