@@ -26,26 +26,24 @@ Everything here returns certified exact facts, never probabilistic ones:
   Table-1 spectra against it, and the benchmark's tracer still times it by
   name.
 
-Every matrix product runs through BLAS in float64 and is exact: a partial
-sum of integer products is computed exactly whenever every such partial
-sum is below 2^53 in absolute value, whatever order the BLAS kernel adds
-in.
+Products of residues run through BLAS in float64 with delayed modular
+reduction (the FFLAS-FFPACK technique; Dumas, Giorgi and Pernet, ACM TOMS
+2008) over at most `_PANEL` inner terms.  A float64 product is exact
+whenever every partial sum of integer products stays below 2^53 in
+absolute value, whatever order the BLAS kernel adds in.  Residues mod the
+26-bit `PRIMES` are products of values below 2^26, so `_mulmod` splits the
+right factor as Y_hi·2^13 + Y_lo; every partial sum of X·Y_hi and X·Y_lo
+is then below 64·2^26·2^13 = 2^45.  Residues mod the 20-bit `TRACE_PRIMES`
+need no split: 64·(p − 1)^2 < 2^46.
 
-- Products of residues use delayed modular reduction (the FFLAS-FFPACK
-  technique; Dumas, Giorgi and Pernet, ACM TOMS 2008) over at most
-  `_PANEL` inner terms.  Residues mod the 26-bit `PRIMES` are products of
-  values below 2^26, so `_mulmod` splits the right factor as
-  Y_hi·2^13 + Y_lo; every partial sum of X·Y_hi and X·Y_lo is then below
-  64·2^26·2^13 = 2^45.  Residues mod the 20-bit `TRACE_PRIMES` need no
-  split: 64·(p − 1)^2 < 2^46.
-- Integer products in `annihilation_power` bound each partial sum of row
-  i of (A − λ)·V by (Σ_j |A_ij| + |λ|)·max|V|, over all inner terms at
-  once.  They run in float64 while this is below 2^53, in int64 while it
-  is below 2^62, and in Python integers past that.
+Two functions decide every exactness question of the certificates:
+`exact_product` is the one integer matrix product (one bound on every
+partial sum picks float64 below 2^53, int64 below 2^63, and Python integers
+past that), and `rank_lower_bound` is the one prime policy (the largest
+rank modulo `PRIMES[:3]`, stopping at the rank the caller wants).
 
-Matrices are taken as int64 arrays (or anything numpy turns into one);
-matrices with an entry of 2^31 or more in absolute value are kept as
-Python integers.
+Matrices are taken as int64 arrays (or anything numpy turns into one),
+or as Python integers (object) past int64.
 """
 
 from __future__ import annotations
@@ -80,13 +78,11 @@ _PANEL = 64  # columns per elimination panel; rows and inner terms per product
 _TILE = 256  # columns per product
 _HALF = 2**13
 _F64_EXACT = 2**53
-_I64_SAFE = 2**62
-_SMALL = 2**31
+_I64_EXACT = 2**63
 
 
 def _int_matrix(A) -> np.ndarray:
-    """A as a 2-D integer array: int64 while every |entry| < 2^31, so that
-    row sums and residue products cannot overflow, else object (Python ints)."""
+    """A as a 2-D integer array: int64, or object (Python ints) past it."""
     if not (isinstance(A, np.ndarray) and A.dtype == np.int64):
         try:
             A = np.array(A, dtype=np.int64)
@@ -94,14 +90,46 @@ def _int_matrix(A) -> np.ndarray:
             A = np.array(A, dtype=object)
     if A.ndim != 2:
         A = A.reshape(len(A), -1 if A.size else 0)
-    if A.dtype != object and A.size and (A.max() >= _SMALL or A.min() <= -_SMALL):
-        A = A.astype(object)
     return A
 
 
+def _abs_max(M: np.ndarray) -> int:
+    """max |M_ij|, with no temporary."""
+    return max(int(M.max()), -int(M.min())) if M.size else 0
+
+
 def _row_norm(M: np.ndarray) -> int:
-    """max_i Σ_j |M_ij|, exactly."""
-    return int(np.abs(M).sum(axis=1).max()) if M.size else 0
+    """max_i Σ_j |M_ij| exactly, or max|M|·columns where an int64 row sum
+    could wrap."""
+    crude = _abs_max(M) * M.shape[1]
+    if M.dtype != object and crude >= _I64_EXACT:
+        return crude
+    return int(np.abs(M).sum(axis=1).max(initial=0))
+
+
+def exact_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X·Y for integer matrices, exactly: int64 below 2^63, else Python
+    integers (object).
+
+    Each partial sum of entry (i, j) is at most max|X|·Σ_k |Y_kj| and at
+    most Σ_k |X_ik|·max|Y|, in any order of addition.  Below 2^53 the
+    product is float64 BLAS on blocks of _TILE rows of X (the one full-size
+    temporary is Y in float64), below 2^63 int64, past it Python integers.
+    """
+    top_x, top_y = _abs_max(X), _abs_max(Y)
+    bound = top_x * top_y * X.shape[1]  # no scan of abs-sums when it already picks float64
+    if bound >= _F64_EXACT:
+        bound = min(top_x * _row_norm(Y.T), _row_norm(X) * top_y)
+    if not bound:  # X or Y is zero, and may hold values no dtype below takes
+        return np.zeros((X.shape[0], Y.shape[1]), dtype=np.int64)
+    if bound < _F64_EXACT:
+        out = np.empty((X.shape[0], Y.shape[1]), dtype=np.int64)
+        Yf = Y.astype(np.float64)
+        for i in range(0, len(X), _TILE):
+            out[i : i + _TILE] = X[i : i + _TILE].astype(np.float64) @ Yf
+        return out
+    dtype = np.int64 if bound < _I64_EXACT else object
+    return X.astype(dtype, copy=False) @ Y.astype(dtype, copy=False)
 
 
 def _reduce(x: np.ndarray, p) -> np.ndarray:
@@ -240,37 +268,31 @@ def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     return R.astype(np.int64), pivots
 
 
-def rank_mod(A: np.ndarray, p: int) -> int:
-    return len(rref_mod(A, p)[1])
-
-
-def nullity_upper_bound(A) -> int:
-    """Certified upper bound on dim_QQ ker(A): min over two primes of
-    n − rank_p."""
-    M = _int_matrix(A)
-    if M.shape[0] == 0:
-        return 0
-    n = M.shape[1]
-    best = n
-    for p in PRIMES[:2]:
-        best = min(best, n - rank_mod(M, p))
-        if best == 0:
+def rank_lower_bound(A, want: int) -> int:
+    """A certified lower bound on rank_QQ(A): the largest rank of A mod
+    `PRIMES[:3]`, stopping at the first that reaches ``want``.  A prime can
+    only lower the rank, so falling short means a smaller rank or (rarely)
+    three unlucky primes."""
+    best = 0
+    for p in PRIMES[:3]:
+        if best >= want:
             break
+        best = max(best, len(rref_mod(A, p)[1]))
     return best
 
 
-def independent_certificate(vectors) -> bool:
-    """Prove linear independence over QQ of integer row vectors.
+def nullity_upper_bound(A) -> int:
+    """Certified upper bound on dim_QQ ker(A): the columns less
+    `rank_lower_bound`."""
+    M = _int_matrix(A)
+    return M.shape[1] - rank_lower_bound(M, min(M.shape))
 
-    Full rank mod a prime is a proof.  False means that none of three
-    primes gave full rank: dependent rows, or (rarely) three unlucky primes.
-    """
+
+def independent_certificate(vectors) -> bool:
+    """Prove linear independence over QQ of integer row vectors: true when
+    `rank_lower_bound` reaches the number of rows."""
     M = _int_matrix(vectors)
-    if M.shape[0] == 0:
-        return True
-    if M.shape[0] > M.shape[1]:
-        return False
-    return any(rank_mod(M, p) == M.shape[0] for p in PRIMES[:3])
+    return len(M) <= M.shape[1] and rank_lower_bound(M, len(M)) == len(M)
 
 
 # ---------------------------------------------------------------------------
@@ -283,40 +305,27 @@ def annihilation_power(
     """(s, P) for P = Π(A − λ) over the given λ, exactly, and s the least
     power <= smax with A^s·P = 0, or None when there is none.
 
-    Every product (A − λ)·V runs in float64 or int64 while the bound of the
-    module docstring proves it exact, and in Python integers past that.  P
-    comes back as int64, or as Python integers (object) once the bound
-    reaches 2^62.
+    P starts as A − λ for the first λ, and each further (A − λ)·P is one
+    `exact_product` on one copy of A whose diagonal moves, so that no A − λ
+    is built per λ.  P comes back as int64, or as Python integers (object)
+    once its bound reaches 2^63.
     """
     M = _int_matrix(A)
-    norm = _row_norm(M)
-    typed = {M.dtype: M}
-
-    def minus(V: np.ndarray, lam: int) -> np.ndarray:
-        """(A − lam)·V; overwrites V when lam ≠ 0."""
-        bound = (norm + abs(lam)) * (int(np.abs(V).max()) if V.size else 0)
-        dtype = np.dtype("f8" if bound < _F64_EXACT else "i8" if bound < _I64_SAFE else "O")
-        if dtype not in typed:
-            typed[dtype] = M.astype(dtype)
-        if V.dtype != dtype:  # floats reach Python integers through int64
-            V = V.astype(np.int64, copy=False).astype(dtype, copy=False)
-        W = typed[dtype] @ V
-        if lam:
-            V *= lam
-            W -= V
-        return W
-
-    P = np.eye(M.shape[0])
-    for lam in nonzero_eigenvalues:
-        P = minus(P, int(lam))
-    if P.dtype.kind == "f":
-        P = P.astype(np.int64)
+    # int64 while the shifted diagonal cannot wrap
+    wide = _abs_max(M) + max((abs(int(lam)) for lam in nonzero_eigenvalues), default=0) >= _I64_EXACT
+    shifted = M.astype(object if wide else M.dtype)
+    diagonal = shifted.diagonal().copy()
+    P = np.eye(len(M), dtype=np.int64)
+    for i, lam in enumerate(nonzero_eigenvalues):
+        np.fill_diagonal(shifted, diagonal - int(lam))
+        P = exact_product(shifted, P) if i else shifted.copy()
+    del shifted
     V = P
     for s in range(smax + 1):
         if not V.any():
             return s, P
         if s < smax:
-            V = minus(V, 0)
+            V = exact_product(M, V)
     return None, P
 
 

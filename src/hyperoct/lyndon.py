@@ -172,8 +172,11 @@ def eigenbasis(
     By default only distinct-letter words (signed permutations when N = n)
     are used.  For even-a rotation operators, words with negating factors are
     skipped (they index the generalized 0-eigenspace, which has no eigenvector
-    formula); the emitted set still spans a complement of it.
+    formula); the emitted set still spans a complement of it.  Raises
+    BadCount for n < 0.
     """
+    if n < 0:
+        raise BadCount(f"need n >= 0, got n={n}")
     words = all_words(n, N) if include_repeats else distinct_letter_words(n, N)
     out = []
     for w in words:
@@ -363,8 +366,8 @@ def eigenvector_matrix(
     raised.  The states are read as a ``descent.StateBasis``, coded once
     per call unless they are one.  Raises ValueError unless the states are
     plain words with distinct letters, KeyError naming a word of some C_w
-    that is not a state, BadCount for a < 1, and the errors of
-    ``StateBasis`` for the states.
+    that is not a state, BadCount for a < 1 or a k that is neither 0 nor a
+    label, and the errors of ``StateBasis`` for the states.
     """
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
@@ -375,7 +378,10 @@ def eigenvector_matrix(
     ordered = np.sort(basis.W, axis=1)
     if (ordered[:, :1] <= 0).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError("the states must be plain words with distinct letters")
-    memo = _plain_letters(np.unique(basis.W).tolist(), basis.m)
+    labels = np.unique(basis.W).tolist()
+    if k != 0 and k not in labels:
+        raise BadCount(f"k must be 0 or a label of the states, got k={k}")
+    memo = _plain_letters(labels, basis.m)
     rows, mus, words = [], [], []
     for pi in basis:
         w = SignedWord._trusted(tuple(-c if c <= k else c for c in pi))

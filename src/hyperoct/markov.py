@@ -76,8 +76,8 @@ class ShuffleSpec:
     flavor: str = FLIP
 
     def __post_init__(self):
-        if self.n < 1 or self.a < 1:
-            raise BadCount(f"need n >= 1 and a >= 1, got n={self.n}, a={self.a}")
+        if not all(isinstance(x, (int, np.integer)) and x >= 1 for x in (self.n, self.a)):
+            raise BadCount(f"need integers n >= 1 and a >= 1, got n={self.n!r}, a={self.a!r}")
         if self.flavor not in (ROTATION, FLIP):
             raise ValueError(f"flavor must be 'rotation' or 'flip', got {self.flavor!r}")
         if self.sign not in _SIGNS:
@@ -123,11 +123,11 @@ class TransitionMatrix:
 
     def index(self, w: WordLike) -> int:
         """The index of the state w.  Raises NotAState for a word that is
-        not a state, and so do ``entry`` and ``row``."""
+        not a state (labels past int64 too), and so do ``entry`` and ``row``."""
         w = as_word(w)
         try:
             return int(self.states.index_words(np.array([w], dtype=np.int64))[0])
-        except KeyError:
+        except (KeyError, OverflowError):
             raise NotAState(f"{w} is not a state of the chain") from None
 
     def push(self, v: np.ndarray) -> np.ndarray:

@@ -30,9 +30,8 @@ from .algebra import (
     tau,
     tau_tilde,
 )
-from .errors import CodeOverflow, NotIntegral, StateSpaceTooLarge
+from .errors import BadCount, NotIntegral, StateSpaceTooLarge
 from .descent import (
-    _INT64_MAX,
     DecoratedComposition,
     Decoration,
     DescentOperator,
@@ -125,30 +124,13 @@ def _int_vector(vec: AlgebraElement, index: Callable[[SignedWord], int], size: i
     return v
 
 
-def _exact_product(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """X·M for int64 matrices, exactly, as an int64 matrix.
-
-    Every partial sum of an entry of X·M is at most max|X| times the largest
-    column abs-sum of M in absolute value, whatever the order of summation.
-    While that bound is below 2^53 the product is one float64 BLAS product,
-    exact term by term; up to 2^63 it runs in int64; past it CodeOverflow
-    is raised.
-    """
-    col_norm = int(np.abs(M).max(initial=0)) * len(M)  # bounds every column abs-sum
-    if col_norm <= _INT64_MAX:
-        col_norm = int(np.abs(M).sum(axis=0).max(initial=0))
-    bound = int(np.abs(X).max(initial=0)) * col_norm
-    if bound > _INT64_MAX:
-        raise CodeOverflow(f"product entries may reach {bound} in absolute value")
-    if bound < 2**53:
-        return (X.astype(np.float64) @ M.astype(np.float64)).astype(np.int64)
-    return X @ M
-
-
 def _eigen_equations_hold(V: np.ndarray, mu: np.ndarray, M: np.ndarray) -> bool:
     """Whether V·M = diag(mu)·V exactly: each row of V is a left eigenvector
-    of the int64 matrix M with eigenvalue mu[row] (`_exact_product`)."""
-    return bool((_exact_product(V, M) == mu[:, None] * V).all())
+    of the integer matrix M with eigenvalue mu[row] (``exactla.exact_product``)."""
+    W = exactla.exact_product(V, M)
+    if exactla._abs_max(mu) * exactla._abs_max(V) >= 2**63:  # diag(mu)·V could wrap in int64
+        mu = mu.astype(object)
+    return bool((W == mu[:, None] * V).all())
 
 
 BOTH_FLAVORS = (Decoration.BAR, Decoration.TBAR)
@@ -567,11 +549,11 @@ def _pbw_triangular(n: int, flavor: Decoration) -> bool:
         X = np.rint(2**n * np.linalg.inv(V))
     except np.linalg.LinAlgError:  # singular
         return False
-    # NaN, inf, or past the int64 bound under which _exact_product forms V·X
-    if not (np.abs(X) <= _INT64_MAX // (len(V) * int(np.abs(V).max()))).all():
+    # NaN, inf, or past the integers that float64 holds exactly
+    if not (np.abs(X) <= 2**53).all():
         return False
     X = X.astype(np.int64)
-    if not (_exact_product(V, X) == 2**n * np.eye(len(V), dtype=np.int64)).all():
+    if not (exactla.exact_product(V, X) == 2**n * np.eye(len(V), dtype=np.int64)).all():
         return False
     # (λ, λ̄): the degrees of the invariant and the negating factors
     shapes = [
@@ -583,7 +565,8 @@ def _pbw_triangular(n: int, flavor: Decoration) -> bool:
     # least as many factors as k, save the diagonal
     below = (length[:, None] >= length[None, :]) & ~np.eye(len(monomials), dtype=bool)
     for D in decorated_compositions(n, flavor):
-        Y = _exact_product(X, _exact_product(operator_matrix(DescentOperator.elementary(D), words, CONCAT).T, V))
+        image = exactla.exact_product(operator_matrix(DescentOperator.elementary(D), words, CONCAT).T, V)
+        Y = exactla.exact_product(X, image)
         betas = {shape: beta(*shape, D) for shape in set(shapes)}
         if (np.diag(Y) != [2**n * betas[s] for s in shapes]).any() or Y[below].any():
             return False
@@ -773,12 +756,12 @@ def chain_spectrum_certificate(
       the table's nonzero eigenvalues.  Each block B_k with r_k < n! rows
       gets P_k = Π(B_k − λ) over those λ and the least s_k <= 8 with
       B_k^{s_k}·P_k = 0 (``exactla.annihilation_power``), so alg_k(0) >=
-      rank P_k >= rank_p P_k (from one prime, or a second when the first
-      falls short of n! − r_k).  Once Σ_k C(n, k)·rank_p P_k = 2^n·n! − Σ_k
-      C(n, k)·r_k, every bound is an equality and no other eigenvalue
-      exists; that count must be the table's multiplicity of 0.  The
-      report gives A's annihilation power, max_k s_k, and rank P =
-      Σ_k C(n, k)·rank P_k (``report["zero_rank"]``).
+      rank P_k >= rank_p P_k, the largest over up to three primes until one
+      reaches n! − r_k (``exactla.rank_lower_bound``).  Once Σ_k C(n, k)·
+      rank_p P_k = 2^n·n! − Σ_k C(n, k)·r_k, every bound is an equality and
+      no other eigenvalue exists; that count must be the table's
+      multiplicity of 0.  The report gives A's annihilation power, max_k s_k,
+      and rank P = Σ_k C(n, k)·rank P_k (``report["zero_rank"]``).
 
     ``report["blocks"]`` holds one entry per k: its weight C(n, k), rows,
     route, multiplicities and, on the annihilation route, s_k and rank.
@@ -823,9 +806,7 @@ def chain_spectrum_certificate(
         block["route"] = "partial-eigenbasis+annihilation"
         del U
         s, P = exactla.annihilation_power(B, nonzero, 8)
-        rank = exactla.rank_mod(P, exactla.PRIMES[0])
-        if rank < F - block["rows"]:
-            rank = max(rank, exactla.rank_mod(P, exactla.PRIMES[1]))
+        rank = exactla.rank_lower_bound(P, F - block["rows"])
         block["annihilation_power"], block["zero_rank"] = s, rank
         annihilated = annihilated and s is not None
         power = max(power, s or 0)
@@ -1103,7 +1084,7 @@ def check_descent_expectation(n_max: int, seed: int = 0) -> list[CheckResult]:
                         spec, w0, t
                     ):
                         ok = False
-    return [_result("markov.descent_expectation_exact", ok, "flip chains, t <= 4")]
+    return [_result("markov.descent_expectation_exact", ok, "flip chains, t <= 4")] if n_max >= 2 else []
 
 
 def check_rotation_descent_empirical(n_max: int, seed: int = 0) -> list[CheckResult]:
@@ -1147,7 +1128,7 @@ def check_monte_carlo(n_max: int, seed: int = 7) -> list[CheckResult]:
         details.append(f"n={n},a={a},t={t}: z={z:.2f}")
         if z > 4:
             ok = False
-    return [_result("markov.monte_carlo_descents", ok, "; ".join(details), seed=seed)]
+    return [_result("markov.monte_carlo_descents", ok, "; ".join(details), seed=seed)] if details else []
 
 
 def check_sampler_agreement(n_max: int, seed: int = 11) -> list[CheckResult]:
@@ -1236,6 +1217,9 @@ SUITES: dict[str, list[Callable[[int, int], list[CheckResult]]]] = {
 
 
 def run_checks(suite: str = "all", n_max: int = 3, seed: int = 0) -> list[CheckResult]:
+    """The sorted rows of the suite's checks; BadCount for n_max < 1, first."""
+    if n_max < 1:
+        raise BadCount(f"need n_max >= 1, got n_max={n_max}")
     if suite == "all":
         fns = []
         seen = set()

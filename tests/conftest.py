@@ -106,9 +106,7 @@ def dense_certificate(spec, tm=None):
         return report
     zero_mult = size - len(V)
     power, P = exactla.annihilation_power(A, sorted(nonzero_pred), 8)
-    zero_rank = exactla.rank_mod(P, exactla.PRIMES[0])
-    if zero_rank < zero_mult:
-        zero_rank = max(zero_rank, exactla.rank_mod(P, exactla.PRIMES[1]))
+    zero_rank = exactla.rank_lower_bound(P, zero_mult)
     report["annihilation_power"] = power
     report["zero_rank"] = zero_rank
     report["ok"] = power is not None and zero_rank == zero_mult == predicted.get(0, 0)

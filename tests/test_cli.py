@@ -282,6 +282,17 @@ def test_verify_all_n3(tmp_path, capsys):
     )
 
 
+def test_verify_all_n4_bytes_are_pinned(tmp_path, capsys):
+    # n = 4 adds 8 chain certificates, two of them (even-a rotation) on the
+    # annihilation route: their powers and zero ranks are in these bytes
+    out_path = tmp_path / "verify.json"
+    code, out, _ = run_cli(["verify", "--suite", "all", "--n-max", "4", "--out", str(out_path)], capsys)
+    assert code == 0 and out.rstrip().endswith("101 checks, 0 failed")
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+        "e6b6ee36f9b6c4dfa0a18ee06297a854945c66ead318aa19940aaea817d7366f"
+    )
+
+
 def test_console_script_entrypoint():
     proc = subprocess.run(
         [sys.executable, "-m", "hyperoct.cli", "spectrum", "--n", "2", "--a", "2",
@@ -379,6 +390,9 @@ def test_simulate_refusals(extra, message, capsys):
         ["eigenbasis", "--n", "2", "--a", "0", "--flavor", "flip"],
         ["eigenvector", "--word", "1.5 2", "--a", "2", "--flavor", "flip"],
         ["simulate", "--n", "3", "--a", "2", "--flavor", "flip", "--start", "1 x 3", "--seed", "1"],
+        ["eigenbasis", "--n", "-1", "--a", "2", "--flavor", "flip"],
+        ["verify", "--n-max", "0"],
+        ["verify", "--n-max", "-3"],
     ],
 )
 def test_typed_refusals(args, capsys):

@@ -102,6 +102,67 @@ def test_rank_and_independence():
 def test_nullity_upper_bound():
     assert exactla.nullity_upper_bound([[1, 2], [2, 4]]) >= 1
     assert exactla.nullity_upper_bound([[1, 0], [0, 1]]) == 0
+    # with no rows every vector is in the kernel
+    assert exactla.nullity_upper_bound(np.zeros((0, 5))) == 5
+    assert exactla.nullity_upper_bound(np.zeros((0, 5), dtype=np.int64)) == 5
+    assert exactla.nullity_upper_bound([[0, 0, 0]]) == 3
+    assert exactla.nullity_upper_bound([[1, 2, 3], [2, 4, 6]]) == 2
+
+
+def test_rank_lower_bound_stops_at_the_wanted_rank():
+    p, q, r = exactla.PRIMES[:3]
+    calls = []
+    real = exactla.rref_mod
+
+    def counted(A, prime):
+        calls.append(prime)
+        return real(A, prime)
+
+    with mock.patch.object(exactla, "rref_mod", counted):
+        # full rank mod the first prime settles it
+        assert exactla.rank_lower_bound(np.eye(3, dtype=np.int64), 3) == 3 and calls == [p]
+        calls.clear()
+        # nothing to prove: no elimination
+        assert exactla.rank_lower_bound([[5]], 0) == 0 and calls == []
+        # [[p]] has rank 0 mod p only: the second prime reaches rank 1
+        assert exactla.rank_lower_bound([[p]], 1) == 1 and calls == [p, q]
+        calls.clear()
+        # a rank-deficient matrix never reaches want, so all three primes run
+        assert exactla.rank_lower_bound([[1, 2], [2, 4]], 2) == 1 and calls == [p, q, r]
+        calls.clear()
+        # unlucky for every prime: the bound is 0, still a lower bound
+        assert exactla.rank_lower_bound(np.array([[p * q * r]], dtype=object), 1) == 0 and calls == [p, q, r]
+    assert exactla.independent_certificate(np.array([[p], [q]], dtype=object)) is False
+    assert exactla.independent_certificate(np.array([[p * q]], dtype=object)) is True
+
+
+@pytest.mark.parametrize("scale, dtype", [(1, np.int64), (2**30, np.int64), (2**40, object)])
+def test_exact_product_matches_python_integers_on_every_path(scale, dtype):
+    # the bound is about 2^25·scale: float64 at scale 1, int64 at 2^30
+    # (past 2^53) and Python integers at 2^40 (past 2^63)
+    rng = np.random.default_rng(2)
+    X = rng.integers(-(2**10), 2**10, (20, 30)).astype(object) * scale
+    Y = rng.integers(-(2**10), 2**10, (30, 7)).astype(object)
+    if dtype is not object:
+        X, Y = X.astype(np.int64), Y.astype(np.int64)
+    got = exactla.exact_product(X, Y)
+    assert got.dtype == dtype and (got.astype(object) == X.astype(object) @ Y.astype(object)).all()
+
+
+def test_exact_product_takes_the_smaller_bound():
+    # max|X| times the largest column abs-sum of Y is 2^40·16·2^20 = 2^64, but
+    # X has one entry per row, so the largest row abs-sum of X times max|Y|
+    # is 2^60: int64, not Python integers
+    X = 2**40 * np.eye(16, dtype=np.int64)
+    Y = np.full((16, 16), 2**20, dtype=np.int64)
+    got = exactla.exact_product(X, Y)
+    assert got.dtype == np.int64 and (got == 2**60).all()
+    got = exactla.exact_product(Y, X)
+    assert got.dtype == np.int64 and (got == 2**60).all()
+    # a zero factor gives an int64 zero, whatever the other holds
+    huge = np.array([[2**200, -(2**300)]], dtype=object)
+    assert exactla.exact_product(huge, np.zeros((2, 3), dtype=np.int64)).tolist() == [[0, 0, 0]]
+    assert exactla.exact_product(np.zeros((3, 1), dtype=np.int64), huge).dtype == np.int64
 
 
 def brute_charpoly(rows):
@@ -353,7 +414,7 @@ def test_annihilates_paths_agree(eigenvalues, seed, power, scale):
     assert exactla.annihilates(A, eigs, power) == want
     with mock.patch.object(exactla, "_F64_EXACT", 0):
         assert exactla.annihilates(A, eigs, power) == want
-        with mock.patch.object(exactla, "_I64_SAFE", 0):
+        with mock.patch.object(exactla, "_I64_EXACT", 0):
             assert exactla.annihilates(A, eigs, power) == want
 
 

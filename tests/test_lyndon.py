@@ -599,6 +599,21 @@ def test_eigenvector_matrix_skips_even_rotation_rows():
     assert words1 == () and U1.shape == (0, 1)
 
 
+def test_eigenvector_matrix_and_eigenbasis_refuse_a_block_outside_their_words():
+    with pytest.raises(BadCount, match="n=-1"):
+        eigenbasis(-1, 2, 2, "+", Decoration.BAR)
+    plain = plain_permutations(3)
+    for k in (-1, 4, 2.5):
+        with pytest.raises(BadCount, match="k must be 0 or a label"):
+            eigenvector_matrix(plain, k, 2, "+", Decoration.BAR)
+    # k names the largest barred label: 2 is no block of the labels 1, 7, 9
+    wide = [SignedWord(p) for p in itertools.permutations((1, 7, 9))]
+    with pytest.raises(BadCount):
+        eigenvector_matrix(wide, 2, 3, "+", Decoration.BAR)
+    _, _, words = eigenvector_matrix(wide, 7, 3, "+", Decoration.BAR)
+    assert len(words) == 6 and all({-c for c in w if c < 0} == {1, 7} for w in words)
+
+
 def test_eigenvector_matrix_refusals():
     # (2m+1)^3 passes 2^63 - 1 at m = 2^20
     with pytest.raises(CodeOverflow):

@@ -58,6 +58,11 @@ def test_spec_validation():
         ShuffleSpec(2, 0, "+", "flip")
     with pytest.raises(ValueError):
         ShuffleSpec(2, 2, "+", "twist")
+    # counts that are not integers: a 2.5-pile shuffle is no chain
+    for n, a in ((3, 2.5), (3.0, 2), (2.5, 2), (3, "2"), (3, None)):
+        with pytest.raises(BadCount):
+            ShuffleSpec(n, a, "+", "flip")
+    assert ShuffleSpec(np.int64(3), np.int32(2)).scale == 8
 
 
 def test_transition_n1_flip_minus(tm_cache):
@@ -544,14 +549,17 @@ def test_index_lookup(tm_cache):
         with pytest.raises(NotAState):
             tm.index(W(w))
     state = tm.states[0]
-    for read in (
-        lambda w: tm.entry(w, state),
-        lambda w: tm.entry(state, w),
-        tm.row,
-        lambda w: exact_stat_expectation(tm, w, 1, [0] * tm.size),
-    ):
-        with pytest.raises(NotAState):
-            read(W("1 1 2"))
+    # labels past int64 are no states either
+    for bad in (W("1 1 2"), (2**70, 1, 2), (1, -(2**64), 2)):
+        for read in (
+            tm.index,
+            lambda w: tm.entry(w, state),
+            lambda w: tm.entry(state, w),
+            tm.row,
+            lambda w: exact_stat_expectation(tm, w, 1, [0] * tm.size),
+        ):
+            with pytest.raises(NotAState):
+                read(bad)
 
 
 def test_expectation_past_int64(tm_cache):

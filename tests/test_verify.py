@@ -11,7 +11,7 @@ from hyperoct import (
     ROTATION,
     SHUFFLE,
     AlgebraElement,
-    CodeOverflow,
+    BadCount,
     DecoratedComposition,
     Decoration,
     DescentOperator,
@@ -162,15 +162,40 @@ def test_eigen_rows_read_the_certificate(monkeypatch):
     assert all(r.status == "fail" for r in rows())
 
 
+def test_run_checks_refuses_n_max_below_one_before_any_check(monkeypatch):
+    def ran(n_max, seed=0):
+        raise AssertionError("a check ran")
+
+    monkeypatch.setitem(verify.SUITES, "probe", [ran])
+    for n_max in (0, -3):
+        for suite in ("probe", "all"):
+            with pytest.raises(BadCount, match=f"n_max={n_max}"):
+                verify.run_checks(suite, n_max)
+
+
+def test_markov_rows_that_examine_nothing_are_not_emitted():
+    names = ("markov.descent_expectation_exact", "markov.monte_carlo_descents")
+    rows = {n_max: [r.name for r in verify.check_descent_expectation(n_max) + verify.check_monte_carlo(n_max)]
+            for n_max in (1, 2, 3)}
+    # the expectation row examines n = 2 from n_max = 2, the Monte Carlo row n = 3 from 3
+    assert rows == {1: [], 2: [names[0]], 3: list(names)}
+
+
 def test_eigen_equations_hold_bounds_its_product():
     M = np.array([[2, 1], [0, 3]], dtype=np.int64)
     V = np.array([[1, -1], [0, 1]], dtype=np.int64)  # left eigenvectors for 2 and 3
     assert _eigen_equations_hold(V, np.array([2, 3]), M)
     assert not _eigen_equations_hold(V, np.array([2, 2]), M)
-    # max|V| times the largest column abs-sum (4) must stay below 2^63
-    assert _eigen_equations_hold(V * 2**60, np.array([2, 3]), M)
-    with pytest.raises(CodeOverflow):
-        _eigen_equations_hold(V * 2**61, np.array([2, 3]), M)
+    # max|V| times the largest column abs-sum (4) is below 2^63 at 2^60
+    # (int64) and reaches it at 2^61, where the product runs in Python
+    # integers and the verdict stays exact either way
+    for scale in (2**60, 2**61):
+        assert _eigen_equations_hold(V * scale, np.array([2, 3]), M)
+        assert not _eigen_equations_hold(V * scale, np.array([2, 2]), M)
+    assert _eigen_equations_hold(V.astype(object) * 2**70, np.array([2, 3]), M)
+    assert not _eigen_equations_hold(V.astype(object) * 2**70, np.array([3, 3]), M)
+    # a wrong eigenvalue whose diag(mu)·V passes int64: 4·2^62 wraps to 0 = 4·0
+    assert not _eigen_equations_hold(np.array([[4]]), np.array([2**62]), np.array([[0]]))
 
 
 @pytest.mark.parametrize("float_path", [True, False])
@@ -189,7 +214,7 @@ def test_exact_product_matches_python_integers(float_path):
     X = rng.integers(-top, top + 1, (25, 40))
     X[0] = top
     want = X.astype(object) @ M.astype(object)
-    got = verify._exact_product(X, M)
+    got = verify.exactla.exact_product(X, M)
     assert got.dtype == np.int64 and (got.astype(object) == want).all()
     rounded = (X.astype(np.float64) @ M.astype(np.float64)).astype(np.int64).astype(object)
     assert (rounded == want).all() == float_path  # past 2^53, float64 rounds
@@ -202,7 +227,7 @@ def test_rotation_route_refuses_a_short_zero_rank(monkeypatch):
     """The rank of the P of one block, k = n (weight 1), one short."""
     rep = verify.chain_spectrum_certificate(ROTATION_SPEC)
     assert rep["ok"] and rep["zero_rank"] == 33 and rep["blocks"][3]["zero_rank"] == 6
-    real_power, real_rank = verify.exactla.annihilation_power, verify.exactla.rank_mod
+    real_power, real_rank = verify.exactla.annihilation_power, verify.exactla.rank_lower_bound
     blocks = []  # the P of each block on the annihilation route
 
     def recorded(B, eigs, smax):
@@ -210,11 +235,11 @@ def test_rotation_route_refuses_a_short_zero_rank(monkeypatch):
         blocks.append(P)
         return s, P
 
-    def rank(M, p):
-        return real_rank(M, p) - (len(blocks) == 3 and M is blocks[-1])
+    def rank(M, want):
+        return real_rank(M, want) - (len(blocks) == 3 and M is blocks[-1])
 
     monkeypatch.setattr(verify.exactla, "annihilation_power", recorded)
-    monkeypatch.setattr(verify.exactla, "rank_mod", rank)
+    monkeypatch.setattr(verify.exactla, "rank_lower_bound", rank)
     bad = verify.chain_spectrum_certificate(ROTATION_SPEC)
     assert len(blocks) == 3  # the blocks k = 1, 2, 3 take the annihilation route
     assert bad["blocks"][3]["zero_rank"] == 5 and bad["zero_rank"] == 32
