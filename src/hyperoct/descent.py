@@ -419,23 +419,22 @@ def _merge_codes(codes: np.ndarray, sums: np.ndarray, limit: int) -> tuple[np.nd
     less the zero sums.  Every code lies in [0, limit) (word codes:
     limit = (2m+1)^n), and the caller has bounded the sums for their dtype.
 
-    For L int64 codes and b = bit_length(L), the key code·2^b + (position)
-    is below limit·2^b ≤ 2^63 when the bound holds: then one in-place sort
-    of the keys orders ``codes`` and carries each position, through which
-    the sums are gathered.  Past the bound, and for object codes, one
-    argsort orders both arrays.
+    Int64 codes and sums with limit ≤ 4·len(codes) are summed into a dense
+    int64 accumulator of one slot per code, by one ``np.add.at``; its
+    nonzero slots are the result, already sorted.  Each slot holds a
+    partial sum of the coefficients, which the caller's L1 bound keeps
+    within int64, so the sums are exact.  The accumulator takes at most
+    32 bytes per input code.  Every other input is ordered by one argsort,
+    and the coefficients of equal codes are summed.
     """
-    b = len(codes).bit_length()
-    if codes.dtype == np.int64 and limit << b <= 2**63:
-        codes <<= b
-        codes |= np.arange(len(codes))
-        codes.sort()
-        sums = sums[codes & ((1 << b) - 1)]
-        codes >>= b
-    else:
-        order = np.argsort(codes)
-        codes[:] = codes[order]
-        sums = sums[order]
+    if codes.dtype == sums.dtype == np.int64 and limit <= 4 * len(codes):
+        acc = np.zeros(limit, dtype=np.int64)
+        np.add.at(acc, codes, sums)
+        codes = np.flatnonzero(acc)
+        return codes, acc[codes]
+    order = np.argsort(codes)
+    codes[:] = codes[order]
+    sums = sums[order]
     starts = np.flatnonzero(np.concatenate(([True], codes[1:] != codes[:-1])))
     sums = np.add.reduceat(sums, starts)
     keep = sums != 0
@@ -471,14 +470,28 @@ def _operator_programs(T: DescentOperator, algebra: str) -> tuple[np.ndarray, np
     return src, sign, [len(s) for s, _ in tables]
 
 
-def _label_ranks(words: Iterable[Sequence[int]]) -> tuple[list[int], dict[int, int]]:
-    """The sorted |labels| of the words, and the rank ±r of each letter
-    ±labels[r − 1]: the letters that ``_decode_words`` decodes."""
-    labels = sorted({abs(c) for w in words for c in w})
-    rank = {}
-    for r, label in enumerate(labels, 1):
-        rank[label], rank[-label] = r, -r
-    return labels, rank
+def _ranked_words(words: Sequence[Sequence[int]], n: int) -> tuple[list[int], np.ndarray]:
+    """(labels, W): the sorted |labels| of the length-n words, and the
+    len(words)×n array of their letters, each letter ±labels[r − 1] written
+    as its rank ±r, in the code dtype of base 2R+1 (R = len(labels)): the
+    letters that ``_decode_words`` decodes.  Words whose |labels| fit in
+    int64 are ranked by one ``np.unique`` and one ``searchsorted``; past
+    int64 they are ranked in Python."""
+    try:
+        A = np.fromiter(itertools.chain.from_iterable(words), np.int64, len(words) * n).reshape(len(words), n)
+    except OverflowError:
+        A = None
+    if A is not None and A.min(initial=0) > -_INT64_MAX:  # |label| fits in int64
+        magnitude = np.abs(A)
+        labels = np.unique(magnitude)
+        W = np.searchsorted(labels, magnitude) + 1
+        W = np.where(A < 0, -W, W)
+        labels = labels.tolist()
+    else:
+        labels = sorted({abs(c) for w in words for c in w})
+        rank = {label: r for r, label in enumerate(labels, 1)}
+        W = np.array([[rank[c] if c > 0 else -rank[-c] for c in w] for w in words], dtype=np.int64)
+    return labels, W.astype(_code_dtype(len(labels), n), copy=False)
 
 
 def _decode_words(codes: np.ndarray, labels: Sequence[int], n: int) -> list[SignedWord]:
@@ -500,9 +513,7 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     programs only move letters and add bars.  Every word is coded in base
     2R+1 (R the number of labels), the images of every word under every
     program of T are coded at once, as one product W·C (``_image_codes``),
-    the codes are sorted once, by one packed-key sort while
-    (2R+1)^n·2^b ≤ 2^63 for b the bit length of their count
-    (``_merge_codes``), and the coefficients of equal codes are summed.
+    and the coefficients of equal codes are summed once (``_merge_codes``).
     Codes are int64 while (2R+1)^n fits in int64 and Python integers past
     it; sums are int64 while their bound Σ_D |c_D|·#programs(D)·Σ_w |c_w|
     fits, and Python integers past it.
@@ -528,10 +539,9 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     per_program = np.repeat(np.array(cD, dtype=sum_dtype), sizes)
     sums = np.multiply.outer(np.array(cw, dtype=sum_dtype), per_program).ravel()
 
-    labels, rank = _label_ranks(words)
+    labels, W = _ranked_words(words, n)
     R = len(labels)
-    W = np.array([[rank[c] for c in w] for w in words], dtype=_code_dtype(R, n))
-    codes = _image_codes(W.reshape(len(words), n), R, src, sign).ravel()
+    codes = _image_codes(W, R, src, sign).ravel()
 
     codes, sums = _merge_codes(codes, sums, (2 * R + 1) ** n)
 

@@ -52,7 +52,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import CertificationError
+from .errors import CertificationError, NotIntegral
 
 # Primes just below 2^26, for elimination mod p: residues are
 # below 2^26, so `_mulmod` keeps 64-term dot products exact in float64 by
@@ -81,13 +81,28 @@ _F64_EXACT = 2**53
 _I64_EXACT = 2**63
 
 
+def _integer(x):
+    """x as a Python integer when it is one: NotIntegral for a float with a
+    fractional part, or one that is not finite."""
+    if isinstance(x, (float, np.floating)):
+        if not x.is_integer():
+            raise NotIntegral(f"the matrix entry {x} is not an integer")
+        return int(x)
+    return x
+
+
 def _int_matrix(A) -> np.ndarray:
-    """A as a 2-D integer array: int64, or object (Python ints) past it."""
+    """A as a 2-D integer array: int64, or object (Python ints) past it.
+    Integral float entries are read as integers; any other float raises
+    NotIntegral."""
     if not (isinstance(A, np.ndarray) and A.dtype == np.int64):
+        M = np.asarray(A)
+        if M.dtype.kind in "fOu":  # floats, or integers numpy may round or wrap: read each entry exactly
+            M = np.frompyfunc(_integer, 1, 1)(np.array(A, dtype=object))
         try:
-            A = np.array(A, dtype=np.int64)
+            A = M.astype(np.int64, copy=False)
         except OverflowError:
-            A = np.array(A, dtype=object)
+            A = M.astype(object)
     if A.ndim != 2:
         A = A.reshape(len(A), -1 if A.size else 0)
     return A
@@ -115,7 +130,9 @@ def exact_product(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     most Σ_k |X_ik|·max|Y|, in any order of addition.  Below 2^53 the
     product is float64 BLAS on blocks of _TILE rows of X (the one full-size
     temporary is Y in float64), below 2^63 int64, past it Python integers.
+    Raises NotIntegral for a float entry that is not an integer.
     """
+    X, Y = _int_matrix(X), _int_matrix(Y)
     top_x, top_y = _abs_max(X), _abs_max(Y)
     bound = top_x * top_y * X.shape[1]  # no scan of abs-sums when it already picks float64
     if bound >= _F64_EXACT:

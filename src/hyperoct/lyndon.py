@@ -10,10 +10,12 @@ standard factorization recursively.
 
 There is one assembly, on coded words: ``_bracket`` builds bracketings,
 ``_eigen_assembly`` names the signed orders in which the factors of an
-eigenvector are concatenated, and ``_combine`` concatenates and merges
-coded factors.  ``_ranked_assembly`` runs it on one word, its labels
-ranked, from the signed seed i ↦ i + ī, ī ↦ i − ī, and decodes one
-AlgebraElement for ``stdbrac`` and ``build_eigenvector`` (and so
+eigenvector are concatenated, and ``_combine`` concatenates coded
+factors and merges them by ``descent._merge_codes``, the merge of
+``apply_operator``.  ``_ranked_assembly`` runs it on one word, its labels
+ranked by ``descent._ranked_words``, from the signed seed i ↦ i + ī,
+ī ↦ i − ī, and decodes one AlgebraElement for ``stdbrac`` and
+``build_eigenvector`` (and so
 ``eigenbasis``).  ``eigenvector_matrix`` runs it from the plain-letter
 seed, i ↦ i and ī ↦ i, on the words that bar the labels <= k of a basis
 of plain states, and writes the rows of one int64 matrix over those
@@ -33,10 +35,11 @@ the reference.  It is exact by this argument:
 - Each eigenvector, and each bracketing inside it, is a signed sum of
   ``count`` concatenations of the same factors f_1, ..., f_r in different
   orders.  The sum of the absolute values of its coefficients, and so of
-  every partial sum formed while multiplying and merging, is at most
-  count·Π‖f_i‖₁.  That bound is computed in Python integers from the exact
-  L1 norms of the factors, and CodeOverflow is raised before any int64
-  arithmetic when it exceeds 2^63 − 1.  Integers never wrap:
+  every partial sum formed while multiplying and merging (each slot of
+  the merge's dense accumulator is one), is at most count·Π‖f_i‖₁.  That
+  bound is computed in Python integers from the exact L1 norms of the
+  factors, and CodeOverflow is raised before any int64 arithmetic when it
+  exceeds 2^63 − 1.  Integers never wrap:
   ``eigenvector_matrix`` refuses there, and ``_ranked_assembly`` runs the
   same assembly on Python-integer coefficients.
 """
@@ -57,8 +60,8 @@ from .descent import (
     StateBasis,
     _code_dtype,
     _decode_words,
-    _label_ranks,
     _merge_codes,
+    _ranked_words,
 )
 from .spectral import riffle_eigenvalue
 
@@ -266,9 +269,10 @@ def _ranked_assembly(
     so every factorization and classification is kept.  Coefficients are
     int64 under the bounds of the module docstring, and Python integers
     past them."""
-    labels, rank = _label_ranks([w])
-    ranked = SignedWord._trusted(tuple(rank[c] for c in w))
-    R, n = len(labels), len(w)
+    n = len(w)
+    labels, W = _ranked_words([w], n)
+    ranked = SignedWord._trusted(W[0].tolist())
+    R = len(labels)
 
     def run(dtype) -> tuple[Coded, T]:
         return assemble(ranked, R, _letter_brackets(range(1, R + 1), R, _code_dtype(R, n), dtype))

@@ -478,11 +478,14 @@ def verify_subdominant(spec: ShuffleSpec, tm: Optional[TransitionMatrix] = None)
         tm = transition_matrix(spec)
     S = tm.states.W
     mult = dict(shuffle_multiplicities(spec.a, spec.sign, spec.n))
+    # F holds -1, 0 and 1, and pull sums one entry of it per program: the
+    # smallest dtype that holds the number of programs, a^n, is exact
+    dtype = next(t for t in (np.int16, np.int32, np.int64) if tm.images.shape[1] <= np.iinfo(t).max)
     report = {"spec": spec, "eigenvalues": [], "ok": True}
     for value, fams in subdominant_families(spec):
         mu = int(value * tm.scale)  # ±a^(n−1): exact, since a divides a^n
         vecs = _family_vectors(fams, S)
-        F = np.array(vecs, dtype=np.int64).reshape(len(vecs), tm.size).T.copy()  # N×k, rows contiguous
+        F = np.array(vecs, dtype=dtype).reshape(len(vecs), tm.size).T.copy()  # N×k, rows contiguous
         all_exact = bool((tm.pull(F) == mu * F).all())
         independent = exactla.independent_certificate(vecs) if vecs else True
         expected_dim = mult.get(value, 0)

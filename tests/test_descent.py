@@ -580,6 +580,87 @@ def test_merge_codes_at_the_packed_key_bound():
     assert got[0].tolist() == [3, 5] and got[1].tolist() == [2, 3]
 
 
+def _merge_both(codes, sums, limit, monkeypatch):
+    """(_merge_codes, whether it took the argsort path), against the reference."""
+    want = _reference_merge_codes(codes.copy(), sums.copy())
+    argsorts = []
+    with monkeypatch.context() as mp:
+        argsort = np.argsort
+        mp.setattr(np, "argsort", lambda a, *args, **kw: argsorts.append(1) or argsort(a, *args, **kw))
+        got = descent._merge_codes(codes.copy(), sums.copy(), limit)
+    assert got[0].dtype == want[0].dtype and got[1].dtype == want[1].dtype
+    assert got[0].tolist() == want[0].tolist() and got[1].tolist() == want[1].tolist(), limit
+    return got, bool(argsorts)
+
+
+def test_merge_codes_at_the_dense_cut(monkeypatch):
+    # the dense accumulator runs while limit ≤ 4·len(codes), the largest
+    # code limit − 1 present on both sides of the cut
+    rng = np.random.default_rng(5)
+    for size in (1, 4, 250, 1000):
+        codes = rng.integers(0, 4 * size, size=size, dtype=np.int64)
+        codes[::3] = 0
+        codes[-1] = 4 * size - 1
+        sums = rng.integers(-2, 3, size=size)
+        assert not _merge_both(codes, sums, 4 * size, monkeypatch)[1]
+        assert _merge_both(codes, sums, 4 * size + 1, monkeypatch)[1]
+
+
+def test_merge_codes_edge_sums(monkeypatch):
+    for limit in (16, 17):  # dense, then argsort
+        # every sum cancels: the result is empty, and int64
+        (codes, sums), _ = _merge_both(
+            np.array([4, 4, 1, 1], dtype=np.int64), np.array([3, -3, -2, 2], dtype=np.int64), limit, monkeypatch
+        )
+        assert codes.dtype == sums.dtype == np.int64 and len(codes) == len(sums) == 0
+        # Σ|sums| = 2^63 − 1, the largest L1 bound a caller proves for int64
+        for s in (1, -1):
+            sums = np.array([2**62, 2**62 - 2, 1, 0], dtype=np.int64) * s
+            (codes, sums), _ = _merge_both(np.array([7, 7, 0, 2], dtype=np.int64), sums, limit, monkeypatch)
+            assert codes.tolist() == [0, 7] and sums.tolist() == [s, s * (2**63 - 2)]
+    # int64 codes with object sums take the argsort path at any limit
+    codes = np.array([3, 1, 3, 0, 1], dtype=np.int64)
+    sums = np.array([2**70, 5, -(2**70), 2**64, 1], dtype=object)
+    (codes, sums), argsorted = _merge_both(codes, sums, 4, monkeypatch)
+    assert argsorted and codes.tolist() == [0, 1] and sums.tolist() == [2**64, 6]
+
+
+def _python_ranking(words, n):
+    """The ranking by a set, a sort and a dict of the labels, which the
+    numpy ranking of ``_ranked_words`` replaced."""
+    labels = sorted({abs(c) for w in words for c in w})
+    rank = {}
+    for r, label in enumerate(labels, 1):
+        rank[label], rank[-label] = r, -r
+    return labels, [[rank[c] for c in w] for w in words]
+
+
+@pytest.mark.parametrize("top", [3, 2**62, 2**63 - 1, 2**63, 2**70])
+def test_ranked_words_match_the_python_ranking(top):
+    # labels up to 2^63 − 1 rank in numpy, and past it (or at −2^63) in Python
+    rng = random.Random(top)
+    pool = [1, 2, top - 1, top] + [rng.randrange(1, top + 1) for _ in range(5)]
+    words = [tuple(rng.choice(pool) * rng.choice((-1, 1)) for _ in range(5)) for _ in range(40)]
+    words.append((1, -top, top, -1, 2))
+    labels, W = descent._ranked_words(words, 5)
+    want_labels, want_W = _python_ranking(words, 5)
+    assert labels == want_labels and W.tolist() == want_W
+    assert W.dtype == np.int64 and all(type(c) is int for c in labels)
+    # an order-preserving relabelling past int64 keeps every rank
+    shifted = [tuple(c + 2**70 if c > 0 else c - 2**70 for c in w) for w in words]
+    labels70, W70 = descent._ranked_words(shifted, 5)
+    assert labels70 == [c + 2**70 for c in labels] and W70.tolist() == W.tolist()
+
+
+def test_ranked_words_edges():
+    labels, W = descent._ranked_words([(-(2**63), 2**63 - 1)], 2)
+    assert labels == [2**63 - 1, 2**63] and W.tolist() == [[-2, 1]]
+    labels, W = descent._ranked_words([()], 0)
+    assert labels == [] and W.shape == (1, 0)
+    labels, W = descent._ranked_words([(1, -1) * 20], 40)  # 3^40 passes int64: object ranks
+    assert labels == [1] and W.dtype == object and W.tolist() == [[1, -1] * 20]
+
+
 @pytest.mark.parametrize("case", [2**53, 2**70, "fractional", "labels_2_20", "labels_2_63", "degree40", "riffle4"])
 def test_apply_operator_matches_the_reference_kernels(case, monkeypatch):
     # 2^53 and 2^70 put the sums on both sides of int64; degree 40 codes

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hyperoct import CertificationError, HyperoctError, ShuffleSpec, exactla
+from hyperoct import CertificationError, HyperoctError, NotIntegral, ShuffleSpec, exactla
 from hyperoct.spectral import shuffle_multiplicities
 
 
@@ -163,6 +163,42 @@ def test_exact_product_takes_the_smaller_bound():
     huge = np.array([[2**200, -(2**300)]], dtype=object)
     assert exactla.exact_product(huge, np.zeros((2, 3), dtype=np.int64)).tolist() == [[0, 0, 0]]
     assert exactla.exact_product(np.zeros((3, 1), dtype=np.int64), huge).dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        [[0.5, 1], [1, 2]],  # dependent rows, once read as real numbers
+        np.array([[1.0, 2.0], [2.0, 4.25]]),
+        [[2**70, 1], [1, 0.5]],  # object entries
+        [[1, float("nan")], [0, 1]],
+        np.array([[1.0, np.inf], [0.0, 1.0]]),
+    ],
+)
+def test_fractional_floats_are_refused(bad):
+    for check in (
+        exactla.independent_certificate,
+        exactla.nullity_upper_bound,
+        lambda A: exactla.exact_product(A, np.eye(2, dtype=np.int64)),
+        lambda A: exactla.exact_product(np.eye(2, dtype=np.int64), np.asarray(A)),
+    ):
+        with pytest.raises(NotIntegral):
+            check(bad)
+
+
+def test_integral_floats_are_read_as_integers():
+    assert exactla.independent_certificate([[1.0, 0.0], [0.0, 1.0]])
+    assert not exactla.independent_certificate(np.array([[1.0, 2.0], [2.0, 4.0]]))
+    assert exactla.nullity_upper_bound([[1.0, 2.0], [2.0, 4.0]]) == 1
+    assert exactla.nullity_upper_bound(np.array([[1e20, 0.0], [0.0, 1.0]])) == 0  # past int64: Python integers
+    got = exactla.exact_product(np.array([[1.0, 2.0]]), np.array([[3.0], [-4.0]]))
+    assert got.dtype == np.int64 and got.tolist() == [[-5]]
+    got = exactla.exact_product(np.array([[2.0**70]]), np.array([[3]]))
+    assert got.dtype == object and got.tolist() == [[3 * 2**70]]
+    # integers that numpy would round through float64 or wrap through uint64 stay exact
+    assert exactla._int_matrix([[2**63 + 1, 1]]).tolist() == [[2**63 + 1, 1]]
+    assert exactla._int_matrix(np.array([[2**64 - 1]], dtype=np.uint64)).tolist() == [[2**64 - 1]]
+    assert exactla.nullity_upper_bound(np.array([[2**64 - 1, 1], [1, 1]], dtype=np.uint64)) == 0
 
 
 def brute_charpoly(rows):

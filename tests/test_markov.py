@@ -181,6 +181,18 @@ def test_subdominant(tm_cache, a, sign, flavor):
         assert rep["ok"], rep
 
 
+@pytest.mark.parametrize("a,dtype", [(2, np.int16), (31, np.int16), (32, np.int32)])
+def test_subdominant_pulls_the_narrowest_exact_dtype(a, dtype, monkeypatch):
+    # pull sums a^n entries of F in {-1, 0, 1}: 31^3 = 29791 fits in int16,
+    # 32^3 = 2^15 is one past it
+    pulled = []
+    pull = TransitionMatrix.pull
+    monkeypatch.setattr(TransitionMatrix, "pull", lambda self, f: pulled.append(f.dtype) or pull(self, f))
+    rep = verify_subdominant(ShuffleSpec(3, a, "-", ROTATION))
+    assert rep["ok"], rep
+    assert pulled and set(pulled) == {np.dtype(dtype)}
+
+
 def test_chain_certificate_a1(tm_cache):
     # with one pile the chain is a permutation (the identity for sign +), so
     # Table 1 must predict each of ±1 once, with its full multiplicity
