@@ -759,16 +759,20 @@ def image_table(
     The states are read as a ``StateBasis`` (a plain sequence of words is
     coded once per call), whose lookup finds every image: by one gather
     from a direct-address array, or by a binary search past its bound.
-    Raises CodeOverflow when (2m+1)^n does not fit in int64, KeyError when
-    an image leaves the basis, ValueError for fractional coefficients or
-    repeated states, and SizeMismatch for a state whose length is not T's
-    degree.
+    Raises CodeOverflow when (2m+1)^n or a coefficient does not fit in
+    int64, KeyError when an image leaves the basis, ValueError for
+    fractional coefficients or repeated states, and SizeMismatch for a
+    state whose length is not T's degree.
     """
     if any(c.denominator != 1 for c in T.terms.values()):
         raise ValueError("operator_matrix needs integer coefficients")
+    try:
+        coeffs = np.array([int(c) for c in T.terms.values()], dtype=np.int64)
+    except OverflowError:
+        raise CodeOverflow("a coefficient of T does not fit in int64") from None
     basis = StateBasis(states, T.degree)
     src, sign, sizes = _operator_programs(T, algebra)
-    coeffs = np.repeat(np.array([int(c) for c in T.terms.values()], dtype=np.int64), sizes)
+    coeffs = np.repeat(coeffs, sizes)
     images = np.empty((len(src), len(basis)), dtype=np.int32)
     step = max(1, _TABLE_CODES // max(1, len(basis)))
     for k in range(0, len(src), step):
@@ -786,8 +790,23 @@ def operator_matrix(T: DescentOperator, states: Sequence[SignedWord], algebra: s
     ValueError); and the span of the states must be closed under T (true
     for distinct-letter bases; else KeyError names an image word outside
     the basis).
+
+    Each entry, and each partial sum of it, adds a subset of the
+    coefficients of T's programs, so its absolute value is at most the sum
+    of |coeffs| over the image table.  M is the smallest of int8, int16,
+    int32 and int64 that holds that bound, which is taken in Python
+    integers; past int64 it raises CodeOverflow before M is allocated.  A
+    product of such matrices can pass their dtype: ``exactla.exact_product``
+    widens.
     """
     images, coeffs = image_table(T, states, algebra)
-    M = np.zeros((len(images), len(images)), dtype=np.int64)
-    np.add.at(M, (np.arange(len(images))[:, None], images), coeffs)  # row by row: the writes stay local
+    bound = sum(map(abs, coeffs.tolist()))
+    dtype = next((t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max), None)
+    if dtype is None:
+        raise CodeOverflow(f"entries of T's matrix may reach {bound}, past int64")
+    N = len(images)
+    M = np.zeros((N, N), dtype=dtype)
+    # one scatter over the row-major flat indices: the writes stay local
+    flat = np.add(images, (np.arange(N, dtype=np.intp) * N)[:, None], order="C")
+    np.add.at(M.reshape(-1), flat.ravel(), np.tile(coeffs.astype(dtype), N))
     return M

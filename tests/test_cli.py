@@ -172,6 +172,32 @@ def test_matrix_and_determinism(tmp_path, capsys):
     assert abs(total - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "args, json_digest, csv_digest",
+    [
+        (
+            ["--n", "3", "--a", "3", "--sign", "minus", "--flavor", "flip"],
+            "b2591f438eb34e6fb8f5954b19b8a99bc4086fd442614d53f667505af6cd847d",
+            "d59430c28d032c5f2008b380052b1bd17860a5b9a209e3ae8a01bb7c6bc4fbd6",
+        ),
+        (
+            ["--n", "4", "--a", "2", "--sign", "plus", "--flavor", "rotation"],
+            "eb2380ff8446079bb011b99d75f7e924eb7bd6b35ab47d0777ad9d03de9a6ec9",
+            "cb61cbe54d590e49ef60d719135dac22de65a59cd7ea5fb6b44182a4cab0c2d9",
+        ),
+    ],
+    ids=["n3-a3-minus-flip", "n4-a2-plus-rotation"],
+)
+def test_matrix_bytes_are_pinned(args, json_digest, csv_digest, tmp_path, capsys):
+    """SHA-256 of the --out and --csv files as written from an int64 dense
+    matrix: the narrow dtype of the counts changes no byte."""
+    out, csv = tmp_path / "K.json", tmp_path / "K.csv"
+    code, _, _ = run_cli(["matrix", *args, "--out", str(out), "--csv", str(csv)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == csv_digest
+
+
 def test_simulate_determinism(tmp_path, capsys):
     args = ["simulate", "--n", "3", "--a", "2", "--flavor", "flip", "--steps", "2",
             "--trials", "5000", "--seed", "7"]

@@ -160,7 +160,7 @@ def test_wcomp_readouts():
 
 def _mat(D_or_T, states, algebra):
     T = D_or_T if isinstance(D_or_T, DescentOperator) else DescentOperator.elementary(D_or_T)
-    return operator_matrix(T, states, algebra)
+    return operator_matrix(T, states, algebra).astype(np.int64)  # its products must not wrap
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -843,3 +843,84 @@ def test_dealing_order_matches_the_per_pile_cumsum_reference(a, n):
             want_src, want_sign = _reference_label_programs(labels, pile_sign, pile_flip)
             assert src.dtype == want_src.dtype and (src == want_src).all(), (R, pile_flip[:2])
             assert (sign == want_sign).all()
+
+
+# ---------------------------------------------------------------------------
+# the dtype of operator_matrix: the narrowest that holds Σ_D |c_D|·#programs(D)
+
+def _int64_operator_matrix(T, states, algebra):
+    """Reference: the image table summed by np.add.at into an int64 matrix."""
+    images, coeffs = image_table(T, states, algebra)
+    M = np.zeros((len(images), len(images)), dtype=np.int64)
+    np.add.at(M, (np.arange(len(images))[:, None], images), coeffs)
+    return M
+
+
+def _narrowest(bound):
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+@pytest.mark.parametrize("a, sign, dec", LOOKUP_SPECS)
+def test_operator_matrix_is_the_int64_matrix_in_the_narrowest_dtype(a, sign, dec):
+    for n in (1, 2, 3, 4):
+        T = riffle_operator(a, sign, dec, n)
+        states = signed_permutations(n)
+        for algebra in (SHUFFLE, CONCAT):
+            M = operator_matrix(T, states, algebra)
+            assert M.dtype == _narrowest(a**n) == np.int8
+            assert (M == _int64_operator_matrix(T, states, algebra)).all(), (n, algebra)
+
+
+# n = 1: the programs of 1, 1,0 and 0,1 all keep the one letter, so the
+# diagonal entries reach the bound Σ|c_D|·#programs(D) itself
+@pytest.mark.parametrize(
+    "coeffs, dtype",
+    [
+        ((100, 27, 0), np.int8),
+        ((-100, 0, -28), np.int16),
+        ((2**15 - 1, 0, 0), np.int16),
+        ((2**14, -(2**14), 0), np.int32),
+        ((2**31 - 2, 0, 1), np.int32),
+        ((2**30, 2**30, 0), np.int64),
+        ((2**62, 2**62 - 1, 0), np.int64),
+    ],
+)
+def test_operator_matrix_dtype_edges(coeffs, dtype):
+    T = DescentOperator(dict(zip((DC.parse("1"), DC.parse("1,0"), DC.parse("0,1")), coeffs)), 1)
+    states = signed_permutations(1)
+    for algebra in (SHUFFLE, CONCAT):
+        M = operator_matrix(T, states, algebra)
+        assert M.dtype == dtype
+        assert M.tolist() == [[sum(coeffs), 0], [0, sum(coeffs)]]
+
+
+@pytest.mark.parametrize("bound", [127, 128, 2**15 - 1, 2**15, 2**31 - 1, 2**31])
+@pytest.mark.parametrize("a, sign, dec", [(3, "+", Decoration.BAR), (2, "-", Decoration.TBAR)])
+def test_operator_matrix_dtype_edges_of_a_scaled_riffle(bound, a, sign, dec):
+    # k·(a^2 programs) plus r·(the one program of 2): Σ|c_D|·#programs(D) = bound
+    k, r = divmod(bound, a**2)
+    T = k * riffle_operator(a, sign, dec, 2) + DescentOperator({DC.parse("2"): r}, 2)
+    states = signed_permutations(2)
+    for algebra in (SHUFFLE, CONCAT):
+        M = operator_matrix(T, states, algebra)
+        assert M.dtype == _narrowest(bound)
+        assert (M == _int64_operator_matrix(T, states, algebra)).all()
+
+
+def test_operator_matrix_refuses_entries_past_int64():
+    states = signed_permutations(2)
+    # Σ|c_D|·#programs = 2^62 + 2·2^62: the diagonal, 2^62 + 2^62, used to wrap to −2^63
+    wrap = DescentOperator({DC.parse("2"): 2**62, DC.parse("1,1"): 2**62}, 2)
+    edge = DescentOperator({DC.parse("2"): 1, DC.parse("1,1"): 2**62 - 1}, 2)  # 2^63 − 1
+    huge = DescentOperator({DC.parse("2"): 2**63}, 2)
+    for algebra in (SHUFFLE, CONCAT):
+        for T in (wrap, huge, -1 * huge, 2**62 * riffle_operator(2, "+", Decoration.BAR, 2)):
+            with pytest.raises(CodeOverflow):
+                operator_matrix(T, states, algebra)
+        M = operator_matrix(edge, states, algebra)
+        assert M.dtype == np.int64 and (M == _int64_operator_matrix(edge, states, algebra)).all()
+        assert int(M.max()) == 2**62
+    with pytest.raises(CodeOverflow):  # not an untyped OverflowError
+        image_table(huge, states, SHUFFLE)
+    low = DescentOperator({DC.parse("2"): -(2**63)}, 2)
+    assert image_table(low, states, SHUFFLE)[1].tolist() == [-(2**63)]

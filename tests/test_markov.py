@@ -479,6 +479,71 @@ def test_table_products_match_dense(tm_cache, n, a, sign, flavor):
     assert tm.images.dtype == np.int32 and tm.images.shape == (tm.size, a**n)
 
 
+def _column_push(images, v):
+    """Reference: v·counts by one scatter per program column."""
+    out = np.zeros_like(v)
+    for col in images.T:
+        np.add.at(out, col, v)
+    return out
+
+
+@pytest.mark.parametrize("n,a,sign,flavor", [(3, 2, "-", ROTATION), (4, 3, "+", FLIP)])
+def test_push_on_either_side_of_the_support_cut(tm_cache, monkeypatch, n, a, sign, flavor):
+    tm = tm_cache(n, a, sign, flavor)
+    rng = np.random.default_rng(n + a)
+    repeats = []  # only the support path repeats each mass once per program
+    repeat = np.repeat
+
+    def counted_repeat(*args, **kwargs):
+        repeats.append(1)
+        return repeat(*args, **kwargs)
+
+    monkeypatch.setattr(np, "repeat", counted_repeat)
+    # 4·nnz = N takes the support path, one more state the column loop
+    for nnz, support_path in ((tm.size // 4, True), (tm.size // 4 + 1, False), (1, True), (tm.size, False)):
+        v = np.zeros(tm.size, dtype=np.int64)
+        v[rng.choice(tm.size, size=nnz, replace=False)] = rng.integers(1, 50, size=nnz) * rng.choice([-1, 1], size=nnz)
+        big = np.array([int(x) * 2**70 for x in v], dtype=object)
+        dense = v @ tm.counts
+        for x, want in ((v, dense), (big, np.array([int(y) * 2**70 for y in dense], dtype=object))):
+            repeats.clear()
+            got = tm.push(x)
+            assert bool(repeats) is support_path, nnz
+            assert got.dtype == x.dtype
+            assert (got == want).all() and (got == _column_push(tm.images, x)).all()
+    assert not tm.push(np.zeros(tm.size, dtype=np.int64)).any()
+
+
+def _dense_expectations(tm, i, ts, stat):
+    """Reference: row i of counts^t, dotted with stat in Python integers,
+    over a^(nt), for each t of ts."""
+    v, out = np.zeros(tm.size, dtype=np.int64), []
+    v[i] = 1
+    for t in range(max(ts) + 1):
+        if t in ts:
+            out.append(Fraction(sum(int(m) * s for m, s in zip(v.tolist(), stat)), tm.scale**t))
+        v = v @ tm.counts
+    return out
+
+
+@pytest.mark.parametrize("a, sign, flavor", [(a, s, f) for a in (2, 3) for s in "+-" for f in (ROTATION, FLIP)])
+def test_expectation_matches_dense_powers(tm_cache, a, sign, flavor):
+    rng = np.random.default_rng(a)
+    for n in (1, 2, 3, 4):
+        tm = tm_cache(n, a, sign, flavor)
+        desvec = [des(s) for s in tm.states]
+        stats = [
+            desvec,
+            [d - 2 for d in desvec],
+            [(-1) ** k * (2**63 + k) for k in range(tm.size)],  # past int64 from t = 0
+            [2**70 * d + k for k, d in enumerate(desvec)],
+        ]
+        for i in {0, int(rng.integers(tm.size))}:
+            for stat in stats:
+                want = _dense_expectations(tm, i, range(5), stat)
+                assert [exact_stat_expectation(tm, tm.states[i], t, stat) for t in range(5)] == want, (n, i)
+
+
 def _dense_row(tm, i):
     return {y: Fraction(int(c), tm.scale) for y, c in zip(tm.states, tm.counts[i]) if c}
 
