@@ -5,6 +5,14 @@ Everything here returns certified exact facts, never probabilistic ones:
 - A mod-p elimination bounds the rank from below, hence the nullity from
   above (an unlucky prime only weakens the bound, never breaks it).  So
   full rank mod one prime proves rows independent.
+- `independent_certificate` first tries one exact residual, the verified
+  inverse of Rump (*Verification methods*, Acta Numerica 2010): for G the
+  rows' Gram matrix (or the rows, when square) and X a rounded float64
+  inverse of G, scaled by a power of two s, the integer matrix Z = G·X is
+  formed exactly, and strict diagonal dominance of each of its rows proves
+  Z, hence G, nonsingular (Levy–Desplanques).  Floating point only
+  chooses X; a rounding error can make Z fail the test, never pass it,
+  and then mod-p elimination decides.
 - Exactly verified kernel vectors, e.g. eigenvectors with verified
   eigen-equations, bound the nullity from below; when the two bounds
   meet, the dimension is proved.
@@ -40,7 +48,9 @@ Two functions decide every exactness question of the certificates:
 `exact_product` is the one integer matrix product (one bound on every
 partial sum picks float64 below 2^53, int64 below 2^63, and Python integers
 past that), and `rank_lower_bound` is the one prime policy (the largest
-rank modulo `PRIMES[:3]`, stopping at the rank the caller wants).
+rank modulo `PRIMES[:3]`, stopping at the rank the caller wants).  The
+residual of `independent_certificate` forms its G and Z by `exact_product`,
+and only its mod-p fallback can say that rows are dependent.
 
 Matrices are taken as int64 arrays (or anything numpy turns into one),
 or as Python integers (object) past int64.
@@ -305,11 +315,52 @@ def nullity_upper_bound(A) -> int:
     return M.shape[1] - rank_lower_bound(M, min(M.shape))
 
 
+def _residual_full_rank(M: np.ndarray) -> bool:
+    """True when one exact residual proves that the r×c integer matrix M
+    (r <= c) has full row rank; False when it proves nothing.
+
+    G is M for r = c, else the Gram matrix M·Mᵀ, and rank G = rank M over
+    QQ.  X = rint(s·G⁻¹) for a float64 inverse and s a power of two with
+    s >= 2·r·‖G‖∞, so for a well-conditioned G, Z = G·X is s·I off by
+    less than s/4 in each row.  Z is formed exactly (`exact_product`), and
+    when each of its rows is strictly diagonally dominant, Z is
+    nonsingular (Levy–Desplanques), so G is too.  The float inverse only
+    chooses X: a rounding error can make the check fail, never pass.
+    """
+    r = len(M)
+    G = M if r == M.shape[1] else exact_product(M, M.T)
+    if G.dtype == object:
+        return False
+    s = float(1 << (2 * r * _row_norm(G)).bit_length())
+    with np.errstate(all="ignore"):
+        try:
+            X = np.linalg.inv(G.astype(np.float64))
+        except np.linalg.LinAlgError:
+            return False
+        X *= s
+        if not (np.abs(np.rint(X, out=X)) < 2.0**63).all():  # also refuses NaN
+            return False
+    X = X.astype(np.int64)  # drops the float64 X before the product
+    Z = exact_product(G, X)
+    if Z.dtype != object and 2 * r * _abs_max(Z) >= _I64_EXACT:  # the row sums below could wrap
+        Z = Z.astype(object)
+    Z = np.abs(Z)
+    return bool((2 * Z.diagonal() > Z.sum(axis=1)).all())
+
+
 def independent_certificate(vectors) -> bool:
-    """Prove linear independence over QQ of integer row vectors: true when
-    `rank_lower_bound` reaches the number of rows."""
+    """Prove linear independence over QQ of integer row vectors.
+
+    True when the exact residual of `_residual_full_rank` is diagonally
+    dominant, else when `rank_lower_bound` reaches the number of rows.
+    Each True is a proof: the residual is exact integer arithmetic, and
+    the float64 inverse behind it can only make it fail.  So a False
+    always comes from mod-p elimination, whose rank falls short only for
+    dependent rows or (rarely) three unlucky primes.
+    """
     M = _int_matrix(vectors)
-    return len(M) <= M.shape[1] and rank_lower_bound(M, len(M)) == len(M)
+    r = len(M)
+    return r <= M.shape[1] and (_residual_full_rank(M) or rank_lower_bound(M, r) == r)
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,10 @@ seed, i ↦ i and ī ↦ i, on the words that bar the labels <= k of a basis
 of plain states, and writes the rows of one int64 matrix over those
 states: for distinct letters the signed eigenvector is the plain one
 times a sign character, so the n! rows of one k stand for the 2^n·n!
-signed rows of the chain certificate.  The AlgebraElement assemblies it
+signed rows of the chain certificate.  A plain-seed bracketing depends
+only on its word and the base 2m+1, so its memo is built once per
+degree: kept per (labels, m), for at most 8 of them, and shared by
+every k, a, sign and flavor.  The AlgebraElement assemblies it
 replaced, and the signed rows over all states, are kept in the tests as
 the reference.  It is exact by this argument:
 
@@ -46,6 +49,7 @@ the reference.  It is exact by this argument:
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
@@ -246,10 +250,12 @@ def _letter_brackets(labels: Iterable[int], m: int, code_dtype, dtype) -> dict[S
     return memo
 
 
-def _plain_letters(labels: Iterable[int], m: int) -> dict[SignedWord, Coded]:
+@functools.lru_cache(maxsize=8)
+def _plain_letters(labels: tuple[int, ...], m: int) -> dict[SignedWord, Coded]:
     """Both i and ī ↦ i for the given labels (at most m), and the unit,
     coded in base 2m+1 in int64: the plain-letter seed of the block rows
-    of ``eigenvector_matrix``."""
+    of ``eigenvector_matrix``.  The memo, with every ``_bracket`` built
+    into it, is kept per (labels, m), for at most 8 of them."""
     memo = {SignedWord._trusted(()): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 0)}
     for i in labels:
         letter = (np.array([m + i], dtype=np.int64), np.ones(1, dtype=np.int64), 1)
@@ -365,13 +371,16 @@ def eigenvector_matrix(
     eigenvector: all of them, except the words with a negating factor
     under an even-a rotation operator.  Row r of U holds C_w for
     w = words[r] on ``states``, and mu[r] is its eigenvalue.  Each
-    bracketing is built once per Lyndon word, and coefficients are int64
-    under the bounds of the module docstring, past which CodeOverflow is
-    raised.  The states are read as a ``descent.StateBasis``, coded once
-    per call unless they are one.  Raises ValueError unless the states are
-    plain words with distinct letters, KeyError naming a word of some C_w
-    that is not a state, BadCount for a < 1 or a k that is neither 0 nor a
-    label, and the errors of ``StateBasis`` for the states.
+    bracketing is built once per degree: the plain-seed memo is kept by
+    ``_plain_letters`` per (labels, m), for at most 8 of them, so the
+    n + 1 blocks of a chain and every chain on the same labels share it.
+    Coefficients are int64 under the bounds of the module docstring,
+    past which CodeOverflow is raised.  The states are read as a
+    ``descent.StateBasis``, coded once per call unless they are one.
+    Raises ValueError unless the states are plain words with distinct
+    letters, KeyError naming a word of some C_w that is not a state,
+    BadCount for a < 1 or a k that is neither 0 nor a label, and the
+    errors of ``StateBasis`` for the states.
     """
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
@@ -385,7 +394,7 @@ def eigenvector_matrix(
     labels = np.unique(basis.W).tolist()
     if k != 0 and k not in labels:
         raise BadCount(f"k must be 0 or a label of the states, got k={k}")
-    memo = _plain_letters(labels, basis.m)
+    memo = _plain_letters(tuple(labels), basis.m)
     rows, mus, words = [], [], []
     for pi in basis:
         w = SignedWord._trusted(tuple(-c if c <= k else c for c in pi))

@@ -741,7 +741,10 @@ def chain_spectrum_certificate(
 
     So for each k the rows U_k of the words that bar exactly S_k are
     proved eigenvectors, U_k·B_kᵀ = diag(μ)·U_k (``report["eigen_equations"]``),
-    and certified linearly independent (``report["independent"]``).  The
+    and certified linearly independent (``report["independent"]``): by one
+    exact residual of a float64 inverse of U_k·U_kᵀ (of U_k when square)
+    that is strictly diagonally dominant, or else by a full rank of U_k
+    modulo a prime (``exactla.independent_certificate``).  The
     certificate proves the eigen-equations of these (n + 1)·n! block
     eigenvectors, not of the 2^n·n! eigenvectors of A; at n <= 4 the tests
     prove the rest against the dense reference.  Each multiplicity of B_k

@@ -485,3 +485,107 @@ def test_annihilation_power_builds_the_exact_product(scale):
     s, P = exactla.annihilation_power(A, lams, 3)
     assert P.tolist() == want
     assert s in (1, 2) and brute_annihilates(A, lams, s) and not brute_annihilates(A, lams, s - 1)
+
+
+# ---------------------------------------------------------------------------
+# full row rank by one exact residual, against rank_lower_bound
+
+
+def certificate_route(M):
+    """(independent_certificate(M), whether it fell back to rank_lower_bound)."""
+    calls = []
+    real = exactla.rank_lower_bound
+
+    def counted(A, want):
+        calls.append(want)
+        return real(A, want)
+
+    with mock.patch.object(exactla, "rank_lower_bound", counted):
+        return exactla.independent_certificate(M), bool(calls)
+
+
+def full_rank_mod_p(M):
+    M = exactla._int_matrix(M)
+    return len(M) <= M.shape[1] and exactla.rank_lower_bound(M, len(M)) == len(M)
+
+
+@pytest.mark.parametrize("rows, cols", [(1, 4), (6, 6), (24, 24), (5, 9), (20, 300)])
+@pytest.mark.parametrize("seed", range(3))
+def test_residual_proves_random_full_rank_matrices(rows, cols, seed):
+    M = np.random.default_rng(seed).integers(-3, 4, (rows, cols))
+    assert full_rank_mod_p(M)
+    assert exactla._residual_full_rank(M) is True
+    assert certificate_route(M) == (True, False)
+
+
+def test_residual_proves_nothing_on_dependent_rows():
+    rng = np.random.default_rng(5)
+    dependent = rng.integers(-3, 4, (6, 10))
+    dependent[4] = 2 * dependent[1] - dependent[3]
+    zero_row = rng.integers(-3, 4, (4, 7))
+    zero_row[2] = 0
+    for M in (
+        dependent,
+        low_rank(rng, 8, 8, 7),  # a singular square matrix
+        zero_row,
+        np.zeros((1, 3), dtype=np.int64),
+        np.zeros((3, 3), dtype=np.int64),
+    ):
+        assert not full_rank_mod_p(M)
+        assert exactla._residual_full_rank(M) is False
+        assert certificate_route(M) == (False, True)
+
+
+def test_mod_p_decides_where_the_residual_fails():
+    # det = 1, but G⁻¹ has entries near 2^30 and s is 2^34, so s·G⁻¹ passes int64
+    N = 2**30
+    M = np.array([[1, N], [1, N + 1]])
+    assert exactla._residual_full_rank(M) is False
+    assert certificate_route(M) == (True, True)
+
+
+def test_residual_past_float64_and_int64():
+    rng = np.random.default_rng(0)
+    # entries near 2^57: G in float64 is rounded, Z stays exact
+    M = rng.integers(-3, 4, (6, 6)) * 2**55 + rng.integers(-9, 9, (6, 6))
+    assert full_rank_mod_p(M) and certificate_route(M) == (True, False)
+    # singular with entries near 2^54 (rows p·(q, r) and s·(q, r)), whose
+    # float64 rounding need not be singular
+    p, q, r, s = 2**27 + 1, 2**27 + 3, 2**27 + 5, 2**27 + 9
+    M = np.array([[p * q, p * r], [s * q, s * r]])
+    assert exactla._residual_full_rank(M) is False
+    assert certificate_route(M) == (False, True)
+    # Python-integer entries, or a Gram matrix past int64: mod p decides
+    for M, want in (
+        (np.array([[2**70, 1], [3, 2**70]], dtype=object), True),
+        (np.array([[2**70, 2**71], [1, 2]], dtype=object), False),
+        (rng.integers(-3, 4, (3, 5)) * 2**40, True),
+    ):
+        assert exactla._residual_full_rank(exactla._int_matrix(M)) is False
+        assert certificate_route(M) == (want, True)
+
+
+def test_residual_shapes():
+    assert exactla._residual_full_rank(np.zeros((0, 0), dtype=np.int64)) is True
+    assert exactla._residual_full_rank(np.zeros((0, 5), dtype=np.int64)) is True
+    assert exactla.independent_certificate(np.zeros((0, 5))) is True
+    # more rows than columns: dependent, with no proof tried
+    assert certificate_route(np.eye(3, dtype=np.int64)[:, :2]) == (False, False)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(0, 3),
+    st.integers(0, 7),
+    st.sampled_from([1, 2**20, 2**40, 2**62, 2**80]),
+    st.integers(0, 2**32 - 1),
+)
+def test_residual_never_proves_a_short_rank(rows, extra, rank, scale, seed):
+    """Whatever the entries, a True of the residual is a full mod-p rank."""
+    rng = np.random.default_rng(seed)
+    M = low_rank(rng, rows, rows + extra, rank).astype(object) * scale
+    M = M + rng.integers(-1, 2, M.shape) * (seed % 3 == 0)
+    M = exactla._int_matrix(M)
+    if exactla._residual_full_rank(M):
+        assert full_rank_mod_p(M)

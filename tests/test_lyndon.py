@@ -633,3 +633,31 @@ def test_eigenvector_matrix_refusals():
         eigenvector_matrix([W("1 2")], 0, 0, "+", Decoration.TBAR)
     U, mu, words = eigenvector_matrix([], 0, 3, "+", Decoration.TBAR)
     assert U.shape == (0, 0) and words == ()
+
+
+def test_eigenvector_matrix_shares_one_memo_per_labels(monkeypatch):
+    """One plain-seed memo per (labels, m), shared in any order across
+    degrees, k and specs, and by a relabelled basis, gives the rows of a
+    fresh memo per call."""
+    relabelled = [SignedWord(p) for p in itertools.permutations((2, 5, 7))]
+    cases = [(plain_permutations(n), k, spec) for n in (1, 2, 3, 4) for k in range(n + 1) for spec in ALL_SPECS]
+    cases += [(relabelled, k, spec) for k in (0, 2, 5, 7) for spec in ALL_SPECS]
+
+    def run(case):
+        states, k, (a, sign, flavor) = case
+        return eigenvector_matrix(states, k, a, sign, FLAVOR[flavor])
+
+    shared = lyndon._plain_letters
+    with monkeypatch.context() as m:
+        m.setattr(lyndon, "_plain_letters", shared.__wrapped__)  # a fresh memo per call
+        fresh = [run(case) for case in cases]
+    shared.cache_clear()
+    order = list(range(len(cases)))
+    random.Random(25).shuffle(order)
+    for i in order:
+        U, mu, words = run(cases[i])
+        want_U, want_mu, want_words = fresh[i]
+        assert U.shape == want_U.shape and (U == want_U).all(), cases[i]
+        assert mu.tolist() == want_mu.tolist() and words == want_words, cases[i]
+    info = shared.cache_info()
+    assert info.maxsize is not None and info.currsize == 5 and info.misses == 5
