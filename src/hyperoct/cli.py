@@ -32,7 +32,7 @@ from .spectral import (
     operator_eigenvalues,
     shuffle_multiplicities,
 )
-from .verify import _composes_to, chain_spectrum_certificate, run_checks
+from .verify import SUITES, _composes_to, chain_spectrum_certificate, run_checks
 from .words import SignedWord
 
 
@@ -237,7 +237,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hyperoct",
         description="Hyperoctahedral descent operators, spectra, eigenvectors, "
-        "and signed riffle-shuffle chains (exact arithmetic).",
+        "and signed riffle-shuffle chains (exact arithmetic).  Certificates "
+        "(spectrum --certify, verify) run many small BLAS products: on a "
+        "machine with few cores that other work keeps busy, "
+        "OPENBLAS_NUM_THREADS=1 can make them about twice as fast.  hyperoct "
+        "sets no thread count itself.",
     )
     sub = p.add_subparsers(dest="command", required=True)
 
@@ -306,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     vf.add_argument(
         "--suite",
         default="all",
-        choices=["all", "algebra", "descent", "composition", "spectral", "stirling", "lyndon", "markov"],
+        choices=["all", *SUITES],
     )
     vf.add_argument("--n-max", dest="n_max", type=int, default=3)
     vf.add_argument("--seed", type=int, default=0)

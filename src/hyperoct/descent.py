@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 import numpy as np
 
 from .errors import BadCount, CodeOverflow, FlavorMismatch, NotHomogeneous, SizeMismatch
-from .words import AlgebraElement, SignedWord, WordLike, as_word, exact_coeff
+from .words import AlgebraElement, Coefficient, SignedWord, WordLike, as_word, exact_coeff
 from . import algebra as alg
 
 
@@ -145,13 +145,15 @@ def decorated_compositions(n: int, flavor: Decoration) -> Iterator[DecoratedComp
 
 @dataclass
 class DescentOperator:
-    """A linear combination of elementary operators of one flavor and degree."""
+    """A linear combination of elementary operators of one flavor and degree.
+    Every coefficient is in ``words.exact_coeff`` form: an int, or a
+    Fraction only after a real division."""
 
-    terms: dict[DecoratedComposition, Fraction]
+    terms: dict[DecoratedComposition, Coefficient]
     degree: int
 
     def __post_init__(self):
-        self.terms = {D: Fraction(c) for D, c in self.terms.items() if c}
+        self.terms = {D: exact_coeff(c) for D, c in self.terms.items() if c}
         flavors = {D.flavor for D in self.terms if D.flavor is not Decoration.PLAIN}
         if len(flavors) > 1:
             raise FlavorMismatch("operator mixes bar and tilde-bar compositions")
@@ -167,23 +169,23 @@ class DescentOperator:
 
     @classmethod
     def elementary(cls, D: DecoratedComposition) -> "DescentOperator":
-        return cls({D: Fraction(1)}, D.total)
+        return cls({D: 1}, D.total)
 
     def __add__(self, other: "DescentOperator") -> "DescentOperator":
         if other.degree != self.degree:
             raise SizeMismatch("cannot add operators of different degree")
         acc = dict(self.terms)
         for D, c in other.terms.items():
-            acc[D] = acc.get(D, Fraction(0)) + c
+            acc[D] = acc.get(D, 0) + c
         return DescentOperator(acc, self.degree)
 
     def __mul__(self, scalar) -> "DescentOperator":
-        s = Fraction(scalar)
+        s = exact_coeff(scalar)
         return DescentOperator({D: c * s for D, c in self.terms.items()}, self.degree)
 
     __rmul__ = __mul__
 
-    def canonical_items(self) -> list[tuple[DecoratedComposition, Fraction]]:
+    def canonical_items(self) -> list[tuple[DecoratedComposition, Coefficient]]:
         return sorted(self.terms.items(), key=lambda kv: kv[0].to_json())
 
     def to_json(self) -> list[dict]:
@@ -298,7 +300,7 @@ def elementary_action(D: DecoratedComposition, w: WordLike, algebra: str) -> Ite
 
 def apply_elementary(D: DecoratedComposition, w: WordLike, algebra: str) -> AlgebraElement:
     """m ∘ Δ_D applied to a single word, as an exact AlgebraElement."""
-    acc: dict[SignedWord, Fraction] = {}
+    acc: dict[SignedWord, int] = {}
     for out in elementary_action(D, w, algebra):
         sw = SignedWord(out)
         acc[sw] = acc.get(sw, 0) + 1
@@ -582,9 +584,16 @@ def is_primitive(x, algebra: str) -> bool:
     )
 
 
+def decorated_pile(i, sign: str):
+    """Is the 0-based pile (part) i of a riffle decorated?  Sign '+'
+    decorates the even-numbered piles, counted from 1, and '-' the odd
+    ones.  Also reads an integer array of piles, elementwise."""
+    return (i & 1) == (1 if sign == "+" else 0)
+
+
 def riffle_operator(a: int, sign: str, flavor: Decoration, n: int) -> DescentOperator:
-    """The a-handed riffle operator: all a-part compositions of n, decorating
-    even-indexed parts (sign '+') or odd-indexed parts (sign '-'), 1-based."""
+    """The a-handed riffle operator: all a-part compositions of n, with
+    the parts that ``decorated_pile`` names decorated."""
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
     if n < 0:
@@ -593,16 +602,15 @@ def riffle_operator(a: int, sign: str, flavor: Decoration, n: int) -> DescentOpe
         raise ValueError("sign must be '+' or '-'")
     if flavor not in (Decoration.BAR, Decoration.TBAR):
         raise ValueError("flavor must be BAR or TBAR")
-    parity = 1 if sign == "+" else 0
     terms = {}
     for sizes in compositions(n, a):
         D = DecoratedComposition(
             tuple(
-                (s, flavor if i % 2 == parity else Decoration.PLAIN)
+                (s, flavor if decorated_pile(i, sign) else Decoration.PLAIN)
                 for i, s in enumerate(sizes)
             )
         )
-        terms[D] = Fraction(1)
+        terms[D] = 1
     return DescentOperator(terms, n)
 
 
@@ -730,10 +738,10 @@ def compose_law(
         reader = (lambda M: wcomp_tilde(D, M)) if tilde else wcomp
     else:
         raise ValueError(f"unknown algebra kind {algebra_kind!r}")
-    terms: dict[DecoratedComposition, Fraction] = {}
+    terms: dict[DecoratedComposition, int] = {}
     for M in mats:
         E = reader(M)
-        terms[E] = terms.get(E, Fraction(0)) + 1
+        terms[E] = terms.get(E, 0) + 1
     return DescentOperator(terms, D.total)
 
 

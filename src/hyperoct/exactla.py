@@ -44,13 +44,16 @@ right factor as Y_hi·2^13 + Y_lo; every partial sum of X·Y_hi and X·Y_lo
 is then below 64·2^26·2^13 = 2^45.  Residues mod the 20-bit `TRACE_PRIMES`
 need no split: 64·(p − 1)^2 < 2^46.
 
-Two functions decide every exactness question of the certificates:
-`exact_product` is the one integer matrix product (one bound on every
-partial sum picks float64 below 2^53, int64 below 2^63, and Python integers
-past that), and `rank_lower_bound` is the one prime policy (the largest
-rank modulo `PRIMES[:3]`, stopping at the rank the caller wants).  The
-residual of `independent_certificate` forms its G and Z by `exact_product`,
-and only its mod-p fallback can say that rows are dependent.
+Four functions decide every exactness question of the certificates and
+of ``verify``: `exact_product` is the one integer matrix product (one bound
+on every partial sum picks float64 below 2^53, int64 below 2^63, and
+Python integers past that), `rank_lower_bound` is the one prime policy
+(the largest rank modulo `PRIMES[:3]`, stopping at the rank the caller
+wants), `rounded_inverse` is the one float64 inverse (a candidate X, which
+an exact product then proves or refutes), and `eigen_equations_hold` is
+the one eigen-equation verdict (V·M = diag(μ)·V, exactly).  The residual
+of `independent_certificate` forms its G and Z by `exact_product`, and
+only its mod-p fallback can say that rows are dependent.
 
 Matrices are taken as int64 arrays (or anything numpy turns into one),
 or as Python integers (object) past int64.
@@ -315,12 +318,40 @@ def nullity_upper_bound(A) -> int:
     return M.shape[1] - rank_lower_bound(M, min(M.shape))
 
 
+def rounded_inverse(G: np.ndarray, s: float) -> Optional[np.ndarray]:
+    """X = rint(s·G⁻¹) as int64, from a float64 inverse of the square
+    integer matrix G, or None when G is singular to float64, or X is not
+    finite or passes int64.  X is only a candidate: the caller proves what
+    it needs of G·X by `exact_product`.  The float64 X is dropped on return,
+    so that it is not alive beside the caller's products."""
+    with np.errstate(all="ignore"):
+        try:
+            X = np.linalg.inv(G.astype(np.float64))
+        except np.linalg.LinAlgError:
+            return None
+        X *= s
+        if not (np.abs(np.rint(X, out=X)) < 2.0**63).all():  # also refuses NaN
+            return None
+    return X.astype(np.int64)
+
+
+def eigen_equations_hold(V: np.ndarray, mu: np.ndarray, M: np.ndarray) -> bool:
+    """Whether V·M = diag(mu)·V exactly: each row of V is a left eigenvector
+    of the integer matrix M with eigenvalue mu[row].  V·M is one
+    `exact_product`, and diag(mu)·V runs in Python integers where int64
+    could wrap."""
+    W = exact_product(V, M)
+    if _abs_max(mu) * _abs_max(V) >= _I64_EXACT:
+        mu = mu.astype(object)
+    return bool((W == mu[:, None] * V).all())
+
+
 def _residual_full_rank(M: np.ndarray) -> bool:
     """True when one exact residual proves that the r×c integer matrix M
     (r <= c) has full row rank; False when it proves nothing.
 
     G is M for r = c, else the Gram matrix M·Mᵀ, and rank G = rank M over
-    QQ.  X = rint(s·G⁻¹) for a float64 inverse and s a power of two with
+    QQ.  X = rint(s·G⁻¹) (`rounded_inverse`) for s a power of two with
     s >= 2·r·‖G‖∞, so for a well-conditioned G, Z = G·X is s·I off by
     less than s/4 in each row.  Z is formed exactly (`exact_product`), and
     when each of its rows is strictly diagonally dominant, Z is
@@ -331,16 +362,9 @@ def _residual_full_rank(M: np.ndarray) -> bool:
     G = M if r == M.shape[1] else exact_product(M, M.T)
     if G.dtype == object:
         return False
-    s = float(1 << (2 * r * _row_norm(G)).bit_length())
-    with np.errstate(all="ignore"):
-        try:
-            X = np.linalg.inv(G.astype(np.float64))
-        except np.linalg.LinAlgError:
-            return False
-        X *= s
-        if not (np.abs(np.rint(X, out=X)) < 2.0**63).all():  # also refuses NaN
-            return False
-    X = X.astype(np.int64)  # drops the float64 X before the product
+    X = rounded_inverse(G, float(1 << (2 * r * _row_norm(G)).bit_length()))
+    if X is None:
+        return False
     Z = exact_product(G, X)
     if Z.dtype != object and 2 * r * _abs_max(Z) >= _I64_EXACT:  # the row sums below could wrap
         Z = Z.astype(object)

@@ -15,15 +15,17 @@ factors and merges them by ``descent._merge_codes``, the merge of
 ``apply_operator``.  ``_ranked_assembly`` runs it on one word, its labels
 ranked by ``descent._ranked_words``, from the signed seed i ↦ i + ī,
 ī ↦ i − ī, and decodes one AlgebraElement for ``stdbrac`` and
-``build_eigenvector`` (and so
-``eigenbasis``).  ``eigenvector_matrix`` runs it from the plain-letter
-seed, i ↦ i and ī ↦ i, on the words that bar the labels <= k of a basis
-of plain states, and writes the rows of one int64 matrix over those
-states: for distinct letters the signed eigenvector is the plain one
-times a sign character, so the n! rows of one k stand for the 2^n·n!
-signed rows of the chain certificate.  A plain-seed bracketing depends
-only on its word and the base 2m+1, so its memo is built once per
-degree: kept per (labels, m), for at most 8 of them, and shared by
+``build_eigenvector`` (and so ``eigenbasis``).  ``pbw_matrix`` runs it
+from the same seed on the factor orders of PBW monomials, and writes
+their columns over a basis of words: the matrix of ``verify``'s
+triangularity check.  ``eigenvector_matrix`` runs it from the
+plain-letter seed, i ↦ i and ī ↦ i, on the words that bar the labels
+<= k of a basis of plain states, and writes the rows of one int64 matrix
+over those states: for distinct letters the signed eigenvector is the
+plain one times a sign character, so the n! rows of one k stand for the
+2^n·n! signed rows of the chain certificate.  A plain-seed bracketing
+depends only on its word and the base 2m+1, so its memo is built once
+per degree: kept per (labels, m), for at most 8 of them, and shared by
 every k, a, sign and flavor.  The AlgebraElement assemblies it
 replaced, and the signed rows over all states, are kept in the tests as
 the reference.  It is exact by this argument:
@@ -409,6 +411,25 @@ def eigenvector_matrix(
     for r, (cols, coeffs) in enumerate(rows):
         U[r, cols] = coeffs
     return U, np.array(mus, dtype=np.int64), tuple(words)
+
+
+def pbw_matrix(basis: StateBasis, monomials: Sequence[Sequence[SignedWord]]) -> np.ndarray:
+    """The int64 matrix whose column j is the PBW monomial
+    stdbrac(u_1)·⋯·stdbrac(u_r) of monomials[j] = (u_1, ..., u_r), read
+    on the words of ``basis``: the Lyndon words' bracketings from the
+    signed seed of ``_letter_brackets`` over the labels 1..m of the basis,
+    concatenated in the monomial's factor order by ``_combine``.  The empty
+    monomial is the unit.  Raises CodeOverflow past the int64 bound of the
+    module docstring, KeyError naming a word of a monomial that is not in
+    the basis, and SingleLetter for a letter past m."""
+    base = 2 * basis.m + 1
+    memo = _letter_brackets(range(1, basis.m + 1), basis.m, np.int64, np.int64)
+    V = np.zeros((len(basis), len(monomials)), dtype=np.int64)
+    for j, mono in enumerate(monomials):
+        factors = [_bracket(u, base, memo) for u in mono] or [memo[SignedWord._trusted(())]]
+        codes, coeffs, _ = _combine(factors, [(1, tuple(range(len(factors))))], 1, base)
+        V[basis.index_codes(codes), j] = coeffs
+    return V
 
 
 # ---------------------------------------------------------------------------

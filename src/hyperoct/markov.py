@@ -58,7 +58,16 @@ from .errors import (
     StateSpaceTooLarge,
 )
 from .words import SignedWord, WordLike, as_word, signed_permutations
-from .descent import Decoration, StateBasis, _deal, _dealing_order, image_table, operator_matrix, riffle_operator
+from .descent import (
+    Decoration,
+    StateBasis,
+    _deal,
+    _dealing_order,
+    decorated_pile,
+    image_table,
+    operator_matrix,
+    riffle_operator,
+)
 from . import algebra as alg
 from . import exactla
 from .spectral import shuffle_multiplicities
@@ -236,12 +245,6 @@ def transition_matrix(spec: ShuffleSpec) -> TransitionMatrix:
 # sampling
 
 
-def _decorated_pile(i, sign: str):
-    """Is 0-based pile i decorated?  sign '+' decorates even 1-based piles.
-    Also reads an integer array of piles, elementwise."""
-    return (i & 1) == (1 if sign == "+" else 0)
-
-
 def _refuse_wide_labels(spec: ShuffleSpec) -> None:
     if spec.a > 2**31:  # the sampler draws its pile labels as int32
         raise BadCount(f"a={spec.a} piles: sampled pile labels are int32, so a <= 2^31")
@@ -259,7 +262,7 @@ def sample_step(spec: ShuffleSpec, x: WordLike, rng: np.random.Generator) -> Sig
     for i, d in enumerate(sizes):
         pile = list(x[pos : pos + d])
         pos += d
-        if _decorated_pile(i, spec.sign):
+        if decorated_pile(i, spec.sign):
             pile = [-c for c in pile]
             if spec.flavor == FLIP:
                 pile.reverse()
@@ -292,7 +295,7 @@ def batch_step(spec: ShuffleSpec, decks: np.ndarray, rng: np.random.Generator) -
     """
     _refuse_wide_labels(spec)
     labels = rng.integers(0, spec.a, size=decks.shape, dtype=np.int32)
-    decorated = functools.partial(_decorated_pile, sign=spec.sign)
+    decorated = functools.partial(decorated_pile, sign=spec.sign)
     piles, order = _dealing_order(labels, spec.a, decorated if spec.flavor == FLIP else None)
     # ±1 as int8, so the cards keep the decks' dtype
     return _deal(order, decks * (1 - 2 * decorated(piles).view(np.int8)))

@@ -23,6 +23,7 @@ from typing import Iterator, Sequence
 
 from .errors import BadCount, SizeMismatch
 from .descent import DecoratedComposition, DescentOperator
+from .words import Coefficient, exact_coeff
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +103,13 @@ def beta(
     return total
 
 
-def operator_eigenvalues(T: DescentOperator) -> dict[tuple, Fraction]:
-    """Map (λ, λ̄) -> Σ_D coeff(D)·β for the operator's compositions."""
-    out = {}
-    for dp in double_partitions(T.degree):
-        lam, lbar = dp
-        val = Fraction(0)
-        for D, c in T.terms.items():
-            val += c * beta(lam, lbar, D)
-        out[dp] = val
-    return out
+def operator_eigenvalues(T: DescentOperator) -> dict[tuple, Coefficient]:
+    """Map (λ, λ̄) -> Σ_D coeff(D)·β for the operator's compositions, in
+    ``words.exact_coeff`` form."""
+    return {
+        (lam, lbar): exact_coeff(sum(c * beta(lam, lbar, D) for D, c in T.terms.items()))
+        for lam, lbar in double_partitions(T.degree)
+    }
 
 
 # ---------------------------------------------------------------------------

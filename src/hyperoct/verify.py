@@ -53,6 +53,7 @@ from .lyndon import (
     is_lyndon,
     lyndon_factorize,
     lyndon_words,
+    pbw_matrix,
     primitive_dimensions,
     stdbrac,
 )
@@ -124,22 +125,8 @@ def _int_vector(vec: AlgebraElement, index: Callable[[SignedWord], int], size: i
     return v
 
 
-def _eigen_equations_hold(V: np.ndarray, mu: np.ndarray, M: np.ndarray) -> bool:
-    """Whether V·M = diag(mu)·V exactly: each row of V is a left eigenvector
-    of the integer matrix M with eigenvalue mu[row] (``exactla.exact_product``)."""
-    W = exactla.exact_product(V, M)
-    if exactla._abs_max(mu) * exactla._abs_max(V) >= 2**63:  # diag(mu)·V could wrap in int64
-        mu = mu.astype(object)
-    return bool((W == mu[:, None] * V).all())
-
-
 BOTH_FLAVORS = (Decoration.BAR, Decoration.TBAR)
-ALL_SPECS = tuple(
-    (a, sign, flavor)
-    for a in (2, 3)
-    for sign in ("+", "-")
-    for flavor in (ROTATION, FLIP)
-)
+ALL_SPECS = tuple(itertools.product((2, 3), ("+", "-"), (ROTATION, FLIP)))
 
 
 # ---------------------------------------------------------------------------
@@ -147,13 +134,12 @@ ALL_SPECS = tuple(
 
 
 def check_involutions(n_max: int, seed: int = 0) -> list[CheckResult]:
-    ok = True
-    for n in range(0, min(n_max + 2, 5)):
-        for w in all_words(n, 2):
-            if tau(tau(w)) != w or tau_tilde(tau_tilde(w)) != w:
-                ok = False
-            if len(tau(w)) != n or len(tau_tilde(w)) != n:
-                ok = False
+    ok = all(
+        sigma(sigma(w)) == w and len(sigma(w)) == n
+        for n in range(0, min(n_max + 2, 5))
+        for w in all_words(n, 2)
+        for sigma in (tau, tau_tilde)
+    )
     return [_result("algebra.involutions", ok, "sigma∘sigma = id, degree kept")]
 
 
@@ -255,13 +241,12 @@ def check_projections(n_max: int, seed: int = 0) -> list[CheckResult]:
 def check_prim_preservation(n_max: int, seed: int = 0) -> list[CheckResult]:
     """τ and τ̃ keep the degree ≤ 4 Lyndon brackets over two letters
     primitive in the concat algebra, read by ``is_primitive``'s kernel."""
-    ok = True
-    for d in range(1, 5):
-        for u in lyndon_words(2, d):
-            p = stdbrac(u)
-            for image in (tau(p), tau_tilde(p)):
-                if not is_primitive(image, CONCAT):
-                    ok = False
+    ok = all(
+        is_primitive(sigma(stdbrac(u)), CONCAT)
+        for d in range(1, 5)
+        for u in lyndon_words(2, d)
+        for sigma in (tau, tau_tilde)
+    )
     return [_result("algebra.primitive_preservation", ok)]
 
 
@@ -313,8 +298,7 @@ def check_duality(n_max: int, seed: int = 0) -> list[CheckResult]:
         for D in decorated_compositions(n, flavor):
             A = operator_matrix(DescentOperator.elementary(D), states, SHUFFLE)
             B = operator_matrix(DescentOperator.elementary(D), states, CONCAT)
-            if not (A == B.T).all():
-                ok = False
+            ok &= (A == B.T).all()
     return [_result("descent.duality_transpose", ok, f"n = {n}, all decorated compositions")]
 
 
@@ -347,8 +331,7 @@ def check_zero_parts(n_max: int, seed: int = 0) -> list[CheckResult]:
         plain_pad = DecoratedComposition.from_sizes((0, 1, 1), (1,), flavor)
         for algebra in (SHUFFLE, CONCAT):
             for D in (padded, dec_zero, plain_pad):
-                if not _composes_to(base, [DescentOperator.elementary(D)], algebra):
-                    ok = False
+                ok &= _composes_to(base, [DescentOperator.elementary(D)], algebra)
     return [_result("descent.zero_parts_trivial", ok)]
 
 
@@ -366,8 +349,7 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             Ds = list(decorated_compositions(n, flavor))
             for D, Dp in itertools.product(Ds, Ds):
                 for algebra, kind in ((SHUFFLE, "commutative"), (CONCAT, "cocommutative")):
-                    if not holds(D, Dp, algebra, kind):
-                        ok = False
+                    ok &= holds(D, Dp, algebra, kind)
         out.append(_result("descent.composition_law", ok, f"exhaustive, n = {n}", n=n))
     if n_max >= 4:
         ok = True
@@ -378,8 +360,7 @@ def check_composition_law(n_max: int, seed: int = 0) -> list[CheckResult]:
             algebra, kind = rng.choice(
                 ((SHUFFLE, "commutative"), (CONCAT, "cocommutative"))
             )
-            if not holds(D, Dp, algebra, kind):
-                ok = False
+            ok &= holds(D, Dp, algebra, kind)
         out.append(_result("descent.composition_law", ok, "50 random pairs, n = 4", n=4))
     return out
 
@@ -430,8 +411,7 @@ def check_riffle_composition(n_max: int, seed: int = 0) -> list[CheckResult]:
                         riffle(a * b, want, flavor), [riffle(a, s1, flavor), riffle(b, s2, flavor)], algebra
                     )
                     if hypo:
-                        if not equal:
-                            ok = False
+                        ok &= equal
                         if parity_hypo and want != naive:
                             printed_rule_ok = False
                         if want != naive:
@@ -500,21 +480,19 @@ def _pbw_data(N: int, n: int, flavor: Decoration):
     for d in range(1, n + 1):
         for u in lyndon_words(N, d):
             cls = classify_primitive(u, flavor)
-            prims.append((0 if cls == "invariant" else 1, d, word_lex_key(u), u, stdbrac(u)))
-    prims.sort(key=lambda t: (t[0], t[1], t[2]))
+            prims.append((0 if cls == "invariant" else 1, d, word_lex_key(u), u))
+    prims.sort(key=lambda t: t[:3])
     monomials = []
 
-    def rec(start: int, remaining: int, chosen: list[int]):
+    def rec(start: int, remaining: int, chosen: tuple[int, ...]):
         if remaining == 0:
-            monomials.append(tuple(chosen))
+            monomials.append(chosen)
             return
         for i in range(start, len(prims)):
             if prims[i][1] <= remaining:
-                chosen.append(i)
-                rec(i, remaining - prims[i][1], chosen)
-                chosen.pop()
+                rec(i, remaining - prims[i][1], chosen + (i,))
 
-    rec(0, n, [])
+    rec(0, n, ())
     return prims, monomials
 
 
@@ -526,34 +504,21 @@ def _pbw_triangular(n: int, flavor: Decoration) -> bool:
     Column j of the int64 matrix V is the j-th PBW monomial over the
     words.  The bracket letters are i ± ī, so V is the letter change
     [[1, 1], [1, −1]] in every slot times an integer matrix unitriangular
-    by factor count, and X = 2^n·V⁻¹ is integral.  X is rounded from a
-    float64 inverse and accepted only when V·X = 2^n·I holds exactly, which
-    proves V nonsingular and X exact; any failure of that argument is a
-    fail, never a wrong pass.  Then, one D at a time, Y = X·(Mᵀ·V) holds
-    2^n times the PBW coordinates of the images of the monomials.
+    by factor count, and X = 2^n·V⁻¹ is integral.  X comes from
+    ``exactla.rounded_inverse`` and is accepted only when V·X = 2^n·I holds
+    exactly, which proves V nonsingular and X exact; any failure of that
+    argument is a fail, never a wrong pass.  Then, one D at a time,
+    Y = X·(Mᵀ·V) holds 2^n times the PBW coordinates of the images of the
+    monomials.
     """
     N = 2
     words = StateBasis(all_words(n, N), n)  # coded once for every operator_matrix
-    widx = {w: i for i, w in enumerate(words)}
     prims, monomials = _pbw_data(N, n, flavor)
-    V = np.stack(
-        [
-            _int_vector(concat_elements(*(prims[i][4] for i in mono)), widx.__getitem__, len(words))
-            for mono in monomials
-        ],
-        axis=1,
-    )
+    V = pbw_matrix(words, [[prims[i][3] for i in mono] for mono in monomials])
     if V.shape[0] != V.shape[1]:
         return False
-    try:
-        X = np.rint(2**n * np.linalg.inv(V))
-    except np.linalg.LinAlgError:  # singular
-        return False
-    # NaN, inf, or past the integers that float64 holds exactly
-    if not (np.abs(X) <= 2**53).all():
-        return False
-    X = X.astype(np.int64)
-    if not (exactla.exact_product(V, X) == 2**n * np.eye(len(V), dtype=np.int64)).all():
+    X = exactla.rounded_inverse(V, 2**n)
+    if X is None or not (exactla.exact_product(V, X) == 2**n * np.eye(len(V), dtype=np.int64)).all():
         return False
     # (λ, λ̄): the degrees of the invariant and the negating factors
     shapes = [
@@ -584,8 +549,7 @@ def check_table1_totals(n_max: int, seed: int = 0) -> list[CheckResult]:
     for n in range(1, 9):
         for a, sign in ((2, "+"), (2, "-"), (3, "+"), (3, "-")):
             total = sum(m for _, m in shuffle_multiplicities(a, sign, n))
-            if total != 2**n * math.factorial(n):
-                ok = False
+            ok &= total == 2**n * math.factorial(n)
     return [_result("spectral.table1_totals", ok, "n <= 8")]
 
 
@@ -611,8 +575,7 @@ def check_stirling(n_max: int, seed: int = 0) -> list[CheckResult]:
             )
             counts[minima] = counts.get(minima, 0) + 1
         for k in range(n + 1):
-            if counts.get(k, 0) != stirling_c(n, k):
-                ok2 = False
+            ok2 &= counts.get(k, 0) == stirling_c(n, k)
     out.append(_result("spectral.stirling_minima_brute", ok2, "left-to-right minima, n <= 7"))
     ok3 = True
     for n in range(1, 5):
@@ -626,10 +589,8 @@ def check_stirling(n_max: int, seed: int = 0) -> list[CheckResult]:
                     kb += 1
             brute[(k, kb)] = brute.get((k, kb), 0) + 1
         for (k, kb), cnt in brute.items():
-            if cnt != hyperoct_stirling(n, k, kb):
-                ok3 = False
-        if sum(brute.values()) != 2**n * math.factorial(n):
-            ok3 = False
+            ok3 &= cnt == hyperoct_stirling(n, k, kb)
+        ok3 &= sum(brute.values()) == 2**n * math.factorial(n)
     out.append(_result("spectral.stirling_signed_brute", ok3, "factor-parity census, n <= 4"))
     return out
 
@@ -644,14 +605,11 @@ def check_multiplicity_identities(n_max: int, seed: int = 0) -> list[CheckResult
         b, bb = primitive_dimensions(N, top, flavor)
         for n in range(1, top + 1):
             mg = multiplicity_genfun(b, bb, n)
-            if sum(mg.values()) != (2 * N) ** n:
-                ok = False
+            ok &= sum(mg.values()) == (2 * N) ** n
             signed = sum(m * (-1) ** len(lbar) for (_, lbar), m in mg.items())
-            if sum(e * m for e, m in riffle_spectrum(1, "-", b, bb, n)) != signed:
-                ok = False
+            ok &= sum(e * m for e, m in riffle_spectrum(1, "-", b, bb, n)) == signed
             fixed = sum(1 for w in all_words(n, N) if (tau(w) if flavor is Decoration.BAR else tau_tilde(w)) == w)
-            if signed != fixed:
-                ok = False
+            ok &= signed == fixed
     return [_result("spectral.multiplicity_identities", ok, f"N = {N}, n <= {top}")]
 
 
@@ -668,8 +626,7 @@ def check_spectrum_aggregation(n_max: int, seed: int = 0) -> list[CheckResult]:
                 agg = Counter()
                 for dp, v in ev.items():
                     agg[int(v)] += mg[dp]
-                if {k: v for k, v in agg.items() if v} != spd:
-                    ok = False
+                ok &= {k: v for k, v in agg.items() if v} == spd
     return [_result("spectral.riffle_spectrum_aggregation", ok, f"N = {N}, n = {n}")]
 
 
@@ -799,7 +756,7 @@ def chain_spectrum_certificate(
         multiplicities = dict(Counter(mu.tolist()))
         for lam, m in multiplicities.items():
             counts[lam] += weight * m
-        equations = _eigen_equations_hold(U, mu, B.T) and equations
+        equations = exactla.eigen_equations_hold(U, mu, B.T) and equations
         independent = exactla.independent_certificate(U) and independent
         block = {"k": k, "weight": weight, "rows": len(U), "multiplicities": multiplicities}
         blocks.append(block)
@@ -901,15 +858,11 @@ def check_duval_brute(n_max: int, seed: int = 0) -> list[CheckResult]:
         w = SignedWord(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(length))
         got = lyndon_factorize(w)
         want = brute_factorize(w)
-        if got != want:
-            ok = False
-        if SignedWord(c for f in got for c in f) != w:
-            ok = False
+        ok &= got == want
+        ok &= SignedWord(c for f in got for c in f) == w
         keys = [word_lex_key(f) for f in got]
-        if any(keys[i] < keys[i + 1] for i in range(len(keys) - 1)):
-            ok = False
-        if not all(is_lyndon(f) for f in got):
-            ok = False
+        ok &= all(keys[i] >= keys[i + 1] for i in range(len(keys) - 1))
+        ok &= all(is_lyndon(f) for f in got)
     return [_result("lyndon.duval_vs_brute", ok, "300 random words, length <= 8")]
 
 
@@ -965,30 +918,13 @@ def check_onenegating_lemmas(n_max: int, seed: int = 0) -> list[CheckResult]:
                     orif_s = apply_operator(Ts, s, CONCAT) if deg_s else s
                     ps = apply_operator(T, concat_elements(pbar, s), CONCAT)
                     sp = apply_operator(T, concat_elements(s, pbar), CONCAT)
-                    if flavor is Decoration.TBAR:
-                        if a % 2 == 1 and sign == "+":
-                            if ps != concat_elements(pbar, orif_s):
-                                ok_flip = False
-                            if sp != concat_elements(orif_s, pbar):
-                                ok_flip = False
-                        elif a % 2 == 1 and sign == "-":
-                            if ps != -concat_elements(orif_s, pbar):
-                                ok_flip = False
-                            if sp != -concat_elements(pbar, orif_s):
-                                ok_flip = False
-                        elif sign == "+":
-                            if sp != AlgebraElement.zero():
-                                ok_flip = False
-                        else:
-                            if ps != AlgebraElement.zero():
-                                ok_flip = False
-                    else:
-                        if a % 2 == 1:
-                            want = concat_elements(pbar, orif_s) + concat_elements(orif_s, pbar)
-                            if sign == "-":
-                                want = -want
-                            if ps + sp != want:
-                                ok_rot = False
+                    left, right = concat_elements(pbar, orif_s), concat_elements(orif_s, pbar)
+                    if flavor is Decoration.TBAR and a % 2 == 1:
+                        ok_flip &= (ps, sp) == ((left, right) if sign == "+" else (-right, -left))
+                    elif flavor is Decoration.TBAR:  # even a: s·p̄ vanishes under '+', p̄·s under '-'
+                        ok_flip &= not (sp if sign == "+" else ps)
+                    elif a % 2 == 1:
+                        ok_rot &= ps + sp == (left + right if sign == "+" else -(left + right))
     return [
         _result("lyndon.flip_onenegating_lemma", ok_flip, "all six displayed identities, a in {2,3}"),
         _result("lyndon.rotation_onenegating_lemma", ok_rot, "odd a identities"),
@@ -1007,14 +943,11 @@ def check_full_word_eigenbasis(n_max: int, seed: int = 0) -> list[CheckResult]:
             rows = []
             for w, vec, mu in eigenbasis(n, N, a, sign, flavor, include_repeats=True):
                 img = apply_operator(T, vec, CONCAT)
-                if img != mu * vec:
-                    ok = False
+                ok &= img == mu * vec
                 rows.append(_int_vector(vec, index.__getitem__, len(words)))
             if flavor is Decoration.TBAR or a % 2 == 1:
-                if len(rows) != len(words):
-                    ok = False
-            if not exactla.independent_certificate(rows):
-                ok = False
+                ok &= len(rows) == len(words)
+            ok &= exactla.independent_certificate(rows)
     return [_result("lyndon.full_word_basis", ok, f"N = {N}, n = {n}, repeats included")]
 
 
@@ -1027,8 +960,7 @@ def check_stationary(n_max: int, seed: int = 0) -> list[CheckResult]:
     for n in range(1, min(n_max, 4) + 1):
         for a, sign, flavor in ALL_SPECS:
             # false when uniform·K = uniform fails, or its fixed space is larger
-            if not stationary_is_unique(transition_matrix(ShuffleSpec(n, a, sign, flavor))):
-                ok = False
+            ok &= stationary_is_unique(transition_matrix(ShuffleSpec(n, a, sign, flavor)))
     return [_result("markov.stationary_uniform_unique", ok, "pi K = pi exactly; fixed space 1-dim")]
 
 
@@ -1223,14 +1155,8 @@ def run_checks(suite: str = "all", n_max: int = 3, seed: int = 0) -> list[CheckR
     """The sorted rows of the suite's checks; BadCount for n_max < 1, first."""
     if n_max < 1:
         raise BadCount(f"need n_max >= 1, got n_max={n_max}")
-    if suite == "all":
-        fns = []
-        seen = set()
-        for fs in SUITES.values():
-            for f in fs:
-                if f not in seen:
-                    seen.add(f)
-                    fns.append(f)
+    if suite == "all":  # every check once, in suite order
+        fns = list(dict.fromkeys(f for fs in SUITES.values() for f in fs))
     else:
         if suite not in SUITES:
             raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)} or 'all'")

@@ -9,7 +9,6 @@ from hyperoct import exactla
 from hyperoct.descent import StateBasis
 from hyperoct.lyndon import _eigenvector_codes, _letter_brackets
 from hyperoct.spectral import shuffle_multiplicities
-from hyperoct.verify import _eigen_equations_hold
 
 
 def W(text: str) -> SignedWord:
@@ -96,7 +95,7 @@ def dense_certificate(spec, tm=None):
     report = {
         "size": size,
         "method": "full-eigenbasis" if full else "partial-eigenbasis+annihilation",
-        "eigen_equations": _eigen_equations_hold(V, mu, A.T),
+        "eigen_equations": exactla.eigen_equations_hold(V, mu, A.T),
         "independent": exactla.independent_certificate(V),
         "eigenvector_counts": counts,
         "counts_match": counts == (predicted if full else nonzero_pred),

@@ -250,6 +250,18 @@ def test_verify_suite_filter(capsys):
     assert "lyndon." not in out
 
 
+def test_verify_suites_come_from_the_registry(capsys):
+    """--suite offers 'all' and then verify.SUITES in its order, and the
+    top-level help carries the BLAS thread note."""
+    from hyperoct import verify
+
+    (sub,) = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    (suite,) = [a for a in sub.choices["verify"]._actions if a.dest == "suite"]
+    assert suite.choices == ["all", *verify.SUITES]
+    assert list(verify.SUITES) == ["algebra", "descent", "composition", "spectral", "stirling", "lyndon", "markov"]
+    assert "OPENBLAS_NUM_THREADS=1" in cli.build_parser().format_help()
+
+
 # Every row name of `verify --suite all --n-max 3`, with its count.
 VERIFY_ALL_N3_ROWS = {
     "algebra.bialgebra_compatibility": 1,

@@ -43,7 +43,8 @@ from hyperoct import (
 )
 from hyperoct import descent
 from hyperoct.algebra import _position_splits
-from hyperoct.descent import _deal, _dealing_order, _piles, _programs, elementary_action, image_table
+from hyperoct.descent import _deal, _dealing_order, _piles, _programs, decorated_pile, elementary_action, image_table
+from hyperoct.spectral import operator_eigenvalues
 from conftest import W, signed_eigenvector_matrix
 
 DC = DecoratedComposition
@@ -108,6 +109,34 @@ def test_riffle_operator_structure():
     # degree 0 keeps its one all-empty composition
     T = riffle_operator(2, "+", Decoration.BAR, 0)
     assert T.degree == 0 and T.terms == {DC.parse("0,0b"): 1}
+
+
+def test_riffle_parts_are_decorated_by_the_one_pile_rule():
+    for a in range(1, 7):
+        for sign in "+-":
+            for flavor in (Decoration.BAR, Decoration.TBAR):
+                for D in riffle_operator(a, sign, flavor, 3).terms:
+                    got = [d is flavor for _, d in D.parts]
+                    assert got == [bool(decorated_pile(i, sign)) for i in range(a)], (a, sign, str(D))
+                    assert (decorated_pile(np.arange(a), sign) == got).all()
+    # sign '+' decorates the even-numbered piles, counted from 1
+    assert [decorated_pile(i, "+") for i in range(4)] == [False, True, False, True]
+
+
+def test_operator_coefficients_are_integers_until_a_division():
+    ops = [riffle_operator(3, "-", Decoration.TBAR, 3), DescentOperator.elementary(DC.parse("1,2t"))]
+    ops += [compose_law(D, Dp, kind) for D in decorated_compositions(2, Decoration.BAR)
+            for Dp in decorated_compositions(2, Decoration.BAR) for kind in ("commutative", "cocommutative")]
+    ops.append(ops[0] + ops[0] * 2)
+    ops.append(DescentOperator({DC.parse("3"): Fraction(4, 2)}, 3))
+    for T in ops:
+        assert T.terms and all(type(c) is int for c in T.terms.values()), T.to_json()
+    half = ops[0] * Fraction(1, 2)
+    assert all(c == Fraction(1, 2) and type(c) is Fraction for c in half.terms.values())
+    assert all(type(c) is int for c in (half * 2).terms.values())
+    assert half.to_json()[0]["coeff"] == "1/2" and ops[0].to_json()[0]["coeff"] == "1"
+    assert all(type(v) is int for v in operator_eigenvalues(ops[0]).values())
+    assert set(operator_eigenvalues(half).values()) == {Fraction(v, 2) for v in operator_eigenvalues(ops[0]).values()}
 
 
 PAPER_FIVE_MATRICES = [

@@ -589,3 +589,45 @@ def test_residual_never_proves_a_short_rank(rows, extra, rank, scale, seed):
     M = exactla._int_matrix(M)
     if exactla._residual_full_rank(M):
         assert full_rank_mod_p(M)
+
+
+# --- the one float64 inverse and the one eigen-equation verdict --------------
+
+
+def test_rounded_inverse_is_exact_on_a_unimodular_matrix():
+    G = np.array([[2, 1, 0], [1, 1, 0], [0, 3, 1]], dtype=np.int64)  # det 1
+    for s in (1, 8, 2.0**40):
+        X = exactla.rounded_inverse(G, s)
+        assert X.dtype == np.int64
+        assert (exactla.exact_product(G, X) == int(s) * np.eye(3, dtype=np.int64)).all()
+    assert exactla.rounded_inverse(np.zeros((0, 0), dtype=np.int64), 1.0).shape == (0, 0)
+
+
+def test_rounded_inverse_refuses_what_it_cannot_round():
+    # singular to float64
+    assert exactla.rounded_inverse(np.array([[1, 2], [2, 4]]), 1.0) is None
+    # det = 1, but G⁻¹ has entries near 2^30, so 2^34·G⁻¹ passes int64
+    N = 2**30
+    assert exactla.rounded_inverse(np.array([[1, N], [1, N + 1]]), 2.0**34) is None
+    assert exactla.rounded_inverse(np.array([[1, N], [1, N + 1]]), 2.0**30) is not None
+    # an inverse that is not finite
+    for bad in (np.inf, -np.inf, np.nan):
+        with mock.patch.object(np.linalg, "inv", lambda G, bad=bad: np.full(G.shape, bad)):
+            assert exactla.rounded_inverse(np.eye(2, dtype=np.int64), 1.0) is None
+
+
+def test_eigen_equations_hold_bounds_its_product():
+    M = np.array([[2, 1], [0, 3]], dtype=np.int64)
+    V = np.array([[1, -1], [0, 1]], dtype=np.int64)  # left eigenvectors for 2 and 3
+    assert exactla.eigen_equations_hold(V, np.array([2, 3]), M)
+    assert not exactla.eigen_equations_hold(V, np.array([2, 2]), M)
+    # max|V| times the largest column abs-sum (4) is below 2^63 at 2^60
+    # (int64) and reaches it at 2^61, where the product runs in Python
+    # integers and the verdict stays exact either way
+    for scale in (2**60, 2**61):
+        assert exactla.eigen_equations_hold(V * scale, np.array([2, 3]), M)
+        assert not exactla.eigen_equations_hold(V * scale, np.array([2, 2]), M)
+    assert exactla.eigen_equations_hold(V.astype(object) * 2**70, np.array([2, 3]), M)
+    assert not exactla.eigen_equations_hold(V.astype(object) * 2**70, np.array([3, 3]), M)
+    # a wrong eigenvalue whose diag(mu)·V passes int64: 4·2^62 wraps to 0 = 4·0
+    assert not exactla.eigen_equations_hold(np.array([[4]]), np.array([2**62]), np.array([[0]]))

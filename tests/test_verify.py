@@ -17,6 +17,7 @@ from hyperoct import (
     DescentOperator,
     NotIntegral,
     ShuffleSpec,
+    SingleLetter,
     StateSpaceTooLarge,
     compose_law,
     decorated_compositions,
@@ -24,8 +25,13 @@ from hyperoct import (
     riffle_operator,
     signed_permutations,
 )
-from hyperoct import verify
-from hyperoct.verify import _eigen_equations_hold, _int_vector, check_chain_spectra, check_subdominant
+from hyperoct import exactla, verify
+from hyperoct.algebra import concat_elements
+from hyperoct.descent import StateBasis, apply_operator
+from hyperoct.exactla import eigen_equations_hold
+from hyperoct.lyndon import pbw_matrix, stdbrac
+from hyperoct.words import all_words
+from hyperoct.verify import _int_vector, check_chain_spectra, check_subdominant
 from conftest import W, dense_certificate, signed_eigenvector_matrix
 
 
@@ -111,12 +117,53 @@ def test_triangularity_fails_on_a_singular_pbw_matrix(monkeypatch):
 
 
 def test_triangularity_fails_on_a_non_finite_inverse(monkeypatch):
+    """``exactla.rounded_inverse`` refuses an inverse that is not finite:
+    the row fails, and nothing is raised."""
     monkeypatch.setattr(np.linalg, "inv", lambda V: np.full(V.shape, np.inf))
     assert verify.check_triangularity(3)[0].status == "fail"
 
 
 def test_triangularity_holds_at_degree_4():
     assert verify._pbw_triangular(4, Decoration.TBAR)
+
+
+def reference_pbw_matrix(words, prims, monomials, T=None):
+    """The PBW matrix as the AlgebraElement products of the brackets
+    ``stdbrac``, one column per monomial over the words; with T, the
+    images of those products under T on the concat algebra."""
+    index = {w: i for i, w in enumerate(words)}
+    columns = []
+    for mono in monomials:
+        x = concat_elements(*(stdbrac(prims[i][3]) for i in mono))
+        columns.append(_int_vector(x if T is None else apply_operator(T, x, CONCAT), index.__getitem__, len(words)))
+    return np.stack(columns, axis=1)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("flavor", verify.BOTH_FLAVORS)
+def test_pbw_matrix_matches_the_algebra_element_products(n, flavor):
+    words = StateBasis(all_words(n, 2), n)
+    prims, monomials = verify._pbw_data(2, n, flavor)
+    V = pbw_matrix(words, [[prims[i][3] for i in mono] for mono in monomials])
+    assert V.dtype == np.int64 and V.shape == (4**n, 4**n)
+    assert (V == reference_pbw_matrix(words, prims, monomials)).all()
+    if n <= 3:  # the dense Mᵀ·V of the check against T on each product
+        for D in decorated_compositions(n, flavor):
+            T = DescentOperator.elementary(D)
+            image = exactla.exact_product(operator_matrix(T, words, CONCAT).T, V)
+            assert (image == reference_pbw_matrix(words, prims, monomials, T)).all()
+
+
+def test_pbw_matrix_edges():
+    assert pbw_matrix(StateBasis([W("")], 0), [[]]).tolist() == [[1]]
+    words = StateBasis(all_words(2, 1), 2)
+    prims = [(None, None, None, W(u)) for u in ("-1", "1", "-1 1")]
+    V = pbw_matrix(words, [[W("-1"), W("1")], [W("-1 1")]])
+    assert (V == reference_pbw_matrix(words, prims, [(0, 1), (2,)])).all()
+    with pytest.raises(KeyError):
+        pbw_matrix(StateBasis([W("1 1")], 2), [[W("1"), W("1")]])
+    with pytest.raises(SingleLetter):  # the letter 3 is past the basis's labels
+        pbw_matrix(words, [[W("3"), W("1")]])
 
 
 def test_primitive_preservation_fails_on_plain_words(monkeypatch):
@@ -179,23 +226,6 @@ def test_markov_rows_that_examine_nothing_are_not_emitted():
             for n_max in (1, 2, 3)}
     # the expectation row examines n = 2 from n_max = 2, the Monte Carlo row n = 3 from 3
     assert rows == {1: [], 2: [names[0]], 3: list(names)}
-
-
-def test_eigen_equations_hold_bounds_its_product():
-    M = np.array([[2, 1], [0, 3]], dtype=np.int64)
-    V = np.array([[1, -1], [0, 1]], dtype=np.int64)  # left eigenvectors for 2 and 3
-    assert _eigen_equations_hold(V, np.array([2, 3]), M)
-    assert not _eigen_equations_hold(V, np.array([2, 2]), M)
-    # max|V| times the largest column abs-sum (4) is below 2^63 at 2^60
-    # (int64) and reaches it at 2^61, where the product runs in Python
-    # integers and the verdict stays exact either way
-    for scale in (2**60, 2**61):
-        assert _eigen_equations_hold(V * scale, np.array([2, 3]), M)
-        assert not _eigen_equations_hold(V * scale, np.array([2, 2]), M)
-    assert _eigen_equations_hold(V.astype(object) * 2**70, np.array([2, 3]), M)
-    assert not _eigen_equations_hold(V.astype(object) * 2**70, np.array([3, 3]), M)
-    # a wrong eigenvalue whose diag(mu)·V passes int64: 4·2^62 wraps to 0 = 4·0
-    assert not _eigen_equations_hold(np.array([[4]]), np.array([2**62]), np.array([[0]]))
 
 
 @pytest.mark.parametrize("float_path", [True, False])
@@ -315,7 +345,7 @@ def test_chain_certificate_matches_the_concat_side_route(n):
         assert (Mc == tm.counts.T).all(), spec
         V, mu, _ = signed_eigenvector_matrix(tm.states, a, sign, spec.decoration)
         rep = verify.chain_spectrum_certificate(spec, tm)
-        assert rep["eigen_equations"] is _eigen_equations_hold(V, mu, Mc) is True, spec
+        assert rep["eigen_equations"] is eigen_equations_hold(V, mu, Mc) is True, spec
         assert rep["ok"], spec
 
 
