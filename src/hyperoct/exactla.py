@@ -47,7 +47,8 @@ need no split: 64·(p − 1)^2 < 2^46.
 Four functions decide every exactness question of the certificates and
 of ``verify``: `exact_product` is the one integer matrix product (one bound
 on every partial sum picks float64 below 2^53, int64 below 2^63, and
-Python integers past that), `rank_lower_bound` is the one prime policy
+Python integers past that; it also codes words, for the image tables of
+``descent`` past a small size), `rank_lower_bound` is the one prime policy
 (the largest rank modulo `PRIMES[:3]`, stopping at the rank the caller
 wants), `rounded_inverse` is the one float64 inverse (a candidate X, which
 an exact product then proves or refutes), and `eigen_equations_hold` is

@@ -13,6 +13,8 @@ import operator
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
+import numpy as np
+
 from .errors import NotHomogeneous, NotInAlphabet
 
 
@@ -251,19 +253,14 @@ def distinct_letter_words(n: int, max_label: int) -> list[SignedWord]:
     """Degree-n words over labels <= max_label using distinct labels, in
     canonical order.
 
-    Each position takes the unused labels in alphabet order (the barred
-    letter first), so the words come out already sorted.
+    They are built as one int64 array, every arrangement of n labels under
+    every sign pattern, and sorted by one ``np.lexsort`` on the per-letter
+    key 2·|x| + [x > 0], which orders letters as the alphabet does.
     """
-    out = []
-
-    def rec(prefix: tuple, unused: tuple):
-        if len(prefix) == n:
-            out.append(SignedWord(prefix))
-            return
-        for i, v in enumerate(unused):
-            rest = unused[:i] + unused[i + 1 :]
-            rec(prefix + (-v,), rest)
-            rec(prefix + (v,), rest)
-
-    rec((), tuple(range(1, max_label + 1)))
-    return out
+    arrangements = np.array(list(itertools.permutations(range(1, max_label + 1), n)), dtype=np.int64)
+    signs = np.array(list(itertools.product((-1, 1), repeat=n)), dtype=np.int64)
+    A = (arrangements.reshape(len(arrangements), 1, n) * signs).reshape(len(arrangements) * len(signs), n)
+    if n:  # np.lexsort refuses an empty key list; the one empty word is sorted
+        keys = 2 * np.abs(A) + (A > 0)
+        A = A[np.lexsort(keys.T[::-1])]
+    return list(map(SignedWord._trusted, A.tolist()))

@@ -590,6 +590,38 @@ def test_image_codes_match_the_gather_reference(dtype):
             assert (got == want).all(), (str(D), algebra)
 
 
+def _random_programs(rng, P, n):
+    src = np.array([rng.permutation(n) for _ in range(P)], dtype=np.intp).reshape(P, n)
+    return src, rng.choice([-1, 1], size=(P, n))
+
+
+@pytest.mark.parametrize(
+    "n,m,rows,dtype",
+    [
+        (5, 5, descent._BLAS_CODES // 8 - 1, np.int64),  # N·P just below the cut: numpy's int64 matmul
+        (5, 5, descent._BLAS_CODES // 8, np.int64),  # at the cut: exactla.exact_product
+        (5, 5, 700, np.int64),  # float64 tiles of 256 rows, the last one short
+        (34, 1, 200, np.int64),  # 3^34 > 2^53, but every partial sum is below (3^34 − 1)/2 < 2^53: float64
+        (35, 1, 200, np.int64),  # (3^35 − 1)/2 > 2^53: int64
+        (5, 5, descent._BLAS_CODES // 8, object),
+    ],
+)
+def test_image_codes_match_the_gather_reference_on_both_sides_of_the_cuts(monkeypatch, n, m, rows, dtype):
+    assert (3**34 - 1) // 2 < 2**53 < (3**35 - 1) // 2
+    rng = np.random.default_rng(n + rows)
+    src, sign = _random_programs(rng, 8, n)
+    W = rng.integers(-m, m + 1, size=(rows, n)).astype(dtype)
+    W[0] = m  # the largest code and the largest partial sums
+    calls = []
+    product = descent.exact_product
+    monkeypatch.setattr(descent, "exact_product", lambda X, Y: calls.append(1) or product(X, Y))
+    got = descent._image_codes(W, m, src, sign)
+    want = _reference_image_codes(W, m, src, sign)
+    assert bool(calls) is (dtype is np.int64 and rows * 8 >= descent._BLAS_CODES)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert (got == want).all()
+
+
 def test_merge_codes_at_the_packed_key_bound():
     # 1000 codes: b = 10, so the packed keys fit exactly when limit ≤ 2^53;
     # the largest code, limit − 1, is present on both sides of the bound

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -514,6 +515,33 @@ def test_push_on_either_side_of_the_support_cut(tm_cache, monkeypatch, n, a, sig
     assert not tm.push(np.zeros(tm.size, dtype=np.int64)).any()
 
 
+@pytest.mark.parametrize(
+    "n,a,k",
+    # images.size·k on both sides of markov._PULL_GATHER = 2^15, for the
+    # 384×16, 48×27 and 384×81 tables (k = None: one column f)
+    [(4, 2, None), (4, 2, 5), (4, 2, 6), (3, 3, 25), (3, 3, 26), (4, 3, None), (4, 3, 2)],
+)
+def test_pull_on_either_side_of_the_gather_cut(tm_cache, monkeypatch, n, a, k):
+    tm = tm_cache(n, a, "-", FLIP)
+    rng = np.random.default_rng(n * a)
+    shape = (tm.size,) if k is None else (tm.size, k)
+    gather = tm.images.size * (k or 1) <= markov._PULL_GATHER
+    takes = []  # only the column loop calls np.take
+    take = np.take
+    monkeypatch.setattr(np, "take", lambda *args, **kwargs: takes.append(1) or take(*args, **kwargs))
+    counts = tm.counts.astype(object)
+    for f in (
+        rng.integers(-1, 2, size=shape).astype(np.int16),
+        rng.integers(-(2**40), 2**40, size=shape),
+        rng.integers(-50, 50, size=shape).astype(object) * 2**70,
+    ):
+        takes.clear()
+        got = tm.pull(f)
+        assert bool(takes) is not gather, (f.dtype, k)
+        assert got.dtype == f.dtype and got.shape == f.shape
+        assert (got == counts @ f).all(), (f.dtype, k)
+
+
 def _dense_expectations(tm, i, ts, stat):
     """Reference: row i of counts^t, dotted with stat in Python integers,
     over a^(nt), for each t of ts."""
@@ -542,6 +570,53 @@ def test_expectation_matches_dense_powers(tm_cache, a, sign, flavor):
             for stat in stats:
                 want = _dense_expectations(tm, i, range(5), stat)
                 assert [exact_stat_expectation(tm, tm.states[i], t, stat) for t in range(5)] == want, (n, i)
+
+
+@pytest.mark.parametrize("sign,flavor", [("+", FLIP), ("-", ROTATION)])
+def test_expectation_on_either_side_of_the_support_cut(tm_cache, monkeypatch, sign, flavor):
+    tm = tm_cache(4, 3, sign, flavor)
+    desvec = [des(s) for s in tm.states]
+    pulled = []  # t of each call whose last step ran through pull
+    pull = TransitionMatrix.pull
+    monkeypatch.setattr(TransitionMatrix, "pull", lambda self, f: pulled.append(t) or pull(self, f))
+    v = np.zeros(tm.size, dtype=np.int64)
+    v[0] = 1
+    supports = []  # states carrying mass after t − 1 steps, from the dense counts
+    for t in range(6):
+        supports.append(np.count_nonzero(v))
+        v = v @ tm.counts
+    stats = (
+        desvec,
+        [(-1) ** k * (2**40 + k) for k in range(tm.size)],  # past int64 from t = 4
+        [2**70 * d + k for k, d in enumerate(desvec)],
+    )
+    for stat in stats:
+        want = _dense_expectations(tm, 0, range(1, 6), stat)
+        pulled.clear()
+        for t in range(1, 6):
+            assert exact_stat_expectation(tm, tm.states[0], t, stat) == want[t - 1], t
+        assert pulled == [t for t in range(1, 6) if 4 * supports[t - 1] > tm.size]
+        assert pulled and pulled[0] > 2  # both sides of the cut ran
+
+
+def test_images_keep_their_bytes(tm_cache):
+    # the image tables of all 8 chains at n <= 4 as int64 word codes built
+    # them: the float64 codes of exactla.exact_product must not move a byte
+    pinned = {
+        1: "eb7a13236ad203a9322649e0e4c38441035a487e445705f38f39fed573000dfa",
+        2: "c6eace7f633acf35053390823dedaf8ccedaa230d9729e9def46d15c9ef0a46e",
+        3: "6e844caa801d45247f872b39095d018d307baced2dc407dec8b468e39378eae6",
+        4: "116261e8fee63f67b055b3aa522c58324f79c4999a2f104ba9a3069f2f3cce4a",
+    }
+    for n, digest in pinned.items():
+        h = hashlib.sha256()
+        for a in (2, 3):
+            for sign in "+-":
+                for flavor in (ROTATION, FLIP):
+                    images = tm_cache(n, a, sign, flavor).images
+                    assert images.dtype == np.int32 and images.flags.f_contiguous
+                    h.update(images.tobytes(order="F"))
+        assert h.hexdigest() == digest, n
 
 
 def _dense_row(tm, i):

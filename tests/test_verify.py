@@ -19,6 +19,7 @@ from hyperoct import (
     ShuffleSpec,
     SingleLetter,
     StateSpaceTooLarge,
+    TransitionMatrix,
     compose_law,
     decorated_compositions,
     operator_matrix,
@@ -441,6 +442,27 @@ def test_chain_certificate_refuses_past_the_block_budget(monkeypatch):
     monkeypatch.setattr(ShuffleSpec, "operator", lambda self: pytest.fail("the operator was built"))
     with pytest.raises(StateSpaceTooLarge, match="8! × 8!"):
         verify.chain_spectrum_certificate(ShuffleSpec(8, 2, "+", ROTATION))
+
+
+def test_row_stochastic_matches_the_dense_check(tm_cache, monkeypatch):
+    # the row reads the image tables; the dense counts are the reference
+    dense = all(
+        bool((tm.counts.sum(axis=1) == tm.scale).all() and (tm.counts >= 0).all())
+        for n in range(1, 5)
+        for tm in (tm_cache(n, *spec) for spec in verify.ALL_SPECS)
+    )
+    assert dense
+    assert verify.check_row_stochastic(4) == [
+        verify.CheckResult("descent.rows_stochastic", "pass", "rows sum to a^n, entries >= 0")
+    ]
+    chain = verify.transition_matrix
+
+    def short(spec):  # a table that drops a program
+        tm = chain(spec)
+        return TransitionMatrix(tm.spec, tm.states, tm.counts, tm.images[:, 1:])
+
+    monkeypatch.setattr(verify, "transition_matrix", short)
+    assert verify.check_row_stochastic(2)[0].status == "fail"
 
 
 def test_subdominant_rows_carry_their_sizes():

@@ -113,7 +113,25 @@ def test_state_enumeration():
     assert states[0] == SignedWord((-1, -2))
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+def _recursive_distinct_letter_words(n, max_label):
+    """Reference: each position takes the unused labels in alphabet order
+    (the barred letter first), so the words come out already sorted."""
+    out = []
+
+    def rec(prefix: tuple, unused: tuple):
+        if len(prefix) == n:
+            out.append(SignedWord(prefix))
+            return
+        for i, v in enumerate(unused):
+            rest = unused[:i] + unused[i + 1 :]
+            rec(prefix + (-v,), rest)
+            rec(prefix + (v,), rest)
+
+    rec((), tuple(range(1, max_label + 1)))
+    return out
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6])
 def test_distinct_letter_words_match_sorted_brute(n):
     for max_label in range(n, min(n + 2, 5) + 1):
         brute = {
@@ -122,4 +140,8 @@ def test_distinct_letter_words_match_sorted_brute(n):
             for signs in itertools.product((-1, 1), repeat=n)
         }
         assert distinct_letter_words(n, max_label) == sorted(brute, key=word_lex_key)
+    for max_label in {max(n - 1, 0), n, min(n + 1, 6)}:  # n − 1 labels make no word
+        got = distinct_letter_words(n, max_label)
+        assert got == _recursive_distinct_letter_words(n, max_label), max_label
+        assert all(type(c) is int for w in got[:3] for c in w)
     assert signed_permutations(n) == distinct_letter_words(n, n)
