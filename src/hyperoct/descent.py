@@ -356,7 +356,7 @@ class StateBasis(tuple):
         if _code_dtype(m, n) is object:
             raise CodeOverflow(f"words of length {n} with labels up to {m}")
         codes = (W + m) @ _powers(m, n, np.int64)
-        if len(np.unique(codes)) != len(codes):
+        if len(_distinct(codes)) != len(codes):
             raise ValueError("states repeat a word")
         if (2 * m + 1) ** n <= _DIRECT_CODES:
             lookup = np.full((2 * m + 1) ** n, -1, dtype=np.int32)
@@ -487,12 +487,22 @@ def _operator_programs(T: DescentOperator, algebra: str) -> tuple[np.ndarray, np
     return src, sign, [len(s) for s, _ in tables]
 
 
+def _distinct(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a (any shape), sorted: one sort and a mask
+    of its neighbours.  A plain ``np.unique`` takes a hash path, slower
+    here, and first asks ``np.ma.is_masked``, which imports numpy.ma."""
+    a = np.sort(a, axis=None)
+    first = np.ones(len(a), dtype=bool)
+    first[1:] = a[1:] != a[:-1]
+    return a[first]
+
+
 def _ranked_words(words: Sequence[Sequence[int]], n: int) -> tuple[list[int], np.ndarray]:
     """(labels, W): the sorted |labels| of the length-n words, and the
     len(words)×n array of their letters, each letter ±labels[r − 1] written
     as its rank ±r, in the code dtype of base 2R+1 (R = len(labels)): the
     letters that ``_decode_words`` decodes.  Words whose |labels| fit in
-    int64 are ranked by one ``np.unique`` and one ``searchsorted``; past
+    int64 are ranked by one ``_distinct`` and one ``searchsorted``; past
     int64 they are ranked in Python."""
     try:
         A = np.fromiter(itertools.chain.from_iterable(words), np.int64, len(words) * n).reshape(len(words), n)
@@ -500,7 +510,7 @@ def _ranked_words(words: Sequence[Sequence[int]], n: int) -> tuple[list[int], np
         A = None
     if A is not None and A.min(initial=0) > -_INT64_MAX:  # |label| fits in int64
         magnitude = np.abs(A)
-        labels = np.unique(magnitude)
+        labels = _distinct(magnitude)
         W = np.searchsorted(labels, magnitude) + 1
         W = np.where(A < 0, -W, W)
         labels = labels.tolist()
@@ -764,7 +774,8 @@ def compose_law(
 # matrices of operators on a word basis
 
 
-# Image codes per slice of ``image_table``: 512 KiB of int64, small beside a dense matrix.
+# Image codes per slice of ``image_table``, and terms per chunk of the rows of
+# ``lyndon.eigenvector_matrix``: 512 KiB of int64, small beside a dense matrix.
 _TABLE_CODES = 1 << 16
 
 

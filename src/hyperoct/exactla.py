@@ -285,9 +285,12 @@ def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
         if k == 0:
             continue
         J = [c0 + j for j in J]
-        # bring the pivot rows S to positions r..r+k-1
+        # bring the pivot rows S to positions r..r+k-1, and the rows they
+        # displace to the places of the pivot rows past those slots
         slots, src = np.arange(r, r + k), r + order[:k]
-        R[np.r_[slots, np.setdiff1d(src, slots)]] = R[np.r_[src, np.setdiff1d(slots, src)]]
+        free = np.ones(k, dtype=bool)
+        free[src[src < r + k] - r] = False
+        R[np.r_[slots, np.sort(src[src >= r + k])]] = R[np.r_[src, slots[free]]]
         aug = np.hstack([R[r : r + k, J], np.eye(k)])
         _eliminate(aug, p)
         N = R[r : r + k, c0:] = _mulmod(aug[:, k:], R[r : r + k, c0:], p)

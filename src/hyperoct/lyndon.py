@@ -10,25 +10,28 @@ standard factorization recursively.
 
 There is one assembly, on coded words: ``_bracket`` builds bracketings,
 ``_eigen_assembly`` names the signed orders in which the factors of an
-eigenvector are concatenated, and ``_combine`` concatenates coded
-factors and merges them by ``descent._merge_codes``, the merge of
-``apply_operator``.  ``_ranked_assembly`` runs it on one word, its labels
-ranked by ``descent._ranked_words``, from the signed seed i ↦ i + ī,
-ī ↦ i − ī, and decodes one AlgebraElement for ``stdbrac`` and
-``build_eigenvector`` (and so ``eigenbasis``).  ``pbw_matrix`` runs it
-from the same seed on the factor orders of PBW monomials, and writes
-their columns over a basis of words: the matrix of ``verify``'s
-triangularity check.  ``eigenvector_matrix`` runs it from the
-plain-letter seed, i ↦ i and ī ↦ i, on the words that bar the labels
-<= k of a basis of plain states, and writes the rows of one int64 matrix
-over those states: for distinct letters the signed eigenvector is the
-plain one times a sign character, so the n! rows of one k stand for the
-2^n·n! signed rows of the chain certificate.  A plain-seed bracketing
-depends only on its word and the base 2m+1, so its memo is built once
-per degree: kept per (labels, m), for at most 8 of them, and shared by
-every k, a, sign and flavor.  The AlgebraElement assemblies it
-replaced, and the signed rows over all states, are kept in the tests as
-the reference.  It is exact by this argument:
+eigenvector are concatenated, and ``_concat`` concatenates coded
+factors in those orders, for a stack of elements whose factors share
+their shapes, one per row.  ``_combine`` runs it on one row and merges
+the terms by ``descent._merge_codes``, the merge of ``apply_operator``.
+``_ranked_assembly`` runs that on one word, its labels ranked by
+``descent._ranked_words``, from the signed seed i ↦ i + ī, ī ↦ i − ī,
+and decodes one AlgebraElement for ``stdbrac`` and ``build_eigenvector``
+(and so ``eigenbasis``).  ``pbw_matrix`` runs it from the same seed on
+the factor orders of PBW monomials, and writes their columns over a
+basis of words: the matrix of ``verify``'s triangularity check.
+``eigenvector_matrix`` runs ``_concat`` from the plain-letter seed,
+i ↦ i and ī ↦ i, on the words that bar the labels <= k of a basis of
+plain states, grouped by the shapes of their factors, and writes the
+rows of one int64 matrix over those states: for distinct letters the
+signed eigenvector is the plain one times a sign character, so the n!
+rows of one k stand for the 2^n·n! signed rows of the chain
+certificate.  A plain-seed bracketing depends only on its word and the
+base 2m+1, so its memo is built once per degree: kept per (labels, m),
+for at most 8 of them, and shared by every k, a, sign and flavor.  The
+AlgebraElement assemblies it replaced, the rows built one by one, and
+the signed rows over all states are kept in the tests as the reference.
+It is exact by this argument:
 
 - A word y with labels in [-m, m] is coded as the integer
   Σ_k (y_k + m)·(2m+1)^k (``descent.StateBasis``, the coding of
@@ -41,12 +44,15 @@ the reference.  It is exact by this argument:
   ``count`` concatenations of the same factors f_1, ..., f_r in different
   orders.  The sum of the absolute values of its coefficients, and so of
   every partial sum formed while multiplying and merging (each slot of
-  the merge's dense accumulator is one), is at most count·Π‖f_i‖₁.  That
+  the merge's dense accumulator is one, and so is each entry of the
+  matrix that ``eigenvector_matrix`` adds rows into), is at most
+  count·Π‖f_i‖₁.  That
   bound is computed in Python integers from the exact L1 norms of the
-  factors, and CodeOverflow is raised before any int64 arithmetic when it
-  exceeds 2^63 − 1.  Integers never wrap:
-  ``eigenvector_matrix`` refuses there, and ``_ranked_assembly`` runs the
-  same assembly on Python-integer coefficients.
+  factors (for a stack of rows, the largest norm of each factor), and
+  CodeOverflow is raised before any int64 arithmetic when it exceeds
+  2^63 − 1.  Integers never wrap: ``eigenvector_matrix`` refuses there,
+  and ``_ranked_assembly`` runs the same assembly on Python-integer
+  coefficients.
 """
 
 from __future__ import annotations
@@ -59,17 +65,25 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from .errors import BadCount, CodeOverflow, EmptyWord, NotLyndon, OutsideBasis, SingleLetter
-from .words import AlgebraElement, SignedWord, WordLike, all_words, as_word, distinct_letter_words, word_lex_key
+from .words import AlgebraElement, SignedWord, WordLike, all_words, as_word, distinct_letter_words
 from .descent import (
     _INT64_MAX,
+    _TABLE_CODES,
     Decoration,
     StateBasis,
     _code_dtype,
     _decode_words,
+    _distinct,
     _merge_codes,
     _ranked_words,
 )
 from .spectral import riffle_eigenvalue
+
+
+def _letter_keys(w: SignedWord) -> list[int]:
+    """The keys 2|x| + [x > 0] of w's letters, which order letters as
+    ``words.letter_key`` does: 1̄ ≺ 1 ≺ 2̄ ≺ 2 ≺ ..."""
+    return [2 * abs(c) + (c > 0) for c in w]
 
 
 def is_lyndon(w: WordLike) -> bool:
@@ -77,16 +91,17 @@ def is_lyndon(w: WordLike) -> bool:
     w = as_word(w)
     if not w:
         raise EmptyWord("the empty word is not eligible")
-    k = word_lex_key(w)
+    k = _letter_keys(w)
     return all(k < k[i:] + k[:i] for i in range(1, len(k)))
 
 
 def lyndon_factorize(w: WordLike) -> tuple[SignedWord, ...]:
-    """Duval's algorithm: the unique non-increasing Lyndon factorization."""
+    """Duval's algorithm: the unique non-increasing Lyndon factorization,
+    in one scan of w's letter keys."""
     w = as_word(w)
     if not w:
         raise EmptyWord("cannot factorize the empty word")
-    k = word_lex_key(w)
+    k = _letter_keys(w)
     n = len(k)
     factors = []
     start = 0
@@ -97,7 +112,7 @@ def lyndon_factorize(w: WordLike) -> tuple[SignedWord, ...]:
             j += 1
         width = j - i
         while start <= i:
-            factors.append(SignedWord(w[start : start + width]))
+            factors.append(SignedWord._trusted(w[start : start + width]))
             start += width
     return tuple(factors)
 
@@ -135,12 +150,15 @@ def classify_primitive(u: WordLike, flavor: Decoration) -> str:
     u = as_word(u)
     if not is_lyndon(u):
         raise NotLyndon(f"{u} is not Lyndon")
+    return "invariant" if _is_invariant(u, flavor) else "negating"
+
+
+def _is_invariant(u: SignedWord, flavor: Decoration) -> bool:
+    """``classify_primitive`` by letter parity, for a u known to be Lyndon."""
     if flavor is Decoration.BAR:
-        negatives = sum(1 for c in u if c < 0)
-        return "invariant" if negatives % 2 == 0 else "negating"
+        return sum(c < 0 for c in u) % 2 == 0
     if flavor is Decoration.TBAR:
-        positives = sum(1 for c in u if c > 0)
-        return "invariant" if positives % 2 == 1 else "negating"
+        return sum(c > 0 for c in u) % 2 == 1
     raise ValueError("flavor must be BAR or TBAR")
 
 
@@ -205,37 +223,55 @@ def eigenbasis(
 Coded = tuple[np.ndarray, np.ndarray, int]
 
 
-def _combine(
-    factors: Sequence[Coded], orders: Iterable[tuple[int, Sequence[int]]], count: int, base: int
-) -> Coded:
-    """Σ sign·(the concatenation of the factors in that order) over the
-    ``count`` pairs (sign, order) of ``orders``, merged.  Each order lists
-    every factor exactly once, and the factors share one dtype for codes
-    and one for coefficients, which the result keeps.
+def _refuse_past_int64(count: int, norms: Iterable[int]) -> None:
+    """Raise CodeOverflow when the L1 bound count·Π norms of the module
+    docstring, taken in Python integers, passes 2^63 − 1."""
+    bound = count * math.prod(norms)
+    if bound > _INT64_MAX:
+        raise CodeOverflow(f"eigenvector coefficients may sum to {bound} in absolute value")
 
-    For int64 coefficients, the L1 bound of the module docstring is proved
-    before ``orders`` is read, so that an overflowing sum is refused before
-    it is enumerated.
-    """
-    if factors[0][1].dtype != object:
-        bound = count * math.prod(int(np.abs(coeffs).sum()) for _, coeffs, _ in factors)
-        if bound > _INT64_MAX:
-            raise CodeOverflow(f"eigenvector coefficients may sum to {bound} in absolute value")
-    orders = list(orders)
-    if orders == [(1, (0,))]:  # one factor, already merged
-        return factors[0]
+
+def _concat(factors: Sequence[Coded], orders: Sequence[tuple[int, Sequence[int]]], base: int) -> Coded:
+    """Σ sign·(the concatenation of the factors in that order) over the
+    pairs (sign, order) of ``orders``, for G elements at once.  Each factor
+    holds one element per row, as G×t codes and G×t coefficients, and its
+    length; each order lists every factor exactly once.  The result holds
+    each row's terms, G×(len(orders)·Πt), in order and unmerged, in the
+    factors' dtypes."""
     all_codes, all_coeffs = [], []
     for sign, order in orders:
         codes, coeffs, length = factors[order[0]]
         coeffs = coeffs if sign == 1 else -coeffs
         for i in order[1:]:
             fc, fk, fl = factors[i]
-            codes = (codes[:, None] + fc * base**length).ravel()
-            coeffs = np.multiply.outer(coeffs, fk).ravel()
+            codes = (codes[:, :, None] + fc[:, None, :] * base**length).reshape(len(fc), -1)
+            coeffs = (coeffs[:, :, None] * fk[:, None, :]).reshape(len(fk), -1)
             length += fl
         all_codes.append(codes)
         all_coeffs.append(coeffs)
-    codes, coeffs = _merge_codes(np.concatenate(all_codes), np.concatenate(all_coeffs), base**length)
+    return np.concatenate(all_codes, axis=1), np.concatenate(all_coeffs, axis=1), length
+
+
+def _combine(
+    factors: Sequence[Coded], orders: Iterable[tuple[int, Sequence[int]]], count: int, base: int
+) -> Coded:
+    """Σ sign·(the concatenation of the factors in that order) over the
+    ``count`` pairs (sign, order) of ``orders``, for one element:
+    ``_concat`` on one row, merged by ``descent._merge_codes``.  Each order
+    lists every factor exactly once, and the factors share one dtype for
+    codes and one for coefficients, which the result keeps.
+
+    For int64 coefficients, the L1 bound of the module docstring is proved
+    before ``orders`` is read, so that an overflowing sum is refused before
+    it is enumerated.
+    """
+    if factors[0][1].dtype != object:
+        _refuse_past_int64(count, (int(np.abs(coeffs).sum()) for _, coeffs, _ in factors))
+    orders = list(orders)
+    if orders == [(1, (0,))]:  # one factor, already merged
+        return factors[0]
+    codes, coeffs, length = _concat([(c[None], k[None], fl) for c, k, fl in factors], orders, base)
+    codes, coeffs = _merge_codes(codes[0], coeffs[0], base**length)
     return codes, coeffs, length
 
 
@@ -346,7 +382,7 @@ def _eigenvector_codes(
     base = 2 * m + 1
     ps, qs = [], []
     for u in lyndon_factorize(w):
-        (ps if classify_primitive(u, flavor) == "invariant" else qs).append(u)
+        (ps if _is_invariant(u, flavor) else qs).append(u)
     value = riffle_eigenvalue(a, sign, len(ps), len(qs))
     orders = _eigen_assembly(len(qs), a, sign, flavor)
     if ps:
@@ -372,17 +408,37 @@ def eigenvector_matrix(
     are the barred words, in the order of their plain states, that have an
     eigenvector: all of them, except the words with a negating factor
     under an even-a rotation operator.  Row r of U holds C_w for
-    w = words[r] on ``states``, and mu[r] is its eigenvalue.  Each
-    bracketing is built once per degree: the plain-seed memo is kept by
-    ``_plain_letters`` per (labels, m), for at most 8 of them, so the
+    w = words[r] on ``states``, and mu[r] is its eigenvalue.
+
+    Each bracketing is built once per degree: the plain-seed memo is kept
+    by ``_plain_letters`` per (labels, m), for at most 8 of them, so the
     n + 1 blocks of a chain and every chain on the same labels share it.
-    Coefficients are int64 under the bounds of the module docstring,
-    past which CodeOverflow is raised.  The states are read as a
-    ``descent.StateBasis``, coded once per call unless they are one.
-    Raises ValueError unless the states are plain words with distinct
-    letters, KeyError naming a word of some C_w that is not a state,
-    BadCount for a < 1 or a k that is neither 0 nor a label, and the
-    errors of ``StateBasis`` for the states.
+    The rows are built by shape.  Words whose invariant and negating
+    factors have the same numbers of terms and lengths, in order, share
+    their eigenvalue, their orders and every array shape: their
+    bracketings stack into G×t arrays, and ``_concat`` assembles the
+    group at once.  The rows are not merged.  For distinct letters a
+    bracketing of a Lyndon word of length L has 2^(L−1) distinct terms,
+    each ±1 (Reutenauer, Free Lie Algebras, 1993), and a concatenation of
+    nonempty words on disjoint letter sets is read back from its letters,
+    order included.  So two terms of a row are equal only when they come
+    from two orders that differ just by the place of the empty product of
+    no invariant factor, which is left out; their coefficients are then
+    equal and add up.  Either
+    way, one ``np.add.at`` writes the group into U and sums equal codes,
+    so U holds the merged rows.  Coefficients are int64: the L1 bound of
+    the module docstring is checked once per group, before any int64
+    arithmetic, and past it CodeOverflow is raised.  A group is assembled
+    in chunks of at most ``descent._TABLE_CODES`` terms (at least one
+    row), so its stacks stay far below U's size.
+
+    The states are read as a ``descent.StateBasis``, coded once per call
+    unless they are one.  Raises ValueError unless the states are plain
+    words with distinct letters, KeyError naming a word of some C_w that
+    is not a state, BadCount for a < 1 or a k that is neither 0 nor a
+    label, and the errors of ``StateBasis`` for the states.  A refusal of
+    the assembly (CodeOverflow or KeyError) is the one of the first word,
+    in state order, that has one.
     """
     if a < 1:
         raise BadCount(f"need a >= 1, got a={a}")
@@ -393,24 +449,82 @@ def eigenvector_matrix(
     ordered = np.sort(basis.W, axis=1)
     if (ordered[:, :1] <= 0).any() or (ordered[:, 1:] == ordered[:, :-1]).any():
         raise ValueError("the states must be plain words with distinct letters")
-    labels = np.unique(basis.W).tolist()
+    labels = _distinct(basis.W).tolist()
     if k != 0 and k not in labels:
         raise BadCount(f"k must be 0 or a label of the states, got k={k}")
     memo = _plain_letters(tuple(labels), basis.m)
-    rows, mus, words = [], [], []
-    for pi in basis:
-        w = SignedWord._trusted(tuple(-c if c <= k else c for c in pi))
-        try:
-            (codes, coeffs, _), mu = _eigenvector_codes(w, a, sign, flavor, basis.m, memo)
-        except OutsideBasis:
+    base = 2 * basis.m + 1
+    assemblies = {}  # (invariant, negating) factor counts: (eigenvalue, orders), or None outside the basis
+    groups: dict[tuple, list] = {}  # (invariant count, (terms, length) per factor): [(row, bracketings)]
+    mus, words, refused = [], [], []  # refused: (row, the error of its assembly)
+    for w in map(SignedWord._trusted, np.where(basis.W <= k, -basis.W, basis.W).tolist()):
+        ps, qs = [], []
+        for u in lyndon_factorize(w):
+            (ps if _is_invariant(u, flavor) else qs).append(u)
+        kinds = (len(ps), len(qs))
+        if kinds not in assemblies:
+            try:
+                assemblies[kinds] = riffle_eigenvalue(a, sign, *kinds), _eigen_assembly(len(qs), a, sign, flavor)
+            except OutsideBasis:
+                assemblies[kinds] = None
+        if assemblies[kinds] is None:
             continue
-        rows.append((basis.index_codes(codes), coeffs))
-        mus.append(mu)
+        try:
+            brackets = [_bracket(u, base, memo) for u in ps + qs]
+        except CodeOverflow as exc:
+            refused.append((len(words), exc))
+            break
+        shape = (len(ps), tuple((len(codes), length) for codes, _, length in brackets))
+        groups.setdefault(shape, []).append((len(words), brackets))
+        mus.append(assemblies[kinds][0])
         words.append(w)
-    U = np.zeros((len(rows), len(states)), dtype=np.int64)
-    for r, (cols, coeffs) in enumerate(rows):
-        U[r, cols] = coeffs
+    U = np.zeros((len(words), len(basis)), dtype=np.int64)
+    for (kp, shape), members in groups.items():
+        rows = np.array([r for r, _ in members])
+        stacks = [
+            (np.array([b[j][0] for _, b in members]), np.array([b[j][1] for _, b in members]), length)
+            for j, (_, length) in enumerate(shape)
+        ]
+        kbar = len(shape) - kp
+        orders = assemblies[kp, kbar][1]
+        count = math.factorial(kp) * len(orders)
+        if not kp:  # the symmetrized product is the unit: leave it out
+            orders = [(sg, tuple(i for i in order if i != kbar)) for sg, order in orders]
+        norms = [int(abs(coeffs).sum(1).max()) for _, coeffs, _ in stacks]
+        try:
+            if kp:  # the bound of the symmetrized product, built first
+                _refuse_past_int64(math.factorial(kp), norms[:kp])
+            _refuse_past_int64(count, norms)
+        except CodeOverflow as exc:
+            refused.append((int(rows[0]), exc))
+            continue
+        perms = [(1, p) for p in itertools.permutations(range(kp))]
+        step = max(1, _TABLE_CODES // (count * math.prod(t for t, _ in shape)))
+        for s in range(0, len(rows), step):
+            part = [(codes[s : s + step], coeffs[s : s + step], length) for codes, coeffs, length in stacks]
+            sym = [_concat(part[:kp], perms, base)] if kp else []
+            codes, coeffs, _ = _concat(part[kp:] + sym, orders, base)
+            try:
+                cols = basis.index_codes(codes)
+            except KeyError:
+                refused.append(_first_missing(basis, codes, rows[s : s + step]))
+                break
+            np.add.at(U.reshape(-1), (cols + rows[s : s + step, None] * len(basis)).ravel(), coeffs.ravel())
+    if refused:
+        raise min(refused, key=lambda e: e[0])[1]
     return U, np.array(mus, dtype=np.int64), tuple(words)
+
+
+def _first_missing(basis: StateBasis, codes: np.ndarray, rows: np.ndarray) -> tuple[int, KeyError]:
+    """(row, KeyError) for the first of the G×T ``codes`` rows that holds
+    a word outside the basis: the error that row raises merged, naming its
+    least such word."""
+    for g, row in enumerate(rows.tolist()):
+        try:
+            basis.index_codes(np.sort(codes[g]))
+        except KeyError as exc:
+            return row, exc
+    raise ValueError("every row lies in the basis")  # unreachable: the caller's lookup failed
 
 
 def pbw_matrix(basis: StateBasis, monomials: Sequence[Sequence[SignedWord]]) -> np.ndarray:

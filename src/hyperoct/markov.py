@@ -334,8 +334,9 @@ def simulate(
     Raises SizeMismatch when the start deck does not have spec.n cards,
     NotAState when it is not a signed permutation of 1..n, and BadCount for
     steps < 0, trials < 1 or a > 2^31.  The decks are int16 while that holds
-    ±n; the means are of integer descent counts, so the dtype does not move
-    them.
+    ±n.  Each step's mean is the exact descent count over all decks divided
+    by ``trials``, one correctly rounded division, so the dtype does not
+    move it.
     """
     start = as_word(start)
     if len(start) != spec.n:
@@ -351,8 +352,7 @@ def simulate(
     means = []
     for _ in range(steps):
         decks = batch_step(spec, decks, rng)
-        desc = (decks[:, :-1] > decks[:, 1:]).sum(axis=1)
-        means.append(float(desc.mean()))
+        means.append(int(np.count_nonzero(decks[:, :-1] > decks[:, 1:])) / trials)
     return {
         "spec": {"n": spec.n, "a": spec.a, "sign": spec.sign, "flavor": spec.flavor},
         "start": list(start),
@@ -564,8 +564,9 @@ def _reaches_all(images: np.ndarray) -> bool:
     seen[0] = True
     frontier = np.array([0])
     while len(frontier):
-        nxt = np.unique(images[frontier])
-        frontier = nxt[~seen[nxt]]
+        reached = np.zeros(len(images), dtype=bool)
+        reached[images[frontier]] = True
+        frontier = np.flatnonzero(reached & ~seen)
         seen[frontier] = True
     return bool(seen.all())
 

@@ -7,7 +7,7 @@ import pytest
 from hyperoct import OutsideBasis, SignedWord, ShuffleSpec, transition_matrix
 from hyperoct import exactla
 from hyperoct.descent import StateBasis
-from hyperoct.lyndon import _eigenvector_codes, _letter_brackets
+from hyperoct.lyndon import _eigenvector_codes, _letter_brackets, _plain_letters
 from hyperoct.spectral import shuffle_multiplicities
 
 
@@ -77,6 +77,29 @@ def signed_eigenvector_matrix(states, a, sign, flavor):
     for r, (cols, coeffs) in enumerate(rows):
         V[r, cols] = coeffs
     return V, np.array(mus, dtype=np.int64), tuple(words)
+
+
+def eigenvector_matrix_by_rows(states, k, a, sign, flavor):
+    """The reference of ``lyndon.eigenvector_matrix``: each row assembled
+    and merged on its own by ``_eigenvector_codes`` from the plain-letter
+    seed, and written into U in state order."""
+    n = len(states[0]) if len(states) else 0
+    basis = StateBasis(states, n)
+    memo = _plain_letters(tuple(np.unique(basis.W).tolist()), basis.m)
+    rows, mus, words = [], [], []
+    for pi in basis:
+        w = SignedWord._trusted(tuple(-c if c <= k else c for c in pi))
+        try:
+            (codes, coeffs, _), mu = _eigenvector_codes(w, a, sign, flavor, basis.m, memo)
+        except OutsideBasis:
+            continue
+        rows.append((basis.index_codes(codes), coeffs))
+        mus.append(mu)
+        words.append(w)
+    U = np.zeros((len(rows), len(states)), dtype=np.int64)
+    for r, (cols, coeffs) in enumerate(rows):
+        U[r, cols] = coeffs
+    return U, np.array(mus, dtype=np.int64), tuple(words)
 
 
 def dense_certificate(spec, tm=None):

@@ -42,8 +42,9 @@ from hyperoct import (
 )
 from hyperoct import descent, lyndon
 from hyperoct.lyndon import _combine
+from hyperoct.words import word_lex_key
 from hyperoct.verify import ALL_SPECS, _int_vector
-from conftest import W, signed_eigenvector_matrix
+from conftest import W, eigenvector_matrix_by_rows, signed_eigenvector_matrix
 
 letters = st.integers(min_value=-3, max_value=3).filter(bool)
 words = st.lists(letters, min_size=1, max_size=8).map(SignedWord)
@@ -661,3 +662,115 @@ def test_eigenvector_matrix_shares_one_memo_per_labels(monkeypatch):
         assert mu.tolist() == want_mu.tolist() and words == want_words, cases[i]
     info = shared.cache_info()
     assert info.maxsize is not None and info.currsize == 5 and info.misses == 5
+
+
+# ---------------------------------------------------------------------------
+# the int-key Duval scan and the shape-grouped block rows against their
+# references
+
+
+def duval_by_tuple_keys(w):
+    """Duval's scan on ``word_lex_key`` tuples: the reference of the
+    int-key ``lyndon_factorize``."""
+    k = word_lex_key(w)
+    factors, start = [], 0
+    while start < len(k):
+        i, j = start, start + 1
+        while j < len(k) and k[i] <= k[j]:
+            i = start if k[i] < k[j] else i + 1
+            j += 1
+        while start <= i:
+            factors.append(SignedWord(w[start : start + j - i]))
+            start += j - i
+    return tuple(factors)
+
+
+def test_lyndon_factorize_matches_the_tuple_key_scan():
+    words = [w for d in range(1, 7) for w in all_words(d, 3)]
+    assert len(words) == sum(6**d for d in range(1, 7))
+    for w in words:
+        got = lyndon_factorize(w)
+        assert got == duval_by_tuple_keys(w), w
+        assert all(type(u) is SignedWord for u in got)
+
+
+def _assert_rows_match(states, k, a, sign, flavor):
+    try:
+        want = eigenvector_matrix_by_rows(states, k, a, sign, flavor)
+    except (CodeOverflow, KeyError) as exc:
+        with pytest.raises(type(exc)) as info:
+            eigenvector_matrix(states, k, a, sign, flavor)
+        assert info.value.args == exc.args, (k, a, sign, flavor)
+        return
+    U, mu, words = eigenvector_matrix(states, k, a, sign, flavor)
+    assert U.dtype == want[0].dtype == np.int64 and mu.dtype == np.int64
+    assert U.shape == want[0].shape and (U == want[0]).all(), (k, a, sign, flavor)
+    assert mu.tolist() == want[1].tolist() and words == want[2], (k, a, sign, flavor)
+
+
+BLOCK_SPECS = [(a, sign, flavor) for a in range(1, 6) for sign in "+-" for flavor in (Decoration.BAR, Decoration.TBAR)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_eigenvector_matrix_matches_the_rows_built_one_by_one(n):
+    basis = descent.StateBasis(plain_permutations(n), n)
+    for a, sign, flavor in BLOCK_SPECS:
+        for k in range(n + 1):
+            _assert_rows_match(basis, k, a, sign, flavor)
+
+
+def test_eigenvector_matrix_by_shape_on_shuffled_states_and_wide_labels():
+    states = [SignedWord(p) for p in itertools.permutations((2, 5, 9))]
+    random.Random(28).shuffle(states)
+    shuffled = plain_permutations(4)
+    random.Random(4).shuffle(shuffled)
+    for a, sign, flavor in BLOCK_SPECS:
+        for k in (0, 2, 5, 9):
+            _assert_rows_match(states, k, a, sign, flavor)
+        for k in range(5):
+            _assert_rows_match(shuffled, k, a, sign, flavor)
+
+
+def test_eigenvector_matrix_splits_groups_into_chunks(monkeypatch):
+    """A group larger than a chunk is assembled a few rows at a time."""
+    basis = descent.StateBasis(plain_permutations(4), 4)
+    for codes in (1, 7, 100):
+        monkeypatch.setattr(lyndon, "_TABLE_CODES", codes)
+        for a, sign, flavor in ((2, "+", Decoration.TBAR), (3, "-", Decoration.BAR), (3, "+", Decoration.TBAR)):
+            for k in range(5):
+                _assert_rows_match(basis, k, a, sign, flavor)
+
+
+def test_eigenvector_matrix_refusals_match_the_rows(monkeypatch):
+    """The first refused word in state order decides the error: a missing
+    state names the least code its merged row misses, and a lowered L1
+    bound refuses a bracketing, a symmetrized product or a whole
+    eigenvector as the row-by-row assembly does."""
+    perms = plain_permutations(3)
+    partial = [perms[i] for i in (4, 0, 2, 5)]  # 1 3 2 and 2 3 1 are missing
+    for a, sign, flavor in BLOCK_SPECS:
+        for k in range(4):
+            _assert_rows_match(partial, k, a, sign, flavor)
+    with pytest.raises(KeyError):
+        eigenvector_matrix(partial, 0, 3, "+", Decoration.TBAR)
+    # decreasing states first: their words split into many short factors,
+    # so the bound refuses products before it refuses a bracketing
+    basis = descent.StateBasis(plain_permutations(4)[::-1], 4)
+    for bound in (1, 5, 11, 23):
+        monkeypatch.setattr(lyndon, "_INT64_MAX", bound)
+        for a, sign, flavor in BLOCK_SPECS:
+            for k in range(5):
+                for states in (basis, partial[::-1]) if k < 4 else (basis,):
+                    lyndon._plain_letters.cache_clear()  # no bracketing built past the bound
+                    _assert_rows_match(states, k, a, sign, flavor)
+    lyndon._plain_letters.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "values",
+    [[], [7], [3, 3, 3], [5, -2, 5, 0, -2, 9], [[4, 1], [1, 4]], list(range(40, 0, -3)) * 2],
+)
+def test_distinct_matches_np_unique(values):
+    a = np.array(values, dtype=np.int64)
+    got = descent._distinct(a)
+    assert got.dtype == np.int64 and got.tolist() == np.unique(a).tolist()
