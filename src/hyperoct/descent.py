@@ -656,15 +656,16 @@ class CompatibleMatrix:
     row_comp: DecoratedComposition
     col_comp: DecoratedComposition
 
+    @property
+    def flavor(self) -> Decoration:
+        """The pair's flavor: the row composition's, else the column's."""
+        fl = self.row_comp.flavor
+        return fl if fl is not Decoration.PLAIN else self.col_comp.flavor
+
     def entry_decoration(self, i: int, j: int) -> Decoration:
         ri = self.row_comp.parts[i][1] is not Decoration.PLAIN
         cj = self.col_comp.parts[j][1] is not Decoration.PLAIN
-        if ri == cj:
-            return Decoration.PLAIN
-        fl = self.row_comp.flavor
-        if fl is Decoration.PLAIN:
-            fl = self.col_comp.flavor
-        return fl
+        return Decoration.PLAIN if ri == cj else self.flavor
 
     def entries(self) -> tuple[tuple[tuple[int, Decoration], ...], ...]:
         return tuple(
@@ -714,8 +715,7 @@ def _rows_with_caps(total: int, caps: tuple[int, ...]) -> Iterator[tuple[int, ..
 
 def wcomp(M: CompatibleMatrix) -> DecoratedComposition:
     """Row-major read-out of M, decorations carried along (bar flavor)."""
-    fl = M.row_comp.flavor if M.row_comp.flavor is not Decoration.PLAIN else M.col_comp.flavor
-    if fl is Decoration.TBAR:
+    if M.flavor is Decoration.TBAR:
         raise FlavorMismatch("wcomp is defined for signed (bar) matrices")
     parts = []
     for i, row in enumerate(M.sizes):
@@ -728,8 +728,7 @@ def wcomp_tilde(D: DecoratedComposition, M: CompatibleMatrix) -> DecoratedCompos
     """Row read-out where row i is reversed iff d_i is decorated (tilde flavor)."""
     if D != M.row_comp:
         raise FlavorMismatch("D must be the row composition of M")
-    fl = M.row_comp.flavor if M.row_comp.flavor is not Decoration.PLAIN else M.col_comp.flavor
-    if fl is Decoration.BAR:
+    if M.flavor is Decoration.BAR:
         raise FlavorMismatch("wcomp_tilde is defined for tilde-signed matrices")
     parts = []
     for i, row in enumerate(M.sizes):

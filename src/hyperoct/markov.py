@@ -375,46 +375,56 @@ def des(w: WordLike) -> int:
     return sum(1 for u, v in zip(w, w[1:]) if u > v)
 
 
-def _adjacent_pairs(w: SignedWord) -> set[tuple[int, int]]:
-    return set(zip(w, w[1:]))
+# (pairs giving +1, pairs giving −1) among the adjacent letters, read by
+# the scalar f_plus, f_minus and f_tilde and by ``_family_vectors``
+_FAMILY_PAIRS = {
+    "f_plus": lambda i, j: (((i, j), (-i, -j)), ((j, i), (-j, -i))),
+    "f_minus": lambda i, j: (((-i, j), (i, -j)), ((j, -i), (-j, i))),
+    "f_tilde": lambda i, j: (
+        ((i, j), (-i, j), (-j, i), (-j, -i)),
+        ((j, i), (j, -i), (i, -j), (-i, -j)),
+    ),
+}
+
+
+def _integers(*indices) -> bool:
+    return all(isinstance(x, (int, np.integer)) for x in indices)
+
+
+def _pair_value(kind: str, i: int, j: int, w: WordLike) -> int:
+    """1 if w has an adjacent pair that ``_FAMILY_PAIRS[kind](i, j)`` lists
+    for +1, else −1 if it has one listed for −1, else 0."""
+    w = as_word(w)
+    pairs = set(zip(w, w[1:]))
+    plus, minus = _FAMILY_PAIRS[kind](i, j)
+    if pairs.intersection(plus):
+        return 1
+    if pairs.intersection(minus):
+        return -1
+    return 0
 
 
 def f_plus(i: int, j: int, w: WordLike) -> int:
-    if not 1 <= i < j:
-        raise BadIndices("f_plus needs 1 <= i < j")
-    pairs = _adjacent_pairs(as_word(w))
-    if (i, j) in pairs or (-i, -j) in pairs:
-        return 1
-    if (j, i) in pairs or (-j, -i) in pairs:
-        return -1
-    return 0
+    if not (_integers(i, j) and 1 <= i < j):
+        raise BadIndices("f_plus needs integers 1 <= i < j")
+    return _pair_value("f_plus", i, j, w)
 
 
 def f_minus(i: int, j: int, w: WordLike) -> int:
-    if not 1 <= i < j:
-        raise BadIndices("f_minus needs 1 <= i < j")
-    pairs = _adjacent_pairs(as_word(w))
-    if (-i, j) in pairs or (i, -j) in pairs:
-        return 1
-    if (j, -i) in pairs or (-j, i) in pairs:
-        return -1
-    return 0
+    if not (_integers(i, j) and 1 <= i < j):
+        raise BadIndices("f_minus needs integers 1 <= i < j")
+    return _pair_value("f_minus", i, j, w)
 
 
 def f_tilde(i: int, j: int, w: WordLike) -> int:
-    if i == j or i < 1 or j < 1:
-        raise BadIndices("f_tilde needs i != j, both >= 1")
-    pairs = _adjacent_pairs(as_word(w))
-    if pairs & {(i, j), (-i, j), (-j, i), (-j, -i)}:
-        return 1
-    if pairs & {(j, i), (j, -i), (i, -j), (-i, -j)}:
-        return -1
-    return 0
+    if not (_integers(i, j) and i != j and i >= 1 and j >= 1):
+        raise BadIndices("f_tilde needs integers i != j, both >= 1")
+    return _pair_value("f_tilde", i, j, w)
 
 
 def g_fn(i: int, w: WordLike) -> int:
-    if i < 1:
-        raise BadIndices("g needs i >= 1")
+    if not (_integers(i) and i >= 1):
+        raise BadIndices("g needs an integer i >= 1")
     w = as_word(w)
     ends = w[:1] + w[-1:]  # none for the empty word
     if i in ends:
@@ -425,7 +435,9 @@ def g_fn(i: int, w: WordLike) -> int:
 
 
 def eigenfunction_value(kind: str, w: WordLike, i: int, j: Optional[int] = None) -> int:
-    """Dispatch over the four subdominant eigenfunction families."""
+    """Dispatch over the four subdominant eigenfunction families.  Raises
+    BadIndices for a pair kind without j, for g with one, and for an index
+    that is not an integer."""
     if kind == "f_plus":
         return f_plus(i, j, w)
     if kind == "f_minus":
@@ -461,18 +473,6 @@ def subdominant_families(spec: ShuffleSpec) -> list[tuple[Fraction, list[tuple[s
         else:
             out.append((Fraction(-1, a), gs))
     return out
-
-
-# (pairs giving +1, pairs giving −1) among the adjacent letters, as in the
-# scalar f_plus, f_minus and f_tilde above
-_FAMILY_PAIRS = {
-    "f_plus": lambda i, j: (((i, j), (-i, -j)), ((j, i), (-j, -i))),
-    "f_minus": lambda i, j: (((-i, j), (i, -j)), ((j, -i), (-j, i))),
-    "f_tilde": lambda i, j: (
-        ((i, j), (-i, j), (-j, i), (-j, -i)),
-        ((j, i), (j, -i), (i, -j), (-i, -j)),
-    ),
-}
 
 
 def _family_vectors(fams: Sequence[tuple[str, tuple]], S: np.ndarray) -> list[np.ndarray]:

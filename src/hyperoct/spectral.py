@@ -5,21 +5,22 @@ counts of compatible set-compositions; multiplicities come from a product of
 multiset-coefficient factors in the primitive dimension counts b_i, b̄_i.
 
 The eigenvectors are indexed by PBW monomials, multisets of Lyndon
-brackets (Reutenauer, Free Lie Algebras, 1993).  The riffle operator's
-eigenvalue on a monomial depends only on its numbers k of invariant and k̄
-of negating factors, by the one rule ``riffle_eigenvalue``.  So
-``riffle_spectrum`` counts monomials by (k, k̄) in plain integers: t[l][d],
-the multisets of l primitives of total degree d, is built one degree at a
-time from multiset coefficients, once for b and once for b̄.  The
-signed-permutation chain multiplicities (Table 1, with the hyperoctahedral
-Stirling numbers) get closed forms.
+brackets (Reutenauer, Free Lie Algebras, 1993).  A riffle operator's
+spectrum is one rule over one census.  The rule, ``riffle_eigenvalue``,
+gives the eigenvalue of a monomial from its numbers k of invariant and k̄
+of negating factors alone.  A census counts monomials by (k, k̄), and there
+are two: ``riffle_spectrum`` sums ``multiplicity_genfun`` by (l(λ), l(λ̄))
+on a graded component, and ``shuffle_multiplicities`` (Table 1) reads the
+signed permutations' census, the hyperoctahedral Stirling numbers of
+``hyperoct_stirling``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import BadCount, SizeMismatch
 from .descent import DecoratedComposition, DescentOperator
@@ -125,13 +126,6 @@ def multichoose(b: int, m: int) -> int:
     return math.comb(b + m - 1, m)
 
 
-def _part_multiplicities(lam: Sequence[int]) -> dict[int, int]:
-    out: dict[int, int] = {}
-    for p in lam:
-        out[p] = out.get(p, 0) + 1
-    return out
-
-
 def multiplicity_genfun(
     b: Sequence[int], b_bar: Sequence[int], n: int
 ) -> dict[tuple, int]:
@@ -139,8 +133,10 @@ def multiplicity_genfun(
     i.e. the coefficient of x_{λ,λ̄} in Π(1−x_i)^{−b_i}·Π(1−x̄_i)^{−b̄_i}.
 
     b and b_bar list the primitive counts for degrees 1..len(b); missing
-    degrees count as 0.
+    degrees count as 0.  Raises BadCount for n < 0.
     """
+    if n < 0:
+        raise BadCount(f"need n >= 0, got n={n}")
 
     def get(seq: Sequence[int], i: int) -> int:
         return seq[i - 1] if 1 <= i <= len(seq) else 0
@@ -148,10 +144,10 @@ def multiplicity_genfun(
     out = {}
     for lam, lbar in double_partitions(n):
         m = 1
-        for part, cnt in _part_multiplicities(lam).items():
-            m *= multichoose(get(b, part), cnt)
-        for part, cnt in _part_multiplicities(lbar).items():
-            m *= multichoose(get(b_bar, part), cnt)
+        for part in set(lam):
+            m *= multichoose(get(b, part), lam.count(part))
+        for part in set(lbar):
+            m *= multichoose(get(b_bar, part), lbar.count(part))
         out[(lam, lbar)] = m
     return out
 
@@ -160,8 +156,10 @@ def riffle_eigenvalue(a: int, sign: str, k: int, kbar: int) -> int:
     """Eigenvalue of the unscaled a-handed riffle operator, of either
     flavor, on a PBW monomial with k invariant and k̄ negating factors:
     a^k for odd a and sign '+', (−1)^k̄·a^k for odd a and sign '-', and for
-    even a, a^k when k̄ = 0 and 0 when k̄ > 0.  Raises ValueError for a sign
-    other than '+' or '-'."""
+    even a, a^k when k̄ = 0 and 0 when k̄ > 0.  Raises BadCount for a < 1
+    and ValueError for a sign other than '+' or '-'."""
+    if a < 1:
+        raise BadCount(f"need a >= 1, got a={a}")
     if sign not in ("+", "-"):
         raise ValueError("sign must be '+' or '-'")
     if a % 2 == 0:
@@ -169,21 +167,18 @@ def riffle_eigenvalue(a: int, sign: str, k: int, kbar: int) -> int:
     return -(a**k) if sign == "-" and kbar % 2 else a**k
 
 
-def _multiset_counts(b: Sequence[int], n: int) -> list[list[int]]:
-    """t[l][d]: the multisets of l primitives with total degree d <= n,
-    from b[i−1] primitives of each degree i, one degree at a time."""
-    t = [[0] * (n + 1) for _ in range(n + 1)]
-    t[0][0] = 1
-    for i in range(1, min(n, len(b)) + 1):
-        new = [row[:] for row in t]
-        for j in range(1, n // i + 1):
-            c = multichoose(b[i - 1], j)
-            for l in range(n + 1 - j):
-                for d in range(n + 1 - i * j):
-                    if t[l][d]:
-                        new[l + j][d + i * j] += c * t[l][d]
-        t = new
-    return t
+def _census_spectrum(
+    a: int, sign: str, census: Iterable[tuple[tuple[int, int], int]]
+) -> list[tuple[int, int]]:
+    """``riffle_eigenvalue`` over a census of ((k, k̄), count): one row
+    (eigenvalue, summed count) per eigenvalue of nonzero count, sorted by
+    descending eigenvalue.  Refuses a and the sign, as ``riffle_eigenvalue``
+    does, before it reads the census."""
+    riffle_eigenvalue(a, sign, 0, 0)
+    merged = Counter()
+    for (k, kbar), count in census:
+        merged[riffle_eigenvalue(a, sign, k, kbar)] += count
+    return sorted(((e, m) for e, m in merged.items() if m), key=lambda t: -t[0])
 
 
 def riffle_spectrum(
@@ -191,118 +186,65 @@ def riffle_spectrum(
 ) -> list[tuple[int, int]]:
     """Spectrum of the (unscaled) riffle operator on a degree-n component with
     primitive counts b, b̄: list of (eigenvalue, multiplicity), sorted by
-    descending eigenvalue.  The monomials with l invariant factors of total
-    degree d and l̄ negating ones of degree n − d number
-    t_b[l][d]·t_b̄[l̄][n − d], and each has ``riffle_eigenvalue(a, sign, l, l̄)``.
+    descending eigenvalue.  The census counts the PBW monomials by their
+    l(λ) invariant and l(λ̄) negating factors, from ``multiplicity_genfun``.
+    Raises BadCount for a < 1 or n < 0, and ValueError for a sign other
+    than '+' or '-'.
     """
-    t, t_bar = _multiset_counts(b, n), _multiset_counts(b_bar, n)
-    pairs = (
-        (riffle_eigenvalue(a, sign, l, lbar), c * row[n - d])
-        for l, counts in enumerate(t)
-        for d, c in enumerate(counts)
-        if c
-        for lbar, row in enumerate(t_bar)
-        if row[n - d]
-    )
-    return _merge_spectrum(pairs)
-
-
-def _merge_spectrum(pairs):
-    """Sum the multiplicities of equal eigenvalues; one row per eigenvalue,
-    sorted by descending eigenvalue."""
-    merged = {}
-    for value, m in pairs:
-        merged[value] = merged.get(value, 0) + m
-    return sorted(merged.items(), key=lambda t: -t[0])
+    mg = multiplicity_genfun(b, b_bar, n)
+    census = (((len(lam), len(lbar)), m) for (lam, lbar), m in mg.items())
+    return _census_spectrum(a, sign, census)
 
 
 # ---------------------------------------------------------------------------
 # Stirling numbers and the signed-permutation chain multiplicities
 
 
-def poly_mul(p: list[int], q: list[int]) -> list[int]:
-    out = [0] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a:
-            for j, b in enumerate(q):
-                out[i + j] += a * b
-    return out
-
-
 def rising_product(roots: Sequence[int]) -> list[int]:
     """Coefficients of Π (x + r) for r in roots, ascending powers."""
     out = [1]
     for r in roots:
-        out = poly_mul(out, [r, 1])
+        out = [r * c + d for c, d in zip(out + [0], [0] + out)]
     return out
 
 
 def stirling_c(n: int, k: int) -> int:
     """Signless Stirling number of the first kind: [x^k] x(x+1)...(x+n−1)."""
-    if not 0 <= k <= n:
-        return 0
-    if n == 0:
-        return 1
-    poly = poly_mul([0, 1], rising_product(range(1, n)))
-    return poly[k]
+    return rising_product(range(n))[k] if 0 <= k <= n else 0
+
+
+def _signed_census(n: int) -> dict[tuple[int, int], int]:
+    """(k, k̄) -> the signed permutations of n with k invariant and k̄
+    negating Lyndon factors: 2^{n−j} c(n, j) C(j, k) for j = k + k̄, from
+    one rising product."""
+    c = rising_product(range(n))
+    return {
+        (k, j - k): 2 ** (n - j) * c[j] * math.comb(j, k)
+        for j in range(n + 1)
+        for k in range(j + 1)
+    }
 
 
 def hyperoct_stirling(n: int, k: int, kbar: int) -> int:
     """Signed permutations of n with k odd-parity Lyndon factors and kbar
     even-parity ones: 2^{n−k−k̄} c(n, k+k̄) C(k+k̄, k)."""
-    if k < 0 or kbar < 0 or k + kbar > n:
-        return 0
-    j = k + kbar
-    return 2 ** (n - j) * stirling_c(n, j) * math.comb(j, k)
+    return _signed_census(n).get((k, kbar), 0)
 
 
 def shuffle_multiplicities(a: int, sign: str, n: int) -> list[tuple[Fraction, int]]:
     """Eigenvalues (scaled by a^{-n}) and algebraic multiplicities of the
     2^n n!-state riffle shuffle transition matrix, sorted descending, for
-    the rotation and the flip chains alike.  Each eigenvalue appears on
-    exactly one row: at a = 1 every power a^{k-n} collapses to ±1, and the
-    rows of equal eigenvalues are merged.
-
-    even a: a^{k-n} with [x^k] x(x+2)...(x+2n−2), plus 0 with the complement
-    to 2^n n!.  odd a, sign '+': [x^k](x+1)(x+3)...(x+2n−1).  odd a, sign '-':
-    a^{k-n} with [x^k](x+n−1)(x+1)...(x+2n−3) and −a^{k-n} with
-    [x^k] n(x+1)...(x+2n−3).  The empty deck, n = 0, has the one eigenvalue
-    1.  Raises BadCount for a < 1 or n < 0, and ValueError for a sign other
-    than '+' or '-'.
+    the rotation and the flip chains alike: ``riffle_eigenvalue`` over the
+    census of the signed permutations by their k invariant and k̄ negating
+    Lyndon factors, 2^{n−k−k̄} c(n, k+k̄) C(k+k̄, k).  Equal eigenvalues
+    share one row (at a = 1 every one is ±1).  The paper's Table 1 prints
+    the same multiplicities as polynomials; ``tests/test_spectral.py``
+    keeps them as the reference that
+    ``test_shuffle_multiplicities_are_the_rule_over_the_stirling_census``
+    checks this against.  Raises BadCount for a < 1 or n < 0, and
+    ValueError for a sign other than '+' or '-'.
     """
-    if a < 1 or n < 0:
-        raise BadCount(f"need a >= 1 and n >= 0, got a={a}, n={n}")
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
-    if n == 0:
-        return [(Fraction(1), 1)]
-    out: list[tuple[Fraction, int]] = []
-    if a % 2 == 0:
-        poly = poly_mul([0, 1], rising_product(range(2, 2 * n, 2)))
-        total = 0
-        for k in range(1, n + 1):
-            m = poly[k] if k < len(poly) else 0
-            if m:
-                out.append((Fraction(a**k, a**n), m))
-                total += m
-        zero_mult = 2**n * math.factorial(n) - total
-        if zero_mult:
-            out.append((Fraction(0), zero_mult))
-    elif sign == "+":
-        poly = rising_product(range(1, 2 * n, 2))
-        for k in range(n + 1):
-            if poly[k]:
-                out.append((Fraction(a**k, a**n), poly[k]))
-    else:
-        odd_part = rising_product(range(1, 2 * n - 1, 2))
-        pos = poly_mul([n - 1, 1], odd_part)
-        neg = [n * c for c in odd_part]
-        for k in range(n + 1):
-            m = pos[k] if k < len(pos) else 0
-            if m:
-                out.append((Fraction(a**k, a**n), m))
-        for k in range(n):
-            m = neg[k] if k < len(neg) else 0
-            if m:
-                out.append((Fraction(-(a**k), a**n), m))
-    return _merge_spectrum(out)
+    if n < 0:
+        raise BadCount(f"need n >= 0, got n={n}")
+    spectrum = _census_spectrum(a, sign, _signed_census(n).items())
+    return [(Fraction(e, a**n), m) for e, m in spectrum]

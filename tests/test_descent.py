@@ -187,6 +187,24 @@ def test_wcomp_readouts():
         assert wcomp_tilde(DC.parse("1,2"), M).undecorate() == wcomp(M).undecorate()
 
 
+def test_compatible_matrix_flavor_is_the_row_flavor_else_the_column_flavor():
+    for rows, cols, flavor in (
+        ("2b,1", "3", Decoration.BAR),
+        ("3", "1,2t", Decoration.TBAR),
+        ("1t,2", "2t,1", Decoration.TBAR),
+        ("1,2", "2,1", Decoration.PLAIN),
+    ):
+        for M in compatible_matrices(DC.parse(rows), DC.parse(cols)):
+            assert M.flavor is flavor
+    # a tilde flavor from the columns alone still refuses the bar read-out, and back
+    (M,) = compatible_matrices(DC.parse("3"), DC.parse("3t"))
+    with pytest.raises(FlavorMismatch):
+        wcomp(M)
+    (M,) = compatible_matrices(DC.parse("3"), DC.parse("3b"))
+    with pytest.raises(FlavorMismatch):
+        wcomp_tilde(DC.parse("3"), M)
+
+
 def _mat(D_or_T, states, algebra):
     T = D_or_T if isinstance(D_or_T, DescentOperator) else DescentOperator.elementary(D_or_T)
     return operator_matrix(T, states, algebra).astype(np.int64)  # its products must not wrap

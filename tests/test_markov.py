@@ -116,6 +116,21 @@ def test_des_examples():
     assert pairs == [(4, 3), (5, -1), (6, -7)]
 
 
+# (pairs giving +1, pairs giving −1) among the adjacent letters, written out
+# from the paper's definitions of f±_ij (i < j) and f̃_ij (i ≠ j)
+REFERENCE_PAIRS = {
+    "f_plus": lambda i, j: ({(i, j), (-i, -j)}, {(j, i), (-j, -i)}),
+    "f_minus": lambda i, j: ({(-i, j), (i, -j)}, {(j, -i), (-j, i)}),
+    "f_tilde": lambda i, j: ({(i, j), (-i, j), (-j, i), (-j, -i)}, {(j, i), (j, -i), (i, -j), (-i, -j)}),
+}
+
+
+def reference_value(kind, i, j, w):
+    pairs = set(zip(w, w[1:]))
+    plus, minus = REFERENCE_PAIRS[kind](i, j)
+    return 1 if pairs & plus else -1 if pairs & minus else 0
+
+
 def test_eigenfunction_values():
     w = W("1 6 -7 2")
     assert f_tilde(6, 7, w) == -1  # 6 7bar is the (i jbar) case for i=6, j=7
@@ -130,6 +145,33 @@ def test_eigenfunction_values():
         f_plus(3, 3, w)
     with pytest.raises(BadIndices):
         f_tilde(3, 3, w)
+    funcs = {"f_plus": f_plus, "f_minus": f_minus, "f_tilde": f_tilde}
+    for w in signed_permutations(3) + all_words(2, 2):
+        for i in range(1, 4):
+            for j in range(1, 4):
+                kinds = ["f_tilde"] if i != j else []
+                if i < j:
+                    kinds += ["f_plus", "f_minus"]
+                for kind in kinds:
+                    assert funcs[kind](i, j, w) == reference_value(kind, i, j, w), (kind, i, j, w)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda w: eigenfunction_value("f_plus", w, 1),
+        lambda w: eigenfunction_value("f_tilde", w, 2),
+        lambda w: eigenfunction_value("g", w, 1, 2),
+        lambda w: f_plus(1.5, 2, w),
+        lambda w: f_minus(1, 2.0, w),
+        lambda w: f_tilde(Fraction(1), 2, w),
+        lambda w: g_fn(1.5, w),
+    ],
+    ids=["f_plus-no-j", "f_tilde-no-j", "g-with-j", "f_plus-float-i", "f_minus-float-j", "f_tilde-fraction-i", "g-float-i"],
+)
+def test_eigenfunctions_refuse_missing_or_non_integer_indices(call):
+    with pytest.raises(BadIndices):
+        call(W("1 2 -3"))
 
 
 def test_eigenfunctions_vanish_on_the_empty_word():
@@ -678,7 +720,8 @@ def test_family_vectors_match_scalar():
                 if i < j:
                     kinds += ["f_plus", "f_minus"]
                 for kind in kinds:
-                    want = [eigenfunction_value(kind, w, i, j) for w in states]
+                    want = [reference_value(kind, i, j, w) for w in states]
+                    assert [eigenfunction_value(kind, w, i, j) for w in states] == want, (kind, i, j)
                     assert _family_vectors([(kind, (i, j))], S)[0].tolist() == want, (kind, i, j)
             want = [g_fn(i, w) for w in states]
             assert _family_vectors([("g", (i,))], S)[0].tolist() == want

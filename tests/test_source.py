@@ -82,3 +82,32 @@ def test_chains_and_operators_leave_numpy_ma_out():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == ["False"]
+
+
+def test_every_private_top_level_name_is_read_in_src():
+    """A private helper that only a test reads is dead code: every private
+    top-level name of the package (dunders aside) is read in ``src/``."""
+    trees = {path.name: parse(path) for path in MODULES}
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined = [t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            else:
+                continue
+            unread += [
+                f"{name}:{d}"
+                for d in defined
+                if d.startswith("_") and not (d.startswith("__") and d.endswith("__")) and d not in read
+            ]
+    assert not unread, f"private names read nowhere in src/: {unread}"

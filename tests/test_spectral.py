@@ -133,18 +133,48 @@ def test_riffle_spectrum_against_aggregation():
                     assert {k: v for k, v in agg.items() if v} == spd, (flavor, n, a, sign)
 
 
+def multiset_counts_reference(b, n):
+    """t[l][d]: the multisets of l primitives with total degree d <= n,
+    from b[i−1] primitives of each degree i, one degree at a time."""
+    t = [[0] * (n + 1) for _ in range(n + 1)]
+    t[0][0] = 1
+    for i in range(1, min(n, len(b)) + 1):
+        new = [row[:] for row in t]
+        for j in range(1, n // i + 1):
+            c = math.comb(b[i - 1] + j - 1, j)
+            for l in range(n + 1 - j):
+                for d in range(n + 1 - i * j):
+                    if t[l][d]:
+                        new[l + j][d + i * j] += c * t[l][d]
+        t = new
+    return t
+
+
+def riffle_spectrum_reference(a, sign, b, bb, n):
+    """The monomials with l invariant factors of total degree d and l̄
+    negating ones of degree n − d number t_b[l][d]·t_b̄[l̄][n − d]; the
+    eigenvalue of each is the rule's, written out here once more."""
+    t, t_bar = multiset_counts_reference(b, n), multiset_counts_reference(bb, n)
+    agg = Counter()
+    for l, counts in enumerate(t):
+        for d, c in enumerate(counts):
+            for lbar, row in enumerate(t_bar):
+                if a % 2 == 0:
+                    e = 0 if lbar else a**l
+                else:
+                    e = -(a**l) if sign == "-" and lbar % 2 else a**l
+                agg[e] += c * row[n - d]
+    return sorted(((e, m) for e, m in agg.items() if m), key=lambda t: -t[0])
+
+
 def test_riffle_spectrum_is_the_genfun_aggregated_by_the_rule():
-    b = [2**i for i in range(1, 13)]
-    bb = [3**i for i in range(1, 13)]
-    for n in range(13):
-        mg = multiplicity_genfun(b, bb, n)
-        for a in (1, 2, 3, 4):
-            for sign in ("+", "-"):
-                agg = Counter()
-                for (lam, lbar), m in mg.items():
-                    agg[riffle_eigenvalue(a, sign, len(lam), len(lbar))] += m
-                want = sorted(((e, m) for e, m in agg.items() if m), key=lambda t: -t[0])
-                assert riffle_spectrum(a, sign, b, bb, n) == want, (n, a, sign)
+    # the census of multiplicity_genfun against the multiset DP
+    for b, bb in (([2**i for i in range(1, 13)], [3**i for i in range(1, 13)]), ([1, 0, 2, 5], [0, 3, 1])):
+        for n in range(13):
+            for a in range(1, 8):
+                for sign in ("+", "-"):
+                    want = riffle_spectrum_reference(a, sign, b, bb, n)
+                    assert riffle_spectrum(a, sign, b, bb, n) == want, (n, a, sign)
 
 
 def test_riffle_spectrum_a1():
@@ -262,19 +292,43 @@ def test_table_totals(n):
         assert total == 2**n * math.factorial(n)
 
 
-@pytest.mark.parametrize("n", range(10))
+def table1_reference(a, sign, n):
+    """Table 1's printed polynomials.  even a: a^{k-n} with
+    [x^k] x(x+2)...(x+2n−2), plus 0 with the complement to 2^n n!.  odd a,
+    sign '+': [x^k](x+1)(x+3)...(x+2n−1).  odd a, sign '-': a^{k-n} with
+    [x^k](x+n−1)(x+1)...(x+2n−3) and −a^{k-n} with [x^k] n(x+1)...(x+2n−3).
+    Rows of equal eigenvalues are merged."""
+
+    def poly(roots, head=(1,)):
+        out = list(head)
+        for r in roots:
+            out = [r * c + d for c, d in zip(out + [0], [0] + out)]
+        return out
+
+    agg = Counter()
+    if a % 2 == 0:
+        for k, m in enumerate(poly(range(2, 2 * n, 2), head=(0, 1) if n else (1,))):
+            agg[Fraction(a**k, a**n)] += m
+        agg[Fraction(0)] += 2**n * math.factorial(n) - sum(agg.values())
+    elif sign == "+":
+        for k, m in enumerate(poly(range(1, 2 * n, 2))):
+            agg[Fraction(a**k, a**n)] += m
+    else:
+        odd_part = poly(range(1, 2 * n - 1, 2))
+        for k, m in enumerate(poly([n - 1], head=odd_part) if n else [1]):
+            agg[Fraction(a**k, a**n)] += m
+        for k, m in enumerate(odd_part if n else []):
+            agg[Fraction(-(a**k), a**n)] += n * m
+    return sorted(((e, m) for e, m in agg.items() if m), key=lambda t: -t[0])
+
+
+@pytest.mark.parametrize("n", range(13))
 def test_shuffle_multiplicities_are_the_rule_over_the_stirling_census(n):
-    # Table 1's polynomials against the one eigenvalue rule, summed over the
-    # (k, k̄) census of the signed permutations
-    for a in range(1, 6):
+    # the rule over the (k, k̄) census of the signed permutations against
+    # Table 1's polynomials
+    for a in range(1, 8):
         for sign in "+-":
-            agg = Counter()
-            for k in range(n + 1):
-                for kbar in range(n + 1 - k):
-                    e = Fraction(riffle_eigenvalue(a, sign, k, kbar), a**n)
-                    agg[e] += hyperoct_stirling(n, k, kbar)
-            want = sorted(((e, m) for e, m in agg.items() if m), key=lambda t: -t[0])
-            assert shuffle_multiplicities(a, sign, n) == want, (a, sign)
+            assert shuffle_multiplicities(a, sign, n) == table1_reference(a, sign, n), (a, sign)
 
 
 def test_spectra_refuse_bad_counts_and_signs():
@@ -287,3 +341,21 @@ def test_spectra_refuse_bad_counts_and_signs():
             shuffle_multiplicities(a, "x", 3)
         with pytest.raises(ValueError, match="sign"):
             riffle_spectrum(a, "x", [2, 1], [2, 1], 2)
+
+
+@pytest.mark.parametrize(
+    "call, error",
+    [
+        (lambda: riffle_spectrum(0, "+", [2, 1], [2, 1], 2), BadCount),
+        (lambda: riffle_spectrum(2, "+", [2, 1], [2, 1], -1), BadCount),
+        (lambda: riffle_spectrum(2, "x", [], [], 3), ValueError),
+        (lambda: riffle_eigenvalue(0, "+", 1, 0), BadCount),
+        (lambda: riffle_eigenvalue(-2, "+", 1, 0), BadCount),
+        (lambda: multiplicity_genfun([2, 1], [2, 1], -1), BadCount),
+        (lambda: shuffle_multiplicities(2, "x", 0), ValueError),
+    ],
+    ids=["spectrum-a0", "spectrum-n-1", "spectrum-empty-census-bad-sign", "eigenvalue-a0", "eigenvalue-a-2", "genfun-n-1", "table1-n0-bad-sign"],
+)
+def test_spectra_refuse_before_reading_a_census(call, error):
+    with pytest.raises(error):
+        call()
