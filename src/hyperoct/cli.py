@@ -129,7 +129,7 @@ def cmd_eigenvector(args) -> int:
 
 def cmd_eigenbasis(args) -> int:
     flavor = _FLAVORS[args.flavor]
-    N = args.N or args.n
+    N = args.n if args.N is None else args.N
     rows = []
     for w, vec, value in eigenbasis(
         args.n, N, args.a, _SIGNS[args.sign], flavor, include_repeats=args.full_words

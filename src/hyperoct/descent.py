@@ -14,6 +14,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -211,9 +212,9 @@ class DescentOperator:
 # w[j], goes to the j-th position of the order.  The shuffle algebra deals
 # that way (_deal); the concat algebra reads the same order as src, slot i
 # reading block i in dealing order.  markov.batch_step deals random pile
-# labels by _dealing_order, one sort of keys.  apply_operator and
-# image_table run every input through these tables; elementary_action reads
-# them one row at a time and is the word-by-word reference.
+# labels by _dealing_order, one sort of keys.  _operator_programs alone
+# reads these tables, and apply_operator (so apply_elementary) and
+# image_table run every input through them.
 
 
 def _dealing_order(
@@ -284,28 +285,6 @@ def _programs(D: DecoratedComposition, algebra: str) -> tuple[np.ndarray, np.nda
     src.setflags(write=False)
     sign.setflags(write=False)
     return src, sign
-
-
-def elementary_action(D: DecoratedComposition, w: WordLike, algebra: str) -> Iterator[tuple]:
-    """Words (with multiplicity, as a stream) of the elementary operator on w.
-
-    Every emitted word carries coefficient +1; duplicates encode coefficients.
-    """
-    w = tuple(as_word(w))
-    if D.total != len(w):
-        raise SizeMismatch(f"{D} does not split a degree-{len(w)} word")
-    src, sign = _programs(_piles(D), algebra)
-    for row, signs in zip(src.tolist(), sign.tolist()):
-        yield tuple(g * w[i] for i, g in zip(row, signs))
-
-
-def apply_elementary(D: DecoratedComposition, w: WordLike, algebra: str) -> AlgebraElement:
-    """m ∘ Δ_D applied to a single word, as an exact AlgebraElement."""
-    acc: dict[SignedWord, int] = {}
-    for out in elementary_action(D, w, algebra):
-        sw = SignedWord(out)
-        acc[sw] = acc.get(sw, 0) + 1
-    return AlgebraElement(acc)
 
 
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -581,6 +560,15 @@ def apply_operator(T: DescentOperator, x, algebra: str) -> AlgebraElement:
     return AlgebraElement._trusted(terms)
 
 
+def apply_elementary(D: DecoratedComposition, w: WordLike, algebra: str) -> AlgebraElement:
+    """m ∘ Δ_D applied to a single word: ``apply_operator`` on the
+    elementary operator D.  Raises SizeMismatch unless D splits w."""
+    w = as_word(w)
+    if D.total != len(w):
+        raise SizeMismatch(f"{D} does not split a degree-{len(w)} word")
+    return apply_operator(DescentOperator.elementary(D), w, algebra)
+
+
 def is_primitive(x, algebra: str) -> bool:
     """Whether every proper coproduct component Δ_(i, n−i)(x), 0 < i < n, of
     the homogeneous element or word x vanishes.
@@ -678,11 +666,7 @@ def compatible_matrices(D: DecoratedComposition, Dp: DecoratedComposition) -> li
     """All matrices compatible with (D, D'), in lexicographic entry order."""
     if D.total != Dp.total:
         raise SizeMismatch(f"totals differ: {D.total} vs {Dp.total}")
-    if (
-        D.flavor is not Decoration.PLAIN
-        and Dp.flavor is not Decoration.PLAIN
-        and D.flavor is not Dp.flavor
-    ):
+    if len({D.flavor, Dp.flavor} - {Decoration.PLAIN}) > 1:
         raise FlavorMismatch(f"flavors differ: {D.flavor} vs {Dp.flavor}")
     rows = D.undecorate()
     cols = Dp.undecorate()
@@ -745,28 +729,18 @@ def compose_law(
     """Predicted operator for (m∘Δ_D) ∘ (m∘Δ_D'), i.e. apply D' first.
 
     algebra_kind is "commutative" (e.g. the shuffle algebra) or
-    "cocommutative" (e.g. the concatenation algebra).
+    "cocommutative" (e.g. the concatenation algebra), else ValueError; a
+    pair that ``compatible_matrices`` refuses is refused.
     """
-    if D.total != Dp.total:
-        raise SizeMismatch("totals differ")
-    flavors = {D.flavor, Dp.flavor} - {Decoration.PLAIN}
-    if len(flavors) > 1:
-        raise FlavorMismatch("flavors differ")
-    flavor = flavors.pop() if flavors else Decoration.PLAIN
-    tilde = flavor is Decoration.TBAR
     if algebra_kind == "commutative":
-        mats = compatible_matrices(Dp, D)
-        reader = (lambda M: wcomp_tilde(Dp, M)) if tilde else wcomp
+        rows, mats = Dp, compatible_matrices(Dp, D)
     elif algebra_kind == "cocommutative":
-        mats = compatible_matrices(D, Dp)
-        reader = (lambda M: wcomp_tilde(D, M)) if tilde else wcomp
+        rows, mats = D, compatible_matrices(D, Dp)
     else:
         raise ValueError(f"unknown algebra kind {algebra_kind!r}")
-    terms: dict[DecoratedComposition, int] = {}
-    for M in mats:
-        E = reader(M)
-        terms[E] = terms.get(E, 0) + 1
-    return DescentOperator(terms, D.total)
+    return DescentOperator(
+        Counter(wcomp_tilde(rows, M) if M.flavor is Decoration.TBAR else wcomp(M) for M in mats), D.total
+    )
 
 
 # ---------------------------------------------------------------------------

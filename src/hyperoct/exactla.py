@@ -222,9 +222,8 @@ def _mulmod(X: np.ndarray, Y: np.ndarray, p) -> np.ndarray:
 # modular elimination
 
 
-def _eliminate(M: np.ndarray, p: int, below: bool = False) -> tuple[np.ndarray, list[int]]:
-    """Per-pivot Gauss–Jordan of a float64 residue block mod p, in place;
-    with ``below``, each pivot clears only the rows under it.
+def _eliminate(M: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
+    """Per-pivot Gauss–Jordan of a float64 residue block mod p, in place.
 
     Returns the row order (position i holds input row order[i]) and the
     pivot columns.
@@ -244,10 +243,9 @@ def _eliminate(M: np.ndarray, p: int, below: bool = False) -> tuple[np.ndarray, 
             M[[r, i]] = M[[i, r]]
             order[[r, i]] = order[[i, r]]
         M[r, c:] = _reduce(M[r, c:] * pow(int(M[r, c]), p - 2, p), p)
-        T = M[r + 1 if below else 0 :, c:]
+        T = M[:, c:]
         mask = T[:, 0] != 0
-        if not below:
-            mask[r] = False
+        mask[r] = False
         if mask.any():
             T[mask] = _reduce(T[mask] - np.outer(T[mask, 0], M[r, c:]), p)
         pivots.append(c)
@@ -258,15 +256,15 @@ def _eliminate(M: np.ndarray, p: int, below: bool = False) -> tuple[np.ndarray, 
 def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form of an integer matrix mod a prime p < 2^26.
 
-    Blocked Gauss–Jordan.  Forward elimination, one pivot at a time, of
-    the rows below the rank so far on a panel of at most _PANEL columns
-    finds the panel's k pivot columns J and k rows S with R[S, J]
-    invertible.  The rows S become R[S, J]^{-1}·R[S, :] and every other row
-    loses R[i, J] times them, in one `_submulmod` of inner dimension k.  The
-    RREF is unique, so R and the pivots are those of a per-pivot
-    elimination.  A matrix of at most _PANEL rows is one row block: the
-    per-pivot elimination does no more arithmetic than the blocked update,
-    in a few numpy calls per pivot instead of a few dozen per panel.
+    Blocked Gauss–Jordan.  The per-pivot elimination of a copy of the rows
+    below the rank so far, on a panel of at most _PANEL columns, finds the
+    panel's k pivot columns J and k rows S with R[S, J] invertible.  The
+    rows S become R[S, J]^{-1}·R[S, :] and every other row loses R[i, J]
+    times them, in one `_submulmod` of inner dimension k.  The RREF is
+    unique, so R and the pivots are those of a per-pivot elimination.  A
+    matrix of at most _PANEL rows is one row block: the per-pivot
+    elimination does no more arithmetic than the blocked update, in a few
+    numpy calls per pivot instead of a few dozen per panel.
     """
     if not 2 <= p < 2**26:
         raise ValueError(f"rref_mod needs a prime below 2^26, got {p}")
@@ -280,7 +278,7 @@ def rref_mod(A: np.ndarray, p: int) -> tuple[np.ndarray, list[int]]:
     for c0 in range(0, cols, _PANEL):
         if r == rows:
             break
-        order, J = _eliminate(R[r:, c0 : c0 + _PANEL].copy(), p, below=True)
+        order, J = _eliminate(R[r:, c0 : c0 + _PANEL].copy(), p)
         k = len(J)
         if k == 0:
             continue

@@ -9,11 +9,12 @@ letters map to i+ī (plain) or i−ī (barred), longer words bracket their
 standard factorization recursively.
 
 There is one assembly, on coded words: ``_bracket`` builds bracketings,
-``_eigen_assembly`` names the signed orders in which the factors of an
-eigenvector are concatenated, and ``_concat`` concatenates coded
-factors in those orders, for a stack of elements whose factors share
-their shapes, one per row.  ``_combine`` runs it on one row and merges
-the terms by ``descent._merge_codes``, the merge of ``apply_operator``.
+``_eigen_plan`` names an eigenvector's eigenvalue and the orders in which
+its factors are concatenated, each with an integer weight so that no two
+coincide, and ``_concat`` concatenates coded factors in those orders, for
+a stack of elements whose factors share their shapes, one per row.
+``_combine`` runs it on one row and merges the terms by
+``descent._merge_codes``, the merge of ``apply_operator``.
 ``_ranked_assembly`` runs that on one word, its labels ranked by
 ``descent._ranked_words``, from the signed seed i ↦ i + ī, ī ↦ i − ī,
 and decodes one AlgebraElement for ``stdbrac`` and ``build_eigenvector``
@@ -40,14 +41,14 @@ It is exact by this argument:
   int64; ``_ranked_assembly`` codes in Python integers when it does not.
   The code of a concatenation xy is code(x) + code(y)·(2m+1)^|x|, so the
   codes of a product never leave that range.
-- Each eigenvector, and each bracketing inside it, is a signed sum of
-  ``count`` concatenations of the same factors f_1, ..., f_r in different
-  orders.  The sum of the absolute values of its coefficients, and so of
-  every partial sum formed while multiplying and merging (each slot of
-  the merge's dense accumulator is one, and so is each entry of the
-  matrix that ``eigenvector_matrix`` adds rows into), is at most
-  count·Π‖f_i‖₁.  That
-  bound is computed in Python integers from the exact L1 norms of the
+- Each eigenvector, and each bracketing inside it, is a sum of
+  concatenations of the same factors f_1, ..., f_r in different orders,
+  each times an integer weight, and ``count`` is the sum of the |weights|.
+  The sum of the absolute values of its coefficients, and so of every
+  partial sum formed while multiplying and merging (each slot of the
+  merge's dense accumulator is one, and so is each entry of the matrix
+  that ``eigenvector_matrix`` adds rows into), is at most count·Π‖f_i‖₁.
+  That bound is computed in Python integers from the exact L1 norms of the
   factors (for a stack of rows, the largest norm of each factor), and
   CodeOverflow is raised before any int64 arithmetic when it exceeds
   2^63 − 1.  Integers never wrap: ``eigenvector_matrix`` refuses there,
@@ -60,7 +61,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
+from collections import Counter
+from typing import Callable, Iterable, Sequence, TypeVar
 
 import numpy as np
 
@@ -162,15 +164,6 @@ def _is_invariant(u: SignedWord, flavor: Decoration) -> bool:
     raise ValueError("flavor must be BAR or TBAR")
 
 
-def _two_block_setcomps(k: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Ordered pairs (B1, B2) of disjoint sets covering {0, ..., k−1}."""
-    items = tuple(range(k))
-    for mask in itertools.product((0, 1), repeat=k):
-        b1 = tuple(i for i in items if mask[i] == 0)
-        b2 = tuple(i for i in items if mask[i] == 1)
-        yield b1, b2
-
-
 def build_eigenvector(w: WordLike, a: int, sign: str, flavor: Decoration) -> tuple[AlgebraElement, int]:
     """Eigenvector of the chosen riffle operator on the concatenation algebra
     associated with the word w, together with its exact eigenvalue.
@@ -200,10 +193,12 @@ def eigenbasis(
     are used.  For even-a rotation operators, words with negating factors are
     skipped (they index the generalized 0-eigenspace, which has no eigenvector
     formula); the emitted set still spans a complement of it.  Raises
-    BadCount for n < 0.
+    BadCount for n < 0 or N < 1.
     """
     if n < 0:
         raise BadCount(f"need n >= 0, got n={n}")
+    if N < 1:
+        raise BadCount(f"need N >= 1, got N={N}")
     words = all_words(n, N) if include_repeats else distinct_letter_words(n, N)
     out = []
     for w in words:
@@ -232,16 +227,16 @@ def _refuse_past_int64(count: int, norms: Iterable[int]) -> None:
 
 
 def _concat(factors: Sequence[Coded], orders: Sequence[tuple[int, Sequence[int]]], base: int) -> Coded:
-    """Σ sign·(the concatenation of the factors in that order) over the
-    pairs (sign, order) of ``orders``, for G elements at once.  Each factor
-    holds one element per row, as G×t codes and G×t coefficients, and its
-    length; each order lists every factor exactly once.  The result holds
-    each row's terms, G×(len(orders)·Πt), in order and unmerged, in the
-    factors' dtypes."""
+    """Σ weight·(the concatenation of the factors in that order) over the
+    pairs (weight, order) of ``orders``, for G elements at once.  Each
+    factor holds one element per row, as G×t codes and G×t coefficients,
+    and its length; each order lists every factor exactly once.  The result
+    holds each row's terms, G×(len(orders)·Πt), in order and unmerged, in
+    the factors' dtypes."""
     all_codes, all_coeffs = [], []
-    for sign, order in orders:
+    for weight, order in orders:
         codes, coeffs, length = factors[order[0]]
-        coeffs = coeffs if sign == 1 else -coeffs
+        coeffs = coeffs if weight == 1 else coeffs * weight
         for i in order[1:]:
             fc, fk, fl = factors[i]
             codes = (codes[:, :, None] + fc[:, None, :] * base**length).reshape(len(fc), -1)
@@ -255,11 +250,12 @@ def _concat(factors: Sequence[Coded], orders: Sequence[tuple[int, Sequence[int]]
 def _combine(
     factors: Sequence[Coded], orders: Iterable[tuple[int, Sequence[int]]], count: int, base: int
 ) -> Coded:
-    """Σ sign·(the concatenation of the factors in that order) over the
-    ``count`` pairs (sign, order) of ``orders``, for one element:
-    ``_concat`` on one row, merged by ``descent._merge_codes``.  Each order
-    lists every factor exactly once, and the factors share one dtype for
-    codes and one for coefficients, which the result keeps.
+    """Σ weight·(the concatenation of the factors in that order) over the
+    pairs (weight, order) of ``orders``, whose |weights| sum to ``count``,
+    for one element: ``_concat`` on one row, merged by
+    ``descent._merge_codes``.  Each order lists every factor exactly once,
+    and the factors share one dtype for codes and one for coefficients,
+    which the result keeps.
 
     For int64 coefficients, the L1 bound of the module docstring is proved
     before ``orders`` is read, so that an overflowing sum is refused before
@@ -290,11 +286,11 @@ def _letter_brackets(labels: Iterable[int], m: int, code_dtype, dtype) -> dict[S
 
 @functools.lru_cache(maxsize=8)
 def _plain_letters(labels: tuple[int, ...], m: int) -> dict[SignedWord, Coded]:
-    """Both i and ī ↦ i for the given labels (at most m), and the unit,
-    coded in base 2m+1 in int64: the plain-letter seed of the block rows
-    of ``eigenvector_matrix``.  The memo, with every ``_bracket`` built
-    into it, is kept per (labels, m), for at most 8 of them."""
-    memo = {SignedWord._trusted(()): (np.zeros(1, dtype=np.int64), np.ones(1, dtype=np.int64), 0)}
+    """Both i and ī ↦ i for the given labels (at most m), coded in base
+    2m+1 in int64: the plain-letter seed of the block rows of
+    ``eigenvector_matrix``.  The memo, with every ``_bracket`` built into
+    it, is kept per (labels, m), for at most 8 of them."""
+    memo = {}
     for i in labels:
         letter = (np.array([m + i], dtype=np.int64), np.ones(1, dtype=np.int64), 1)
         memo[SignedWord._trusted((i,))] = memo[SignedWord._trusted((-i,))] = letter
@@ -339,59 +335,61 @@ def _bracket(u: SignedWord, base: int, memo: dict[SignedWord, Coded]) -> Coded:
     return memo[u]
 
 
-def _eigen_assembly(
-    kbar: int, a: int, sign: str, flavor: Decoration
-) -> list[tuple[int, tuple[int, ...]]]:
-    """The signed orders in which an eigenvector is assembled from the
-    negating bracketings q_0, ..., q_(kbar−1) (factors 0..kbar−1) and the
-    symmetrized invariant product (factor kbar).  Its eigenvalue is
-    ``spectral.riffle_eigenvalue``.  Raises OutsideBasis for negating
-    factors under an even-a rotation operator."""
+def _eigen_plan(
+    kp: int, kbar: int, a: int, sign: str, flavor: Decoration
+) -> tuple[int, list[tuple[int, tuple[int, ...]]]]:
+    """(eigenvalue, orders) of an eigenvector with kp invariant and kbar
+    negating Lyndon factors: ``spectral.riffle_eigenvalue``, and the
+    (weight, order) pairs in which it concatenates the negating
+    bracketings q_0, ..., q_(kbar−1) (factors 0..kbar−1) and, when kp > 0,
+    the symmetrized product of the invariant ones (factor kbar).  With no
+    invariant factor that product is the empty word and is left out, and
+    orders that then coincide are one order, their weights summed.
+    Raises ValueError for a bad sign or flavor, and OutsideBasis for
+    negating factors under an even-a rotation operator."""
+    value = riffle_eigenvalue(a, sign, kp, kbar)
     qs = tuple(range(kbar))
-    sym = kbar
+    sym = (kbar,) if kp else ()
     if flavor is Decoration.TBAR:
         if a % 2 == 0:
-            order = (sym, *qs) if sign == "+" else (*qs, sym)
-            return [(1, order)]
-        if sign == "+":
-            return [(1, (*qs, sym))]
-        orders = [(1, (*qs, sym))]
-        if kbar:
-            orders.append((1, (sym, *reversed(qs))))
-        return orders
-    if flavor is Decoration.BAR:
-        if a % 2 == 0:
-            if kbar:
-                raise OutsideBasis(
-                    "the word has rotation-negating Lyndon factors; even-a rotation operators only assign "
-                    "eigenvectors to words whose Lyndon factors all have an even number of barred letters"
-                )
-            return [(1, (sym,))]
-        return [(1, (*b1, sym, *reversed(b2))) for b1, b2 in _two_block_setcomps(kbar)]
-    raise ValueError("flavor must be BAR or TBAR")
+            orders = [(*sym, *qs) if sign == "+" else (*qs, *sym)]
+        elif sign == "+" or not kbar:
+            orders = [(*qs, *sym)]
+        else:
+            orders = [(*qs, *sym), (*sym, *reversed(qs))]
+    elif flavor is Decoration.BAR:
+        if a % 2 == 0 and kbar:
+            raise OutsideBasis(
+                "the word has rotation-negating Lyndon factors; even-a rotation operators only assign "
+                "eigenvectors to words whose Lyndon factors all have an even number of barred letters"
+            )
+        # q_i left of the product, ascending, or right of it, descending
+        orders = [
+            (*(i for i in qs if not right[i]), *sym, *(i for i in reversed(qs) if right[i]))
+            for right in itertools.product((False, True), repeat=kbar)
+        ]
+    else:
+        raise ValueError("flavor must be BAR or TBAR")
+    return value, [(weight, order) for order, weight in Counter(orders).items()]
 
 
 def _eigenvector_codes(
     w: SignedWord, a: int, sign: str, flavor: Decoration, m: int, memo: dict[SignedWord, Coded]
 ) -> tuple[Coded, int]:
     """The eigenvector of the word w (labels in [-m, m]) coded in base
-    2m+1, and its eigenvalue ``riffle_eigenvalue``: the bracketings of w's
-    Lyndon factors from ``memo`` (seeded by ``_letter_brackets``),
-    assembled as ``_eigen_assembly`` says.  Raises ValueError for a bad
-    sign and OutsideBasis before any bracketing is built."""
+    2m+1, and its eigenvalue: the bracketings of w's Lyndon factors from
+    ``memo`` (seeded by ``_letter_brackets`` or ``_plain_letters``),
+    assembled as ``_eigen_plan`` says.  Raises ValueError for a bad sign
+    and OutsideBasis before any bracketing is built."""
     base = 2 * m + 1
     ps, qs = [], []
     for u in lyndon_factorize(w):
         (ps if _is_invariant(u, flavor) else qs).append(u)
-    value = riffle_eigenvalue(a, sign, len(ps), len(qs))
-    orders = _eigen_assembly(len(qs), a, sign, flavor)
-    if ps:
-        perms = ((1, p) for p in itertools.permutations(range(len(ps))))
-        sym = _combine([_bracket(u, base, memo) for u in ps], perms, math.factorial(len(ps)), base)
-    else:
-        sym = memo[SignedWord._trusted(())]
-    coded = _combine([_bracket(u, base, memo) for u in qs] + [sym], orders, len(orders), base)
-    return coded, value
+    value, orders = _eigen_plan(len(ps), len(qs), a, sign, flavor)
+    perms = ((1, p) for p in itertools.permutations(range(len(ps))))
+    sym = [_combine([_bracket(u, base, memo) for u in ps], perms, math.factorial(len(ps)), base)] if ps else []
+    factors = [_bracket(u, base, memo) for u in qs] + sym
+    return _combine(factors, orders, sum(abs(weight) for weight, _ in orders), base), value
 
 
 def eigenvector_matrix(
@@ -417,16 +415,15 @@ def eigenvector_matrix(
     factors have the same numbers of terms and lengths, in order, share
     their eigenvalue, their orders and every array shape: their
     bracketings stack into G×t arrays, and ``_concat`` assembles the
-    group at once.  The rows are not merged.  For distinct letters a
-    bracketing of a Lyndon word of length L has 2^(L−1) distinct terms,
-    each ±1 (Reutenauer, Free Lie Algebras, 1993), and a concatenation of
-    nonempty words on disjoint letter sets is read back from its letters,
-    order included.  So two terms of a row are equal only when they come
-    from two orders that differ just by the place of the empty product of
-    no invariant factor, which is left out; their coefficients are then
-    equal and add up.  Either
-    way, one ``np.add.at`` writes the group into U and sums equal codes,
-    so U holds the merged rows.  Coefficients are int64: the L1 bound of
+    group at once.  The rows are not merged, and need not be.  For
+    distinct letters a bracketing of a Lyndon word of length L has
+    2^(L−1) distinct terms, each ±1 (Reutenauer, Free Lie Algebras, 1993),
+    and a concatenation of nonempty words on disjoint letter sets is read
+    back from its letters, order included.  So two terms of a row could be
+    equal only if they came from two orders that differ just by the place
+    of the empty product of no invariant factor, and ``_eigen_plan`` has
+    made such orders one, of weight 2.  One ``np.add.at`` writes the
+    group into U.  Coefficients are int64: the L1 bound of
     the module docstring is checked once per group, before any int64
     arithmetic, and past it CodeOverflow is raised.  A group is assembled
     in chunks of at most ``descent._TABLE_CODES`` terms (at least one
@@ -454,7 +451,7 @@ def eigenvector_matrix(
         raise BadCount(f"k must be 0 or a label of the states, got k={k}")
     memo = _plain_letters(tuple(labels), basis.m)
     base = 2 * basis.m + 1
-    assemblies = {}  # (invariant, negating) factor counts: (eigenvalue, orders), or None outside the basis
+    plans = {}  # (invariant, negating) factor counts: the ``_eigen_plan``, or None outside the basis
     groups: dict[tuple, list] = {}  # (invariant count, (terms, length) per factor): [(row, bracketings)]
     mus, words, refused = [], [], []  # refused: (row, the error of its assembly)
     for w in map(SignedWord._trusted, np.where(basis.W <= k, -basis.W, basis.W).tolist()):
@@ -462,12 +459,12 @@ def eigenvector_matrix(
         for u in lyndon_factorize(w):
             (ps if _is_invariant(u, flavor) else qs).append(u)
         kinds = (len(ps), len(qs))
-        if kinds not in assemblies:
+        if kinds not in plans:
             try:
-                assemblies[kinds] = riffle_eigenvalue(a, sign, *kinds), _eigen_assembly(len(qs), a, sign, flavor)
+                plans[kinds] = _eigen_plan(*kinds, a, sign, flavor)
             except OutsideBasis:
-                assemblies[kinds] = None
-        if assemblies[kinds] is None:
+                plans[kinds] = None
+        if plans[kinds] is None:
             continue
         try:
             brackets = [_bracket(u, base, memo) for u in ps + qs]
@@ -476,7 +473,7 @@ def eigenvector_matrix(
             break
         shape = (len(ps), tuple((len(codes), length) for codes, _, length in brackets))
         groups.setdefault(shape, []).append((len(words), brackets))
-        mus.append(assemblies[kinds][0])
+        mus.append(plans[kinds][0])
         words.append(w)
     U = np.zeros((len(words), len(basis)), dtype=np.int64)
     for (kp, shape), members in groups.items():
@@ -485,11 +482,8 @@ def eigenvector_matrix(
             (np.array([b[j][0] for _, b in members]), np.array([b[j][1] for _, b in members]), length)
             for j, (_, length) in enumerate(shape)
         ]
-        kbar = len(shape) - kp
-        orders = assemblies[kp, kbar][1]
-        count = math.factorial(kp) * len(orders)
-        if not kp:  # the symmetrized product is the unit: leave it out
-            orders = [(sg, tuple(i for i in order if i != kbar)) for sg, order in orders]
+        orders = plans[kp, len(shape) - kp][1]
+        count = math.factorial(kp) * sum(abs(weight) for weight, _ in orders)
         norms = [int(abs(coeffs).sum(1).max()) for _, coeffs, _ in stacks]
         try:
             if kp:  # the bound of the symmetrized product, built first

@@ -144,7 +144,7 @@ def test_eigenbasis(capsys):
         capsys,
     )
     data = json.loads(out)
-    assert data["count"] == 8
+    assert data["count"] == 8 and data["N"] == 2  # --N defaults to --n
     from collections import Counter
 
     assert Counter(r["eigenvalue"] for r in data["eigenvectors"]) == {
@@ -429,6 +429,7 @@ def test_simulate_refusals(extra, message, capsys):
         ["eigenvector", "--word", "1.5 2", "--a", "2", "--flavor", "flip"],
         ["simulate", "--n", "3", "--a", "2", "--flavor", "flip", "--start", "1 x 3", "--seed", "1"],
         ["eigenbasis", "--n", "-1", "--a", "2", "--flavor", "flip"],
+        ["eigenbasis", "--n", "2", "--N", "0", "--a", "2", "--flavor", "flip"],
         ["verify", "--n-max", "0"],
         ["verify", "--n-max", "-3"],
     ],

@@ -43,7 +43,7 @@ from hyperoct import (
 )
 from hyperoct import descent
 from hyperoct.algebra import _position_splits
-from hyperoct.descent import _deal, _dealing_order, _piles, _programs, decorated_pile, elementary_action, image_table
+from hyperoct.descent import _deal, _dealing_order, _piles, _programs, decorated_pile, image_table
 from hyperoct.spectral import operator_eigenvalues
 from conftest import W, signed_eigenvector_matrix
 
@@ -170,6 +170,17 @@ def test_compatible_matrices_small():
         compatible_matrices(DC.parse("2b"), DC.parse("2t"))
 
 
+def test_compose_law_refusals():
+    # the refusals of compatible_matrices, in either order of the pair
+    for kind in ("commutative", "cocommutative"):
+        with pytest.raises(SizeMismatch):
+            compose_law(DC.parse("2"), DC.parse("1,2b"), kind)
+        with pytest.raises(FlavorMismatch):
+            compose_law(DC.parse("1t,1"), DC.parse("2b"), kind)
+    with pytest.raises(ValueError, match="unknown algebra kind"):
+        compose_law(DC.parse("2"), DC.parse("2"), "graded")
+
+
 def test_wcomp_readouts():
     mats = compatible_matrices(DC.parse("2b,4b,1"), DC.parse("2b,5"))
     M0 = next(M for M in mats if M.sizes == PAPER_FIVE_MATRICES[0])
@@ -266,13 +277,22 @@ def test_compositions_enumeration():
 # path of apply_operator
 
 
+def _reference_action(D, algebra):
+    """w ↦ the words of m∘Δ_D(w), one per program and each with
+    coefficient +1, read one row at a time from the per-split tables of
+    ``_reference_programs``, not from the kernel's ``_programs``."""
+    src, sign = (a.tolist() for a in _reference_programs(D, algebra))
+    return lambda w: [tuple(g * w[i] for i, g in zip(row, signs)) for row, signs in zip(src, sign)]
+
+
 def _literal_operator_matrix(T, states, algebra):
     """Reference: every image of every state, looked up one word at a time."""
     index = {tuple(w): i for i, w in enumerate(states)}
     M = np.zeros((len(states), len(states)), dtype=np.int64)
     for D, c in T.terms.items():
+        action = _reference_action(D, algebra)
         for i, w in enumerate(states):
-            for out in elementary_action(D, w, algebra):
+            for out in action(w):
                 M[i, index[out]] += int(c)
     return M
 
@@ -559,14 +579,15 @@ def _kernel_cases(case):
     + ["fractional", "zero_operator", "degree0", "n1", "a1", "labels_2_20", "labels_2_63", "degree40", "riffle4"],
 )
 def test_array_path_matches_word_path(case):
-    # the kernel against the word-by-word accumulation of elementary_action;
-    # the scales put the sums below and above the int64 edge
+    # the kernel against the word-by-word accumulation of the reference
+    # tables; the scales put the sums below and above the int64 edge
     for T, x in _kernel_cases(case):
         for algebra in (SHUFFLE, CONCAT):
             want = {}
             for D, cD in T.terms.items():
+                action = _reference_action(D, algebra)
                 for w, cw in x:
-                    for out in elementary_action(D, w, algebra):
+                    for out in action(w):
                         want[out] = want.get(out, 0) + cD * cw
             assert apply_operator(T, x, algebra) == AlgebraElement(want), (case, T.to_json(), algebra)
 

@@ -42,6 +42,7 @@ from hyperoct import (
 )
 from hyperoct import descent, lyndon
 from hyperoct.lyndon import _combine
+from hyperoct.spectral import riffle_eigenvalue
 from hyperoct.words import word_lex_key
 from hyperoct.verify import ALL_SPECS, _int_vector
 from conftest import W, eigenvector_matrix_by_rows, signed_eigenvector_matrix
@@ -282,6 +283,37 @@ def reference_eigenvector(w, a, sign, flavor, tilde_plus_format="left"):
         right = _product([q for q, side in zip(qs, mask) if side == 1][::-1])
         acc = acc + concat_elements(left, sym, right)
     return acc, a**k if sign == "+" else (-1) ** kbar * a**k
+
+
+def test_eigen_plan_builds_each_order_once():
+    """With no invariant factor the symmetrized product is the empty word
+    and is left out; the orders that then coincide are one order of weight
+    2.  Odd-a rotation: the last negating factor ends the left block or
+    starts the reversed right one.  Flip '−' with one negating factor: the
+    product on either side of it."""
+    assert lyndon._eigen_plan(0, 2, 3, "+", Decoration.BAR) == (1, [(2, (0, 1)), (2, (1, 0))])
+    assert lyndon._eigen_plan(1, 2, 3, "+", Decoration.BAR)[1] == [
+        (1, order) for order in ((0, 1, 2), (0, 2, 1), (1, 2, 0), (2, 1, 0))
+    ]
+    assert lyndon._eigen_plan(0, 1, 3, "-", Decoration.TBAR) == (-1, [(2, (0,))])
+    assert lyndon._eigen_plan(1, 1, 3, "-", Decoration.TBAR) == (-3, [(1, (0, 1)), (1, (1, 0))])
+    for kp, kbar, a, sign, flavor in itertools.product(
+        range(3), range(4), range(1, 5), "+-", (Decoration.BAR, Decoration.TBAR)
+    ):
+        if not kp + kbar or (flavor is Decoration.BAR and a % 2 == 0 and kbar):
+            continue
+        value, orders = lyndon._eigen_plan(kp, kbar, a, sign, flavor)
+        factors = kbar + (kp > 0)
+        assert value == riffle_eigenvalue(a, sign, kp, kbar)
+        assert len({order for _, order in orders}) == len(orders)
+        assert all(sorted(order) == list(range(factors)) for _, order in orders)
+        if flavor is Decoration.BAR:
+            built = 2**kbar
+        else:
+            built = 2 if a % 2 and sign == "-" and kbar else 1
+        assert sum(weight for weight, _ in orders) == built, (kp, kbar, a, sign, flavor)
+    with pytest.raises(OutsideBasis):
+        lyndon._eigen_plan(1, 1, 2, "+", Decoration.BAR)
 
 
 def test_symmetrized_product():
@@ -603,6 +635,9 @@ def test_eigenvector_matrix_skips_even_rotation_rows():
 def test_eigenvector_matrix_and_eigenbasis_refuse_a_block_outside_their_words():
     with pytest.raises(BadCount, match="n=-1"):
         eigenbasis(-1, 2, 2, "+", Decoration.BAR)
+    for N in (0, -1):  # no labels: not an empty basis
+        with pytest.raises(BadCount, match=f"N={N}"):
+            eigenbasis(2, N, 2, "+", Decoration.BAR)
     plain = plain_permutations(3)
     for k in (-1, 4, 2.5):
         with pytest.raises(BadCount, match="k must be 0 or a label"):

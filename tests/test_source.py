@@ -111,3 +111,23 @@ def test_every_private_top_level_name_is_read_in_src():
                 if d.startswith("_") and not (d.startswith("__") and d.endswith("__")) and d not in read
             ]
     assert not unread, f"private names read nowhere in src/: {unread}"
+
+
+def test_program_tables_are_read_in_one_place():
+    """Only ``descent._operator_programs`` calls ``_programs``: every
+    operator reads its program tables through that one stacking, and the
+    tests check the tables against references that do not read them."""
+    calls, bad = 0, []
+    for path in MODULES:
+        for node in parse(path).body:
+            owner = node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) else None
+            for call in ast.walk(node):
+                if not isinstance(call, ast.Call):
+                    continue
+                func = call.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) != "_programs":
+                    continue
+                calls += 1
+                if owner != "_operator_programs":
+                    bad.append(f"{path.name}:{call.lineno}")
+    assert calls and not bad, f"_programs called outside _operator_programs at {bad}"

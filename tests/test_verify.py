@@ -196,6 +196,36 @@ def test_tau_tilde_ambimorphism_fails_on_swapped_slots(monkeypatch):
     assert got["algebra.tau_hopf_morphism"] == "pass"
 
 
+def test_onenegating_flip_row_sees_a_swapped_concatenation(monkeypatch):
+    """With every concatenation of the check reversed, the flip row fails;
+    the rotation row checks a sum symmetric in the order, and passes."""
+    def statuses():
+        return {r.name: r.status for r in verify.check_onenegating_lemmas(4)}
+
+    assert set(statuses().values()) == {"pass"}
+    monkeypatch.setattr(verify, "concat_elements", lambda *factors: concat_elements(*factors[::-1]))
+    got = statuses()
+    assert got["lyndon.flip_onenegating_lemma"] == "fail"
+    assert got["lyndon.rotation_onenegating_lemma"] == "pass"
+
+
+@pytest.mark.parametrize("a", [3, 5])
+def test_rotation_onenegating_identity_holds_only_as_a_sum(a):
+    """Why the rotation row checks ps + sp: for odd a, T(p̄·s) is neither
+    ±p̄·orif(s) nor ±orif(s)·p̄, but the sum identity holds."""
+    pbar = stdbrac(W("-1"))
+    for deg in (1, 2, 3):
+        s = concat_elements(*(stdbrac(W(str(label))) for label in (3, 2, 4)[:deg]))
+        for sign in "+-":
+            T = riffle_operator(a, sign, Decoration.BAR, deg + 1)
+            orif_s = apply_operator(riffle_operator(a, sign, Decoration.BAR, deg), s, CONCAT)
+            ps = apply_operator(T, concat_elements(pbar, s), CONCAT)
+            sp = apply_operator(T, concat_elements(s, pbar), CONCAT)
+            left, right = concat_elements(pbar, orif_s), concat_elements(orif_s, pbar)
+            assert all(ps != e * x for e in (1, -1) for x in (left, right)), (deg, sign)
+            assert ps + sp == (left + right if sign == "+" else -(left + right)), (deg, sign)
+
+
 def test_eigen_rows_read_the_certificate(monkeypatch):
     names = ("lyndon.eigen_equations", "markov.right_eigenfunctions_via_duality")
 
